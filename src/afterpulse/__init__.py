@@ -3,8 +3,8 @@
 Submodules: ``models`` (recursive click-probability models and inversions),
 ``simulator`` (seeded Monte Carlo of the gated detector), ``estimators``
 (Bethune / Yuan / coincidence / sweep-histogram methods), ``fitting``
-(dead-time decay-law fits), ``histio`` (histogram container and file
-format) and ``cli`` (command-line front end).
+(dead-time decay-law fits), ``histio`` (sweep and gate histogram
+containers and their file format) and ``cli`` (command-line front end).
 """
 
 from ._kernels import HAVE_NUMBA, USING_NUMBA

@@ -32,8 +32,6 @@ __all__ = [
     "gate_loop_python",
     "gate_loop_jit",
     "sweep_scan",
-    "rng_state",
-    "sample_detrap",
     "RELEASE_QUEUE_CAP",
 ]
 
@@ -52,7 +50,7 @@ if not NUMBA_DISABLED:
         from numba import njit as _njit
 
         HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
+    except ImportError:  # pragma: no cover - numba is the optional [fast] extra
         HAVE_NUMBA = False
 
 USING_NUMBA = HAVE_NUMBA
@@ -317,40 +315,12 @@ def _sweep_scan_impl(click_gates, gates_per_pulse, sweep_gates, binw_gates, n_bi
     return bins, c0
 
 
-def _rng_state_impl(seed):
-    """64-bit generator state from an integer seed (one splitmix64 round)."""
-    z = seed + _SM_GAMMA
-    z = (z ^ (z >> _U30)) * _SM_M1
-    z = (z ^ (z >> _U27)) * _SM_M2
-    z = z ^ (z >> _U31)
-    if z == _UZERO:
-        z = _SM_GAMMA
-    out = np.empty(1, np.uint64)
-    out[0] = z
-    return out
-
-
-def _sample_detrap_impl(state, tau_detrap):
-    """One exponential carrier-release delay with mean ``tau_detrap``."""
-    x = state[0]
-    x ^= x >> _U12
-    x ^= x << _U25
-    x ^= x >> _U27
-    state[0] = x
-    u = (np.float64((x * _MULT) >> _U12) + 0.5) * _TWO52INV
-    return -tau_detrap * math.log(u)
-
-
 if HAVE_NUMBA:
     gate_loop_jit = _njit(cache=True)(_gate_loop_impl)
     _sweep_scan_jit = _njit(cache=True)(_sweep_scan_impl)
-    _rng_state_jit = _njit(cache=True)(_rng_state_impl)
-    _sample_detrap_jit = _njit(cache=True)(_sample_detrap_impl)
 else:
     gate_loop_jit = None
     _sweep_scan_jit = None
-    _rng_state_jit = None
-    _sample_detrap_jit = None
 
 
 def gate_loop_python(*args):
@@ -369,19 +339,3 @@ def sweep_scan(*args):
     if USING_NUMBA:
         return _sweep_scan_jit(*args)
     return _sweep_scan_impl(*args)
-
-
-def rng_state(seed: int) -> np.ndarray:
-    if not 0 <= seed < 2**63:
-        raise ValueError(f"seed must be a non-negative 63-bit integer, got {seed}")
-    if USING_NUMBA:
-        return _rng_state_jit(np.uint64(seed))
-    with np.errstate(over="ignore"):
-        return _rng_state_impl(np.uint64(seed))
-
-
-def sample_detrap(state: np.ndarray, tau_detrap: float) -> float:
-    if USING_NUMBA:
-        return _sample_detrap_jit(state, tau_detrap)
-    with np.errstate(over="ignore"):
-        return _sample_detrap_impl(state, tau_detrap)

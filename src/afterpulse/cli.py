@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _kernels
 from .estimators import (
     DegenerateDataError,
     EstimateBundle,
@@ -29,7 +28,7 @@ from .estimators import (
     estimate_yuan,
     fold_gate_histogram,
 )
-from .fitting import FitInputError, FitLaw, FitResult, fit_curve
+from .fitting import FitInputError, FitLaw, fit_curve
 from .histio import HistogramFormatError, SweepHistogram, read_histogram, write_histogram
 from .models import DomainError, NoRootError
 from .simulator import (
@@ -157,64 +156,53 @@ def load_config(path: str | Path) -> RunConfig:
             if parser.has_option(section, key):
                 raw = parser.get(section, key)
                 try:
-                    values[section][key] = cast(float(raw)) if cast is int else cast(raw)
+                    value = float(raw) if cast is int else cast(raw)
                 except ValueError as exc:
                     raise ConfigError(
                         f"{path}: key '{key}' in [{section}]: cannot parse {raw!r}"
                     ) from exc
+                if cast is int:
+                    if not value.is_integer():
+                        raise ConfigError(
+                            f"{path}: key '{key}' in [{section}]: "
+                            f"{raw!r} is not an integer"
+                        )
+                    value = int(value)
+                values[section][key] = value
             else:
                 values[section][key] = default
     return RunConfig(values=values)
 
 
-def _gate_hist_to_container(hist: GateHistogram, extra: dict[str, str]) -> SweepHistogram:
-    meta = {
-        "kind": "gate",
-        "gates_per_period": str(hist.gates_per_period),
-        "acquisition_gates": str(hist.acquisition_gates),
-        "tau_s_ns": f"{hist.tau_s * 1e9:.6g}",
-    }
-    meta.update(extra)
-    return SweepHistogram(
-        bin_width=hist.bin_width,
-        sweep=hist.period,
-        bins=hist.bins,
-        c0=0,
-        meta=meta,
-    )
-
-
-def _gate_hist_from_container(h: SweepHistogram, path) -> GateHistogram:
-    if h.meta.get("kind") != "gate":
+def _gate_histogram(hist: SweepHistogram | GateHistogram, path) -> GateHistogram:
+    if not isinstance(hist, GateHistogram):
         raise DegenerateDataError(
             f"{path}: not a gate histogram (missing 'kind = gate' metadata)"
         )
-    try:
-        gates = int(h.meta["gates_per_period"])
-        acq = int(h.meta["acquisition_gates"])
-        tau_s = float(h.meta.get("tau_s_ns", "0")) * 1e-9
-    except (KeyError, ValueError) as exc:
-        raise DegenerateDataError(f"{path}: incomplete gate metadata: {exc}") from exc
-    return GateHistogram(
-        bins=h.bins,
-        bin_width=h.bin_width,
-        period=h.sweep,
-        gates_per_period=gates,
-        acquisition_gates=acq,
-        tau_s=tau_s,
-    )
+    return hist
 
 
-def _derive_floored(p_exp: float, rate: float, tau_s: float) -> EstimateBundle:
-    """Model conversions of a measured ratio, tolerant of noise below zero.
+def _custom_estimate(
+    hist: SweepHistogram, rate: float, tau_s: float, window: tuple[float, float]
+) -> tuple[EstimateBundle, EstimateBundle]:
+    """The sweep-histogram estimate and its model conversions."""
+    measured = estimate_custom(hist, tau_s=tau_s, window=window)
+    return measured, derive_all(measured.p_exp, rate=rate, tau_s=tau_s)
 
-    A dark-dominated histogram can give a slightly negative ratio; the raw
-    value is reported unclamped while the model parameters are computed at
-    the physical floor of zero.
+
+def _simulated_custom(cfg: RunConfig, sim: SimConfig) -> tuple[float, EstimateBundle]:
+    """Simulate, build the configured sweep histogram and estimate from it.
+
+    Returns the run's click rate and the model conversions.
     """
-    bundle = derive_all(max(p_exp, 0.0), rate=rate, tau_s=tau_s)
-    bundle.p_exp = p_exp
-    return bundle
+    trace = run_simulation(sim)
+    hist = build_sweep_histogram(
+        trace,
+        sweep=cfg[("histogram", "sweep_s")],
+        bin_width=cfg[("histogram", "bin_width_s")],
+    )
+    _, full = _custom_estimate(hist, trace.rate, sim.scheme.tau_s, cfg.dcr_window())
+    return trace.rate, full
 
 
 def _bundle_fields(bundle: EstimateBundle) -> str:
@@ -235,17 +223,7 @@ def cmd_simulate(args) -> int:
             bin_width=cfg[("histogram", "bin_width_s")],
         )
     else:
-        gate_hist = fold_gate_histogram(trace)
-        hist = _gate_hist_to_container(
-            gate_hist,
-            {
-                "f_g_hz": repr(sim.f_g),
-                "f_l_hz": repr(sim.f_l),
-                "seed": str(sim.seed),
-                "rate_hz": repr(trace.rate),
-                "source": "simulator",
-            },
-        )
+        hist = fold_gate_histogram(trace)
     write_histogram(hist, args.out)
     live_time = trace.duration - trace.n_clicks * sim.scheme.tau_s
     print(f"clicks = {trace.n_clicks}")
@@ -256,8 +234,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    if args.method != "custom" and not args.dark:
+        raise ConfigError(f"method '{args.method}' needs --dark HISTOGRAM")
     hist = read_histogram(args.hist)
     if args.method == "custom":
+        if isinstance(hist, GateHistogram):
+            raise DegenerateDataError(
+                f"{args.hist}: the custom method needs a sweep histogram, "
+                "not a gate histogram"
+            )
         tau_s = args.tau_s
         if tau_s is None:
             if "tau_s_ns" not in hist.meta:
@@ -273,24 +258,20 @@ def cmd_estimate(args) -> int:
                 )
             rate = float(hist.meta["rate_hz"])
         window = (args.window_start, args.window_end)
-        bundle = estimate_custom(hist, tau_s=tau_s, window=window)
-        full = _derive_floored(bundle.p_exp, rate=rate, tau_s=tau_s)
-        full.c0 = bundle.c0
+        measured, full = _custom_estimate(hist, rate, tau_s, window)
         print("method,p_exp,p_s,p1,p2,P_ap")
         print("custom," + _bundle_fields(full))
-        if bundle.negative_ap_warning:
+        if measured.negative_ap_warning:
             print(
                 "warning: afterpulse counts negative beyond 3 sigma; "
                 "check tau_s and the baseline window",
                 file=sys.stderr,
             )
         return EXIT_OK
-    if not args.dark:
-        raise ConfigError(f"method '{args.method}' needs --dark HISTOGRAM")
-    lit = _gate_hist_from_container(hist, args.hist)
-    dark = _gate_hist_from_container(read_histogram(args.dark), args.dark)
-    f_g = float(hist.meta.get("f_g_hz", lit.f_g))
-    f_l = float(hist.meta.get("f_l_hz", f_g / lit.gates_per_period))
+    lit = _gate_histogram(hist, args.hist)
+    dark = _gate_histogram(read_histogram(args.dark), args.dark)
+    f_g = float(lit.meta.get("f_g_hz", lit.f_g))
+    f_l = float(lit.meta.get("f_l_hz", f_g / lit.gates_per_period))
     if args.method == "bethune":
         value = estimate_bethune(lit, dark)
     elif args.method == "yuan":
@@ -315,19 +296,6 @@ def _classical_estimate(method: str, base: SimConfig, mu: float, seed: int, yuan
     return estimate_coincidence(lit, dark, base.f_g, f_l)
 
 
-def _custom_estimate(cfg: RunConfig, base: SimConfig, mu: float, seed: int) -> EstimateBundle:
-    trace = run_simulation(replace(base, mu=mu, seed=seed))
-    hist = build_sweep_histogram(
-        trace,
-        sweep=cfg[("histogram", "sweep_s")],
-        bin_width=cfg[("histogram", "bin_width_s")],
-    )
-    bundle = estimate_custom(
-        hist, tau_s=base.scheme.tau_s, window=cfg.dcr_window()
-    )
-    return _derive_floored(bundle.p_exp, rate=trace.rate, tau_s=base.scheme.tau_s)
-
-
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
     base = cfg.sim_config(seed=args.seed)
@@ -338,7 +306,7 @@ def cmd_compare(args) -> int:
         for i, mu in enumerate(mus):
             seed = base.seed + 101 * (METHODS.index(method) + 1) + i
             if method == "custom":
-                bundle = _custom_estimate(cfg, base, mu, seed)
+                _, bundle = _simulated_custom(cfg, replace(base, mu=mu, seed=seed))
                 lines.append(f"{method},{mu!r}," + _bundle_fields(bundle))
             else:
                 value = _classical_estimate(method, base, mu, seed, yuan_gate)
@@ -400,13 +368,17 @@ def cmd_sweep_deadtime(args) -> int:
         raise ConfigError(
             f"largest tau {taus[-1]!r} must stay below the sweep {sweep_len!r}"
         )
+    window_start = cfg.dcr_window()[0]
+    if taus[-1] >= window_start:
+        raise ConfigError(
+            f"largest tau {taus[-1]!r} must stay below the baseline window "
+            f"start {window_start!r}"
+        )
     schemes = (
         [SchemeKind.LT, SchemeKind.LT_AR]
         if args.scheme == "both"
         else [SchemeKind(args.scheme)]
     )
-    if not schemes:
-        raise ConfigError("no schemes selected")
 
     # fixed-rate sweep: the observed total count rate at the first dead time
     # is the target; the pulse energy is recalibrated at every other point
@@ -425,17 +397,11 @@ def cmd_sweep_deadtime(args) -> int:
             mu = _calibrate_mu(
                 probe, target_rate, cal_gates, seed=base.seed + 50 + j
             )
-            trace = run_simulation(
-                replace(probe, mu=mu, seed=base.seed + 1000 + j)
+            rate, full = _simulated_custom(
+                cfg, replace(probe, mu=mu, seed=base.seed + 1000 + j)
             )
-            hist = build_sweep_histogram(
-                trace, sweep=sweep_len, bin_width=cfg[("histogram", "bin_width_s")]
-            )
-            window = cfg.dcr_window()
-            bundle = estimate_custom(hist, tau_s=scheme.tau_s, window=window)
-            full = _derive_floored(bundle.p_exp, rate=trace.rate, tau_s=scheme.tau_s)
             lines.append(
-                f"{kind.value},{tau!r},{mu!r},{trace.rate!r},"
+                f"{kind.value},{tau!r},{mu!r},{rate!r},"
                 f"{full.p_exp!r},{full.p_s!r},{full.p2!r}"
             )
             series[kind].append((tau, full.p2))

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models
-from .histio import SweepHistogram
+from .histio import DegenerateDataError, GateHistogram, SweepHistogram
 from .simulator import ClickTrace
 
 __all__ = [
@@ -42,72 +42,7 @@ __all__ = [
 ]
 
 
-class DegenerateDataError(RuntimeError):
-    """The histogram cannot support the requested estimate."""
-
-
-@dataclass
-class GateHistogram:
-    """Click counts folded onto one analysis period of the gate grid.
-
-    ``bins`` spans ``gates_per_period * bins_per_gate`` sub-gate bins so gate
-    boundaries stay resolvable.  ``acquisition_gates`` is the total number of
-    gates observed and ``tau_s`` the statistical dead time used to convert
-    counts into live rates.
-    """
-
-    bins: np.ndarray
-    bin_width: float  # seconds
-    period: float  # seconds, one analysis period
-    gates_per_period: int
-    acquisition_gates: int
-    tau_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        self.bins = np.asarray(self.bins, dtype=np.int64)
-        if self.gates_per_period < 1:
-            raise DegenerateDataError("gates_per_period must be >= 1")
-        if len(self.bins) % self.gates_per_period != 0:
-            raise DegenerateDataError(
-                f"{len(self.bins)} bins do not resolve "
-                f"{self.gates_per_period} gates"
-            )
-        if abs(len(self.bins) * self.bin_width - self.period) > self.bin_width:
-            raise DegenerateDataError("bins * bin_width must equal the period")
-
-    @property
-    def bins_per_gate(self) -> int:
-        return len(self.bins) // self.gates_per_period
-
-    @property
-    def f_g(self) -> float:
-        return self.gates_per_period / self.period
-
-    @property
-    def total_counts(self) -> int:
-        return int(self.bins.sum())
-
-    @property
-    def live_time(self) -> float:
-        """Acquisition time minus the dead time spent after each click."""
-        duration = self.acquisition_gates / self.f_g
-        live = duration - self.total_counts * self.tau_s
-        if live <= 0.0:
-            raise DegenerateDataError("dead time exceeds the acquisition time")
-        return live
-
-    def gate_counts(self) -> np.ndarray:
-        """Counts aggregated per gate within the period."""
-        return self.bins.reshape(self.gates_per_period, self.bins_per_gate).sum(
-            axis=1
-        )
-
-    def illuminated_gate(self) -> int:
-        """Index of the gate with maximal counts, taken as illuminated."""
-        return int(np.argmax(self.gate_counts()))
-
-
-@dataclass
+@dataclass(frozen=True)
 class EstimateBundle:
     """Sweep-histogram estimate and its model conversions."""
 
@@ -127,7 +62,8 @@ def fold_gate_histogram(trace: ClickTrace, bins_per_gate: int = 10) -> GateHisto
     """Fold a click train onto one laser period at sub-gate resolution.
 
     Clicks are resolved on the gate grid, so each lands in the central bin
-    of its gate.
+    of its gate.  The metadata records the gate and laser rates, the click
+    rate and the seed, as the histogram file format stores them.
     """
     if bins_per_gate < 1:
         raise DegenerateDataError("bins_per_gate must be >= 1")
@@ -136,6 +72,10 @@ def fold_gate_histogram(trace: ClickTrace, bins_per_gate: int = 10) -> GateHisto
     bin_idx = gate_idx * bins_per_gate + bins_per_gate // 2
     bins = np.bincount(bin_idx, minlength=m * bins_per_gate).astype(np.int64)
     gate_time = 1.0 / trace.f_g
+    meta = {"source": "simulator", "f_g_hz": repr(trace.f_g), "rate_hz": repr(trace.rate)}
+    if trace.config is not None:
+        meta["f_l_hz"] = repr(trace.config.f_l)
+        meta["seed"] = str(trace.config.seed)
     return GateHistogram(
         bins=bins,
         bin_width=gate_time / bins_per_gate,
@@ -143,6 +83,7 @@ def fold_gate_histogram(trace: ClickTrace, bins_per_gate: int = 10) -> GateHisto
         gates_per_period=m,
         acquisition_gates=trace.total_gates,
         tau_s=trace.tau_s,
+        meta=meta,
     )
 
 
@@ -270,7 +211,8 @@ def estimate_custom(
 
     Sums the dark-subtracted counts of every bin from the end of the dead
     time to the end of the sweep and divides by the trigger count:
-    p_exp = sum(C_i - C_dcr) / C0.  Bins inside (0, tau_s) are excluded.
+    p_exp = sum(C_i - C_dcr) / C0.  Bins inside (0, tau_s) are excluded, and
+    ``tau_s`` must end before the baseline window starts.
     Per-bin differences are summed unclamped; a warning flag is set when
     the total is negative beyond 3 sigma of the dark-count noise.
     """
@@ -279,6 +221,11 @@ def estimate_custom(
     if not tau_s < h.sweep:
         raise DegenerateDataError(
             f"tau_s = {tau_s!r} must be below the sweep {h.sweep!r}"
+        )
+    if tau_s >= window[0]:
+        raise DegenerateDataError(
+            f"tau_s = {tau_s!r} must be below the baseline window start "
+            f"{window[0]!r}; the afterpulse region would be the window itself"
         )
     c_dcr = dcr_baseline(h, window)
     ap_mask = h.bin_starts >= tau_s - 1e-15
@@ -305,24 +252,27 @@ def derive_all(p_exp: float, rate: float, tau_s: float) -> EstimateBundle:
     window, from which the base probability is p0 = R*tau / (1 + p_exp).
     Fills the lumped (p_s), first-order (p1), second-order (p2, numeric
     inversion) parameters and the model-independent afterpulse click
-    probability.
+    probability.  A dark-dominated histogram can give a slightly negative
+    ratio: the model parameters are computed at the physical floor of zero
+    while ``p_exp`` is reported as measured.
     """
-    exp = models.ExperimentalAfterpulse(p_exp=p_exp, rate=rate, tau_s=tau_s)
+    floored = max(p_exp, 0.0)
+    exp = models.ExperimentalAfterpulse(p_exp=floored, rate=rate, tau_s=tau_s)
     p_n = rate * tau_s
-    p0 = p_n / (1.0 + p_exp)
+    p0 = p_n / (1.0 + floored)
     if p0 >= 1.0:
         raise DegenerateDataError(f"busy fraction gives p0 = {p0!r} >= 1")
     p_s = models.p_s_from_rate(exp)
-    p1 = models.invert_first(p_exp)
-    if p0 < 1e-12 or p_exp == 0.0:
+    p1 = models.invert_first(floored)
+    if p0 < 1e-12 or floored == 0.0:
         p2 = p1  # the second-order inversion reduces to first order as p0 -> 0
     else:
-        p2 = models.invert_second(p_exp, p0)
+        p2 = models.invert_second(floored, p0)
     return EstimateBundle(
         p_exp=p_exp,
         p_s=p_s,
         p1=p1,
         p2=p2,
-        p_universal=models.universal_p_ap(p_exp, p0),
+        p_universal=models.universal_p_ap(floored, p0),
         meta={"p0": p0, "p_n": p_n, "rate": rate, "tau_s": tau_s},
     )

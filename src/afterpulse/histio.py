@@ -1,10 +1,14 @@
-"""Sweep-histogram data model, bin merging, normalization and file I/O.
+"""Histogram data models, bin merging, normalization and file I/O.
 
 The file format is a plain UTF-8 text table shared by the simulator and by
 oscilloscope exports: ``# key = value`` metadata lines (mandatory keys
 ``bin_width_ns``, ``sweep_ns``, ``c0``) followed by one ``bin_start_ns,count``
 record per line with integer fields.  Writing then reading a histogram is a
 bit-exact identity on the counts.
+
+Gate-folded histograms share the format: ``kind = gate`` marks them, the
+period takes the place of the sweep, ``c0`` is 0, and ``gates_per_period``,
+``acquisition_gates`` and ``tau_s_ns`` carry the period structure.
 """
 
 from __future__ import annotations
@@ -15,7 +19,9 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
+    "DegenerateDataError",
     "HistogramFormatError",
+    "GateHistogram",
     "SweepHistogram",
     "merge_bins",
     "normalize_for_plot",
@@ -28,6 +34,10 @@ _MANDATORY_KEYS = ("bin_width_ns", "sweep_ns", "c0")
 
 class HistogramFormatError(ValueError):
     """A histogram file violates the on-disk format or an invariant."""
+
+
+class DegenerateDataError(RuntimeError):
+    """The histogram cannot support the requested estimate."""
 
 
 @dataclass
@@ -69,6 +79,68 @@ class SweepHistogram:
         return int(self.bins.sum())
 
 
+@dataclass
+class GateHistogram:
+    """Click counts folded onto one analysis period of the gate grid.
+
+    ``bins`` spans ``gates_per_period * bins_per_gate`` sub-gate bins so gate
+    boundaries stay resolvable.  ``acquisition_gates`` is the total number of
+    gates observed and ``tau_s`` the statistical dead time used to convert
+    counts into live rates.
+    """
+
+    bins: np.ndarray
+    bin_width: float  # seconds
+    period: float  # seconds, one analysis period
+    gates_per_period: int
+    acquisition_gates: int
+    tau_s: float = 0.0
+    meta: dict[str, str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.bins = np.asarray(self.bins, dtype=np.int64)
+        if self.gates_per_period < 1:
+            raise DegenerateDataError("gates_per_period must be >= 1")
+        if len(self.bins) % self.gates_per_period != 0:
+            raise DegenerateDataError(
+                f"{len(self.bins)} bins do not resolve "
+                f"{self.gates_per_period} gates"
+            )
+        if abs(len(self.bins) * self.bin_width - self.period) > self.bin_width:
+            raise DegenerateDataError("bins * bin_width must equal the period")
+
+    @property
+    def bins_per_gate(self) -> int:
+        return len(self.bins) // self.gates_per_period
+
+    @property
+    def f_g(self) -> float:
+        return self.gates_per_period / self.period
+
+    @property
+    def total_counts(self) -> int:
+        return int(self.bins.sum())
+
+    @property
+    def live_time(self) -> float:
+        """Acquisition time minus the dead time spent after each click."""
+        duration = self.acquisition_gates / self.f_g
+        live = duration - self.total_counts * self.tau_s
+        if live <= 0.0:
+            raise DegenerateDataError("dead time exceeds the acquisition time")
+        return live
+
+    def gate_counts(self) -> np.ndarray:
+        """Counts aggregated per gate within the period."""
+        return self.bins.reshape(self.gates_per_period, self.bins_per_gate).sum(
+            axis=1
+        )
+
+    def illuminated_gate(self) -> int:
+        """Index of the gate with maximal counts, taken as illuminated."""
+        return int(np.argmax(self.gate_counts()))
+
+
 def merge_bins(h: SweepHistogram, factor: int) -> SweepHistogram:
     """Merge consecutive bins by an integer factor, conserving all counts."""
     if factor < 1:
@@ -106,25 +178,39 @@ def _format_ns(value_s: float) -> str:
     return repr(ns)
 
 
-def write_histogram(h: SweepHistogram, path: str | Path) -> None:
+def write_histogram(h: SweepHistogram | GateHistogram, path: str | Path) -> None:
     """Write the text-table format; deterministic byte-for-byte per input."""
+    if isinstance(h, GateHistogram):
+        span, c0 = h.period, 0
+        meta = {
+            "kind": "gate",
+            "gates_per_period": str(h.gates_per_period),
+            "acquisition_gates": str(h.acquisition_gates),
+            "tau_s_ns": f"{h.tau_s * 1e9:.6g}",
+            **h.meta,
+        }
+    else:
+        span, c0, meta = h.sweep, h.c0, h.meta
     lines = [
         f"# bin_width_ns = {_format_ns(h.bin_width)}",
-        f"# sweep_ns = {_format_ns(h.sweep)}",
-        f"# c0 = {h.c0}",
+        f"# sweep_ns = {_format_ns(span)}",
+        f"# c0 = {c0}",
     ]
-    for key in sorted(h.meta):
+    for key in sorted(meta):
         if key in _MANDATORY_KEYS:
             continue
-        lines.append(f"# {key} = {h.meta[key]}")
+        lines.append(f"# {key} = {meta[key]}")
     width_ns = h.bin_width * 1e9
     for i, count in enumerate(h.bins):
         lines.append(f"{round(i * width_ns)},{int(count)}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_histogram(path: str | Path) -> SweepHistogram:
-    """Parse the text-table format; raises with a line number on bad input."""
+def read_histogram(path: str | Path) -> SweepHistogram | GateHistogram:
+    """Parse the text-table format; raises with a line number on bad input.
+
+    A file with ``kind = gate`` metadata comes back as a ``GateHistogram``.
+    """
     meta: dict[str, str] = {}
     starts: list[int] = []
     counts: list[int] = []
@@ -181,10 +267,29 @@ def read_histogram(path: str | Path) -> SweepHistogram:
                 f"{i * width_ns:.0f} ns"
             )
     extra = {k: v for k, v in meta.items() if k not in _MANDATORY_KEYS}
-    return SweepHistogram(
+    # the sweep container's layout checks apply to gate files as well
+    hist = SweepHistogram(
         bin_width=bin_width,
         sweep=sweep,
         bins=np.array(counts, dtype=np.int64),
         c0=c0,
+        meta=extra,
+    )
+    if extra.get("kind") != "gate":
+        return hist
+    del extra["kind"]
+    try:
+        gates = int(extra.pop("gates_per_period"))
+        acq = int(extra.pop("acquisition_gates"))
+        tau_s = float(extra.pop("tau_s_ns", "0")) * 1e-9
+    except (KeyError, ValueError) as exc:
+        raise DegenerateDataError(f"{path}: incomplete gate metadata: {exc}") from exc
+    return GateHistogram(
+        bins=hist.bins,
+        bin_width=bin_width,
+        period=sweep,
+        gates_per_period=gates,
+        acquisition_gates=acq,
+        tau_s=tau_s,
         meta=extra,
     )

@@ -26,7 +26,6 @@ __all__ = [
     "DomainError",
     "NoRootError",
     "ModelParams",
-    "ClickProbabilities",
     "ExperimentalAfterpulse",
     "simple_forward",
     "first_order_forward",
@@ -57,6 +56,24 @@ class NoRootError(RuntimeError):
     """The requested inversion target is not reachable by the model."""
 
 
+def _bisect(below, lo: float, hi: float, tol: float) -> float:
+    """Midpoint of the bracket [lo, hi] narrowed onto where ``below`` turns false.
+
+    ``below(x)`` must hold left of the sought point and fail right of it.
+    Stops once the bracket is no wider than ``tol`` or after ``_MAX_BISECT``
+    halvings.
+    """
+    for _ in range(_MAX_BISECT):
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= tol:
+            break
+    return 0.5 * (lo + hi)
+
+
 def _check_unit(name: str, value: float, *, open_top: bool = False) -> None:
     if not 0.0 <= value <= 1.0 or (open_top and value >= 1.0):
         top = "1)" if open_top else "1]"
@@ -74,26 +91,6 @@ class ModelParams:
         _check_unit("p_ap", self.p_ap, open_top=True)
         if self.order_max < 1:
             raise DomainError(f"order_max must be >= 1, got {self.order_max}")
-
-
-@dataclass(frozen=True)
-class ClickProbabilities:
-    """A consistent (base, total) click-probability pair.
-
-    ``p_total >= p0`` because afterpulsing can only add clicks.  First-order
-    truncation artifacts above 1 do not fit in this container on purpose;
-    they are reported as raw floats by the forward functions.
-    """
-
-    p0: float
-    p_total: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p0 <= self.p_total <= 1.0:
-            raise DomainError(
-                f"need 0 <= p0 <= p_total <= 1, got p0={self.p0!r}, "
-                f"p_total={self.p_total!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -216,16 +213,7 @@ def ascending_branch_limit(p0: float) -> float:
     hi = 1.0 - 1e-9
     if h(hi) >= p0:
         return hi
-    lo = 0.0
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if h(mid) > p0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _BISECT_TOL:
-            break
-    return 0.5 * (lo + hi)
+    return _bisect(lambda p: h(p) > p0, 0.0, hi, _BISECT_TOL)
 
 
 def invert_second(p_exp: float, p0: float, tol: float = 1e-12) -> float:
@@ -255,16 +243,12 @@ def invert_second(p_exp: float, p0: float, tol: float = 1e-12) -> float:
             f"second-order model with p0={p0!r} never reaches "
             f"{target!r} (max {f_peak!r})"
         )
-    lo, hi = 0.0, peak
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if second_order_forward(p0, ModelParams(p_ap=mid)) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol:
-            break
-    return 0.5 * (lo + hi)
+    return _bisect(
+        lambda p: second_order_forward(p0, ModelParams(p_ap=p)) < target,
+        0.0,
+        peak,
+        tol,
+    )
 
 
 def p_s_from_rate(exp: ExperimentalAfterpulse) -> float:
@@ -332,14 +316,10 @@ def p0_from_observed(p_total: float, model: str, p_ap: float) -> float:
                 f"second-order model with p_ap={p_ap!r} never reaches "
                 f"{p_total!r} on its rising branch (max {f_cap!r})"
             )
-        lo, hi = 0.0, cap
-        for _ in range(_MAX_BISECT):
-            mid = 0.5 * (lo + hi)
-            if second_order_forward(mid, params) < p_total:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= _BISECT_TOL:
-                break
-        return 0.5 * (lo + hi)
+        return _bisect(
+            lambda p0: second_order_forward(p0, params) < p_total,
+            0.0,
+            cap,
+            _BISECT_TOL,
+        )
     raise DomainError(f"unknown model {model!r}, expected one of {MODEL_NAMES}")

@@ -39,8 +39,7 @@ __all__ = [
     "SimulationConfigError",
     "run_simulation",
     "effective_efficiency",
-    "sample_detrap_delay",
-    "detrap_rng_state",
+    "gate_loop_args",
     "build_sweep_histogram",
 ]
 
@@ -171,11 +170,6 @@ class ClickTrace:
     config: SimConfig | None = field(default=None, repr=False)
 
     @property
-    def click_times(self) -> np.ndarray:
-        """Click instants in seconds."""
-        return self.click_gates / self.f_g
-
-    @property
     def n_clicks(self) -> int:
         return int(len(self.click_gates))
 
@@ -196,14 +190,11 @@ def _dead_gates(tau_s: float, f_g: float) -> int:
     return max(1, int(math.ceil(tau_s * f_g - 1e-9)))
 
 
-def run_simulation(cfg: SimConfig) -> ClickTrace:
-    """Run one seeded simulation and return the registered click train."""
+def gate_loop_args(cfg: SimConfig) -> tuple:
+    """Arguments of ``_kernels.gate_loop`` for one run, in gate units."""
     scheme = cfg.scheme
-    dead_gates = _dead_gates(scheme.tau_s, cfg.f_g)
     is_lt = scheme.kind == SchemeKind.LT
-    ramp_start = scheme.tau_c * cfg.f_g
-    ramp_len = scheme.tau_er * cfg.f_g if not is_lt else 0.0
-    clicks, hidden, dropped = _kernels.gate_loop(
+    return (
         cfg.n_gates,
         cfg.gates_per_pulse,
         cfg.p_photon,
@@ -211,12 +202,18 @@ def run_simulation(cfg: SimConfig) -> ClickTrace:
         cfg.p_ap_internal,
         cfg.tau_detrap * cfg.f_g,
         is_lt,
-        dead_gates,
-        ramp_start,
-        ramp_len,
+        _dead_gates(scheme.tau_s, cfg.f_g),
+        scheme.tau_c * cfg.f_g,
+        scheme.tau_er * cfg.f_g if not is_lt else 0.0,
         scheme.ramp == "step",
         np.uint64(cfg.seed),
     )
+
+
+def run_simulation(cfg: SimConfig) -> ClickTrace:
+    """Run one seeded simulation and return the registered click train."""
+    scheme = cfg.scheme
+    clicks, hidden, dropped = _kernels.gate_loop(*gate_loop_args(cfg))
     return ClickTrace(
         click_gates=clicks,
         f_g=cfg.f_g,
@@ -247,18 +244,6 @@ def effective_efficiency(t_since_click: float, scheme: DeadTimeScheme) -> float:
         return 1.0
     frac = (t_since_click - scheme.tau_c) / scheme.tau_er
     return min(1.0, frac)
-
-
-def detrap_rng_state(seed: int) -> np.ndarray:
-    """Generator state for :func:`sample_detrap_delay`."""
-    return _kernels.rng_state(seed)
-
-
-def sample_detrap_delay(rng_state: np.ndarray, tau_detrap: float) -> float:
-    """Draw one exponential trap-release delay with mean ``tau_detrap``."""
-    if tau_detrap <= 0.0:
-        raise SimulationConfigError(f"tau_detrap must be > 0, got {tau_detrap!r}")
-    return _kernels.sample_detrap(rng_state, tau_detrap)
 
 
 def build_sweep_histogram(

@@ -8,7 +8,14 @@ path as well.
 import numpy as np
 import pytest
 
-from afterpulse.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, load_config, main
+from afterpulse.cli import (
+    EXIT_CONFIG,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    ConfigError,
+    load_config,
+    main,
+)
 
 BASE_CONFIG = """\
 [detector]
@@ -73,6 +80,14 @@ class TestConfigLoading:
         path.write_text("[laser]\npower = 1\n")
         with pytest.raises(Exception, match="unknown section"):
             load_config(path)
+
+    def test_non_integral_int_key_rejected(self, tmp_path):
+        path = tmp_path / "frac.ini"
+        path.write_text("[run]\nn_gates = 1.5\n")
+        with pytest.raises(ConfigError, match="n_gates"):
+            load_config(path)
+        path.write_text("[run]\nn_gates = 2e8\n")
+        assert load_config(path)[("run", "n_gates")] == 200_000_000
 
     def test_zero_gates_rejected_at_load(self, tmp_path, capsys):
         path = tmp_path / "zero.ini"
@@ -256,6 +271,17 @@ class TestEstimate:
         value = float(out.strip().splitlines()[1].split(",")[1])
         assert abs(value) < 0.05
 
+    def test_custom_method_on_gate_file_fails(self, config_path, tmp_path, capsys):
+        hist = tmp_path / "g.csv"
+        run_cli(
+            capsys, "simulate", "--config", config_path, "--out", hist, "--kind", "gate"
+        )
+        code, _, err = run_cli(
+            capsys, "estimate", "--hist", hist, "--method", "custom"
+        )
+        assert code == EXIT_NUMERIC
+        assert "needs a sweep histogram" in err
+
     def test_missing_file_is_config_error(self, capsys):
         code, _, err = run_cli(
             capsys, "estimate", "--hist", "/nonexistent.csv", "--method", "custom"
@@ -317,10 +343,14 @@ class TestCompare:
 
 class TestSweepDeadtime:
     def test_lt_exceeds_lt_ar_at_short_dead_times(self, tmp_path, capsys):
+        # the 50 us sweep puts the baseline window past the 20 us point, so
+        # that every row is a measurement
         cfg = tmp_path / "sweep.ini"
         cfg.write_text(
             BASE_CONFIG.replace("afterpulse_probability = 0.10", "afterpulse_probability = 0.15")
             .replace("n_gates = 50000000", "n_gates = 4000000000")
+            .replace("sweep_s = 25e-6", "sweep_s = 50e-6")
+            + "[estimation]\ndcr_window_start_s = 40e-6\ndcr_window_end_s = 50e-6\n"
         )
         out = tmp_path / "sweep.csv"
         code, stdout, _ = run_cli(
@@ -354,6 +384,26 @@ class TestSweepDeadtime:
             fields = row.split(",")
             assert np.isfinite(float(fields[5]))
             assert fields[7] in ("True", "False")
+
+    def test_tau_inside_baseline_window_rejected(self, tmp_path, capsys):
+        # with the default 20-25 us window the afterpulse region at 20 us
+        # would be the window itself
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(BASE_CONFIG)
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            capsys,
+            "sweep-deadtime",
+            "--config",
+            cfg,
+            "--tau",
+            "0.5e-6,1e-6,2e-6,5e-6,10e-6,20e-6",
+            "--out",
+            out,
+        )
+        assert code == EXIT_CONFIG
+        assert "baseline window" in err
+        assert not out.exists()
 
     def test_empty_scheme_list_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "c.ini"
@@ -412,15 +462,14 @@ class TestFit:
 
 
 class TestEntryPoint:
-    def test_console_script_runs_without_numba(self, tmp_path):
-        import os
+    def test_console_script_runs_without_numba(self, tmp_path, subprocess_env):
         import subprocess
         import sys
 
         cfg = tmp_path / "run.ini"
         cfg.write_text(BASE_CONFIG.replace("n_gates = 50000000", "n_gates = 5000000"))
         out = tmp_path / "h.csv"
-        env = dict(os.environ, AFTERPULSE_NO_NUMBA="1")
+        env = dict(subprocess_env, AFTERPULSE_NO_NUMBA="1")
         proc = subprocess.run(
             [
                 sys.executable,
@@ -439,7 +488,7 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
 
-    def test_usage_error_exits_one(self):
+    def test_usage_error_exits_one(self, subprocess_env):
         import subprocess
         import sys
 
@@ -447,5 +496,7 @@ class TestEntryPoint:
             [sys.executable, "-m", "afterpulse.cli", "frobnicate"],
             capture_output=True,
             text=True,
+            env=subprocess_env,
         )
         assert proc.returncode == 1
+        assert "frobnicate" in proc.stderr

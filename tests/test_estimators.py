@@ -233,6 +233,16 @@ class TestEstimateCustom:
         sigma = math.sqrt(predicted / h.c0)
         assert abs(bundle.p_exp - predicted) <= 3.5 * sigma
 
+    def test_tau_reaching_baseline_window_rejected(self):
+        # the afterpulse region would be the baseline window itself, whose
+        # dark-subtracted sum is identically zero
+        h = make_sweep(np.full(2500, 5, dtype=np.int64))
+        with pytest.raises(DegenerateDataError, match="baseline window"):
+            estimate_custom(h, tau_s=20e-6, window=(20e-6, 25e-6))
+        with pytest.raises(DegenerateDataError, match="baseline window"):
+            estimate_custom(h, tau_s=22e-6, window=(20e-6, 25e-6))
+        estimate_custom(h, tau_s=19.99e-6, window=(20e-6, 25e-6))
+
     def test_negative_warning_state(self):
         bins = np.zeros(2500, dtype=np.int64)
         bins[2000:] = 100  # inflated baseline window
@@ -265,6 +275,24 @@ class TestDeriveAll:
     def test_zero_ratio(self):
         bundle = derive_all(0.0, rate=1e5, tau_s=1e-6)
         assert bundle.p_s == bundle.p1 == bundle.p2 == 0.0
+
+    def test_negative_ratio_is_floored(self):
+        # the model parameters sit at the floor; the measured ratio is kept
+        bundle = derive_all(-0.01, rate=1e5, tau_s=1e-6)
+        zero = derive_all(0.0, rate=1e5, tau_s=1e-6)
+        assert bundle.p_exp == -0.01
+        assert (bundle.p_s, bundle.p1, bundle.p2, bundle.p_universal) == (
+            zero.p_s,
+            zero.p1,
+            zero.p2,
+            zero.p_universal,
+        )
+        assert bundle.meta == zero.meta
+
+    def test_bundle_is_immutable(self):
+        bundle = derive_all(0.1, rate=1e5, tau_s=1e-6)
+        with pytest.raises(AttributeError):
+            bundle.p_exp = 0.2
 
     def test_low_busy_limit(self):
         bundle = derive_all(0.1, rate=1e-6, tau_s=1e-6)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from afterpulse.histio import (
+    DegenerateDataError,
+    GateHistogram,
     HistogramFormatError,
     SweepHistogram,
     merge_bins,
@@ -130,4 +132,48 @@ class TestFileRoundTrip:
         path = tmp_path / "nok.csv"
         path.write_text("# bin_width_ns = 10\n0,1\n")
         with pytest.raises(HistogramFormatError, match="mandatory"):
+            read_histogram(path)
+
+
+class TestGateFiles:
+    def make_gate(self, **meta):
+        return GateHistogram(
+            bins=np.arange(20),
+            bin_width=0.32e-9,
+            period=6.4e-9,
+            gates_per_period=2,
+            acquisition_gates=1_000_000,
+            tau_s=0.2e-6,
+            meta=meta,
+        )
+
+    def test_write_read_identity(self, tmp_path):
+        h = self.make_gate(f_g_hz="312500000.0", seed="3")
+        path = tmp_path / "gate.csv"
+        write_histogram(h, path)
+        text = path.read_text()
+        assert "# kind = gate\n" in text and "# c0 = 0\n" in text
+        back = read_histogram(path)
+        assert isinstance(back, GateHistogram)
+        assert np.array_equal(back.bins, h.bins)
+        assert back.bin_width == pytest.approx(h.bin_width)
+        assert back.period == pytest.approx(h.period)
+        assert (back.gates_per_period, back.acquisition_gates) == (2, 1_000_000)
+        assert back.tau_s == pytest.approx(h.tau_s)
+        assert back.meta == h.meta
+
+    def test_sorted_metadata_with_structure_keys(self, tmp_path):
+        path = tmp_path / "gate.csv"
+        write_histogram(self.make_gate(source="simulator"), path)
+        keys = [ln[2:].split(" = ")[0] for ln in path.read_text().splitlines()[3:8]]
+        assert keys == sorted(keys)
+        assert set(keys) == {
+            "acquisition_gates", "gates_per_period", "kind", "source", "tau_s_ns",
+        }
+
+    def test_incomplete_metadata_is_degenerate(self, tmp_path):
+        path = tmp_path / "gate.csv"
+        write_histogram(self.make_gate(), path)
+        path.write_text(path.read_text().replace("# gates_per_period = 2\n", ""))
+        with pytest.raises(DegenerateDataError, match="incomplete gate metadata"):
             read_histogram(path)

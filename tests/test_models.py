@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from afterpulse.models import (
-    ClickProbabilities,
     DomainError,
     ExperimentalAfterpulse,
     ModelParams,
@@ -351,13 +350,6 @@ class TestP0FromObserved:
 
 
 class TestTypeInvariants:
-    def test_click_probabilities_validation(self):
-        ClickProbabilities(0.2, 0.25)
-        with pytest.raises(DomainError):
-            ClickProbabilities(0.5, 0.4)
-        with pytest.raises(DomainError):
-            ClickProbabilities(0.5, 1.2)
-
     def test_experimental_afterpulse_validation(self):
         ExperimentalAfterpulse(0.1, 1e3, 1e-6)
         with pytest.raises(DomainError):

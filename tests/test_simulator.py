@@ -19,10 +19,8 @@ from afterpulse.simulator import (
     SimConfig,
     SimulationConfigError,
     build_sweep_histogram,
-    detrap_rng_state,
     effective_efficiency,
     run_simulation,
-    sample_detrap_delay,
 )
 
 F_G = 312.5e6
@@ -247,27 +245,6 @@ class TestEffectiveEfficiency:
         late = hist.bins[(starts >= 10.2e-6) & (starts < 10.7e-6)].mean()
         decay = math.exp(-(10.45e-6 - 8.15e-6) / cfg.tau_detrap)
         assert early < late * decay
-
-
-class TestDetrapSampling:
-    def test_mean_of_large_sample(self):
-        state = detrap_rng_state(99)
-        tau = 1e-6
-        n = 1_000_000
-        total = 0.0
-        for _ in range(n):
-            total += sample_detrap_delay(state, tau)
-        mean = total / n
-        assert abs(mean - tau) <= 1e-8
-
-    def test_all_positive(self):
-        state = detrap_rng_state(7)
-        assert all(sample_detrap_delay(state, 1e-6) > 0 for _ in range(10_000))
-
-    def test_reproducible(self):
-        a = [sample_detrap_delay(detrap_rng_state(3), 1e-6) for _ in range(5)]
-        b = [sample_detrap_delay(detrap_rng_state(3), 1e-6) for _ in range(5)]
-        assert a == b
 
 
 class TestSweepHistogram:
