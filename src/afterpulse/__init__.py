@@ -7,7 +7,7 @@ Submodules: ``models`` (recursive click-probability models and inversions),
 containers and their file format) and ``cli`` (command-line front end).
 """
 
-from ._kernels import HAVE_NUMBA, USING_NUMBA
+from ._kernels import USING_NUMBA
 from .estimators import (
     EstimateBundle,
     GateHistogram,
@@ -34,7 +34,6 @@ from .simulator import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "HAVE_NUMBA",
     "USING_NUMBA",
     "ModelParams",
     "SimConfig",

@@ -1,4 +1,4 @@
-"""Hot Monte Carlo kernels with optional numba compilation.
+"""Hot Monte Carlo kernels, numba-compiled when numba imports.
 
 The gate loop walks a sine-gated detector over ``n_gates`` gates without
 visiting every gate: stretches of gates with identical per-gate click
@@ -6,57 +6,49 @@ probability are skipped with geometric jumps, which is distribution-exact
 and makes the cost proportional to the number of photon arrivals, dark
 candidates, trap releases and clicks instead of the gate count.
 
-Every kernel is a self-contained function (the xorshift64* generator is
-inlined) so the identical source runs either numba-jitted or as plain
-numpy.  Both paths consume the same random stream: a given seed produces
-bit-identical click trains in both modes.
+Randomness comes from one xorshift64* stream, drawn through two helpers:
+``_uniform`` (a float in [0, 1) for the recovery-efficiency and trap-fill
+draws) and ``_log_uniform`` (``scale * log u`` with u in (0, 1) for the
+geometric photon and dark gaps and the exponential detrap delay).  Pending
+trap releases and registered clicks sit in ``int64`` buffers that double
+when full (``_append``), so no carrier is ever dropped.
 
-Selection: numba is used when importable unless the environment variable
-``AFTERPULSE_NO_NUMBA`` is set to 1/true/yes/on.  ``gate_loop_python`` and
-``gate_loop_jit`` stay individually addressable for benchmarks and
-equivalence tests.
+The helpers are ``register_jitable`` and the kernels ``njit`` when numba
+imports; otherwise the same source runs as plain Python on numpy scalars.
+Both paths consume the same random stream, so a given seed produces
+bit-identical click trains in both.  ``gate_loop`` and ``sweep_scan`` are
+bound once at import; ``gate_loop_python``, ``gate_loop_jit`` and
+``_sweep_scan_impl`` stay addressable for the equivalence tests.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
+try:
+    from numba import njit as _njit
+    from numba.extending import register_jitable as _jitable
+
+    USING_NUMBA = True
+except ImportError:  # pragma: no cover - numba is the optional [fast] extra
+    USING_NUMBA = False
+
+    def _jitable(fn):
+        return fn
+
+
 __all__ = [
-    "HAVE_NUMBA",
-    "NUMBA_DISABLED",
     "USING_NUMBA",
     "gate_loop",
     "gate_loop_python",
     "gate_loop_jit",
     "sweep_scan",
-    "RELEASE_QUEUE_CAP",
 ]
 
-DISABLE_ENV_VAR = "AFTERPULSE_NO_NUMBA"
-
-NUMBA_DISABLED = os.environ.get(DISABLE_ENV_VAR, "").strip().lower() in {
-    "1",
-    "true",
-    "yes",
-    "on",
-}
-
-HAVE_NUMBA = False
-if not NUMBA_DISABLED:
-    try:
-        from numba import njit as _njit
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is the optional [fast] extra
-        HAVE_NUMBA = False
-
-USING_NUMBA = HAVE_NUMBA
-
-# xorshift64* / splitmix64 constants; np.uint64 so the same expressions
-# type-check under numba and wrap correctly as numpy scalars
+# xorshift64* / splitmix64 constants; np.uint64 because the state's
+# wraparound is the algorithm, under numba and as numpy scalars alike
 _U12 = np.uint64(12)
 _U25 = np.uint64(25)
 _U27 = np.uint64(27)
@@ -72,7 +64,35 @@ _TWO53INV = 1.0 / 9007199254740992.0  # 2**-53
 _TWO52INV = 1.0 / 4503599627370496.0  # 2**-52
 
 _FAR = 1 << 62  # gate index sentinel: no further event of this kind
-RELEASE_QUEUE_CAP = 512
+
+
+@_jitable
+def _uniform(s):
+    """One xorshift64* step: the new state and u in [0, 1) (53 bits)."""
+    s ^= s >> _U12
+    s ^= s << _U25
+    s ^= s >> _U27
+    return s, float((s * _MULT) >> _U11) * _TWO53INV
+
+
+@_jitable
+def _log_uniform(s, scale):
+    """One xorshift64* step: the new state and ``scale * log u``, u in (0, 1)."""
+    s ^= s >> _U12
+    s ^= s << _U25
+    s ^= s >> _U27
+    return s, scale * math.log((float((s * _MULT) >> _U12) + 0.5) * _TWO52INV)
+
+
+@_jitable
+def _append(buf, n, value):
+    """Store ``value`` at ``buf[n]``, doubling ``buf`` first when it is full."""
+    if n == buf.shape[0]:
+        bigger = np.empty(2 * n, np.int64)
+        bigger[:n] = buf
+        buf = bigger
+    buf[n] = value
+    return buf, n + 1
 
 
 def _gate_loop_impl(
@@ -99,7 +119,7 @@ def _gate_loop_impl(
     carrier) while the active-reset scheme suppresses avalanches entirely
     and pending trap releases are lost.
 
-    Returns (click_gates int64 array, hidden_avalanches, dropped_spawns).
+    Returns (click_gates int64 array, hidden_avalanches).
     """
     # xorshift64* state from one splitmix64 round
     s = seed + _SM_GAMMA
@@ -119,48 +139,35 @@ def _gate_loop_impl(
         inv_lp_dk = 1.0 / math.log1p(-p_dark)
 
     # next laser pulse whose photon component fires
-    phot_pulse = np.int64(0)
-    next_phot = np.int64(_FAR)
+    phot_pulse = 0
+    next_phot = _FAR
     if p_photon >= 1.0:
-        phot_pulse = np.int64(0)
-        next_phot = np.int64(0)
+        next_phot = 0
     elif p_photon > 0.0:
-        s ^= s >> _U12
-        s ^= s << _U25
-        s ^= s >> _U27
-        u = (np.float64((s * _MULT) >> _U12) + 0.5) * _TWO52INV
-        kf = math.log(u) * inv_lp_ph
+        s, kf = _log_uniform(s, inv_lp_ph)
         if kf < 4.0e18:
-            phot_pulse = np.int64(kf)
+            phot_pulse = int(kf)
             if phot_pulse < n_pulses:
                 next_phot = phot_pulse * gates_per_pulse
 
     # next gate whose dark-count component fires
-    next_dark = np.int64(_FAR)
+    next_dark = _FAR
     if p_dark >= 1.0:
-        next_dark = np.int64(0)
+        next_dark = 0
     elif p_dark > 0.0:
-        s ^= s >> _U12
-        s ^= s << _U25
-        s ^= s >> _U27
-        u = (np.float64((s * _MULT) >> _U12) + 0.5) * _TWO52INV
-        kf = math.log(u) * inv_lp_dk
-        if kf < 4.0e18:
-            k = np.int64(kf)
-            if k < n_gates:
-                next_dark = k
+        s, kf = _log_uniform(s, inv_lp_dk)
+        if kf < 4.0e18 and int(kf) < n_gates:
+            next_dark = int(kf)
 
-    rel = np.empty(RELEASE_QUEUE_CAP, np.int64)
+    rel = np.empty(512, np.int64)
     n_rel = 0
-    next_rel = np.int64(_FAR)
+    next_rel = _FAR
 
-    cap = 4096
-    clicks = np.empty(cap, np.int64)
+    clicks = np.empty(4096, np.int64)
     n_clicks = 0
 
-    last_click = np.int64(-_FAR)
+    last_click = -_FAR
     hidden = 0
-    dropped = 0
 
     while True:
         e = next_phot
@@ -180,7 +187,7 @@ def _gate_loop_impl(
         if dt >= dead_gates:
             effv = 1.0
             if not is_lt:
-                tf = np.float64(dt)
+                tf = float(dt)
                 if ramp_is_step:
                     if tf < ramp_start:
                         effv = 0.0
@@ -192,10 +199,7 @@ def _gate_loop_impl(
                 avalanche = True
                 registered = True
             else:
-                s ^= s >> _U12
-                s ^= s << _U25
-                s ^= s >> _U27
-                u = np.float64((s * _MULT) >> _U11) * _TWO53INV
+                s, u = _uniform(s)
                 if u < effv:
                     avalanche = True
                     registered = True
@@ -209,102 +213,72 @@ def _gate_loop_impl(
             # all releases effective at this gate are consumed, whether or
             # not they produced a registered click
             j = 0
+            next_rel = _FAR
             for i in range(n_rel):
-                if rel[i] > e:
-                    rel[j] = rel[i]
+                r = int(rel[i])
+                if r > e:
+                    rel[j] = r
                     j += 1
+                    if r < next_rel:
+                        next_rel = r
             n_rel = j
-            next_rel = np.int64(_FAR)
-            for i in range(n_rel):
-                if rel[i] < next_rel:
-                    next_rel = rel[i]
 
         if phot_f:
             if p_photon >= 1.0:
                 phot_pulse += 1
             else:
-                s ^= s >> _U12
-                s ^= s << _U25
-                s ^= s >> _U27
-                u = (np.float64((s * _MULT) >> _U12) + 0.5) * _TWO52INV
-                kf = math.log(u) * inv_lp_ph
+                s, kf = _log_uniform(s, inv_lp_ph)
                 if kf < 4.0e18:
-                    phot_pulse += 1 + np.int64(kf)
+                    phot_pulse += 1 + int(kf)
                 else:
-                    phot_pulse = np.int64(n_pulses)
-            if phot_pulse < n_pulses:
-                next_phot = phot_pulse * gates_per_pulse
-            else:
-                next_phot = np.int64(_FAR)
+                    phot_pulse = n_pulses
+            next_phot = phot_pulse * gates_per_pulse if phot_pulse < n_pulses else _FAR
 
         if dark_f:
             if p_dark >= 1.0:
                 next_dark = e + 1
             else:
-                s ^= s >> _U12
-                s ^= s << _U25
-                s ^= s >> _U27
-                u = (np.float64((s * _MULT) >> _U12) + 0.5) * _TWO52INV
-                kf = math.log(u) * inv_lp_dk
+                s, kf = _log_uniform(s, inv_lp_dk)
+                next_dark = _FAR
                 if kf < 4.0e18:
-                    nd = e + 1 + np.int64(kf)
-                    next_dark = nd if nd < n_gates else np.int64(_FAR)
-                else:
-                    next_dark = np.int64(_FAR)
+                    nd = e + 1 + int(kf)
+                    if nd < n_gates:
+                        next_dark = nd
 
         if avalanche:
-            s ^= s >> _U12
-            s ^= s << _U25
-            s ^= s >> _U27
-            u = np.float64((s * _MULT) >> _U11) * _TWO53INV
+            s, u = _uniform(s)
             if u < q_ap:
-                s ^= s >> _U12
-                s ^= s << _U25
-                s ^= s >> _U27
-                u = (np.float64((s * _MULT) >> _U12) + 0.5) * _TWO52INV
-                delay = -detrap_gates * math.log(u)
-                dg = np.int64(math.ceil(delay))
-                if dg < 1:
-                    dg = np.int64(1)
-                rg = e + dg
+                s, delay = _log_uniform(s, -detrap_gates)
+                rg = e + max(1, math.ceil(delay))
                 if rg < n_gates:
-                    if n_rel < RELEASE_QUEUE_CAP:
-                        rel[n_rel] = rg
-                        n_rel += 1
-                        if rg < next_rel:
-                            next_rel = rg
-                    else:
-                        dropped += 1
+                    rel, n_rel = _append(rel, n_rel, rg)
+                    if rg < next_rel:
+                        next_rel = rg
             if registered:
-                if n_clicks == cap:
-                    cap = cap * 2
-                    bigger = np.empty(cap, np.int64)
-                    bigger[:n_clicks] = clicks
-                    clicks = bigger
-                clicks[n_clicks] = e
-                n_clicks += 1
+                clicks, n_clicks = _append(clicks, n_clicks, e)
                 last_click = e
 
-    return clicks[:n_clicks].copy(), hidden, dropped
+    return clicks[:n_clicks].copy(), hidden
 
 
 def _sweep_scan_impl(click_gates, gates_per_pulse, sweep_gates, binw_gates, n_bins):
     """Emulate oscilloscope sweeps over a click train.
 
     A laser-coincident click outside any open window opens a sweep and
-    increments the trigger count; every later click inside the window is
-    binned at its offset.  Windows never overlap.
+    increments the trigger count; every later click less than
+    ``sweep_gates`` after the trigger is binned at its offset.  Windows
+    never overlap.
     """
     bins = np.zeros(n_bins, np.int64)
     c0 = 0
-    trig = np.int64(-1)
+    trig = -1
     open_w = False
     for i in range(click_gates.shape[0]):
         g = click_gates[i]
-        if open_w and np.float64(g - trig) < sweep_gates:
-            idx = np.int64(np.float64(g - trig) / binw_gates)
+        if open_w and g - trig < sweep_gates:
+            idx = int((g - trig) / binw_gates)
             if idx >= n_bins:
-                idx = np.int64(n_bins - 1)
+                idx = n_bins - 1
             bins[idx] += 1
         else:
             open_w = False
@@ -315,27 +289,17 @@ def _sweep_scan_impl(click_gates, gates_per_pulse, sweep_gates, binw_gates, n_bi
     return bins, c0
 
 
-if HAVE_NUMBA:
-    gate_loop_jit = _njit(cache=True)(_gate_loop_impl)
-    _sweep_scan_jit = _njit(cache=True)(_sweep_scan_impl)
-else:
-    gate_loop_jit = None
-    _sweep_scan_jit = None
-
-
 def gate_loop_python(*args):
     """Pure numpy path; numerically identical to the jitted path."""
     with np.errstate(over="ignore"):
         return _gate_loop_impl(*args)
 
 
-def gate_loop(*args):
-    if USING_NUMBA:
-        return gate_loop_jit(*args)
-    return gate_loop_python(*args)
-
-
-def sweep_scan(*args):
-    if USING_NUMBA:
-        return _sweep_scan_jit(*args)
-    return _sweep_scan_impl(*args)
+if USING_NUMBA:
+    gate_loop_jit = _njit(cache=True)(_gate_loop_impl)
+    gate_loop = gate_loop_jit
+    sweep_scan = _njit(cache=True)(_sweep_scan_impl)
+else:
+    gate_loop_jit = None
+    gate_loop = gate_loop_python
+    sweep_scan = _sweep_scan_impl

@@ -324,6 +324,15 @@ def _calibrate_mu(base: SimConfig, target_rate: float, n_gates: int, seed: int) 
         probe = replace(base, mu=mu, n_gates=n_gates, seed=seed)
         return run_simulation(probe).rate
 
+    def missed(mu_out: float, mu_probe: float, r_probe: float) -> float:
+        print(
+            f"warning: rate calibration missed the target {target_rate!r} Hz by "
+            f"more than 2 %: the last probe, mu = {mu_probe!r}, reached "
+            f"{r_probe!r} Hz",
+            file=sys.stderr,
+        )
+        return mu_out
+
     tol = 0.02 * target_rate
     mu = base.mu
     r = rate_at(mu)
@@ -333,18 +342,20 @@ def _calibrate_mu(base: SimConfig, target_rate: float, n_gates: int, seed: int) 
         lo, hi = mu, mu
         for _ in range(20):
             hi *= 2.0
-            if rate_at(hi) >= target_rate:
+            r = rate_at(hi)
+            if r >= target_rate:
                 break
         else:
-            return hi  # rate saturates below the target; best effort
+            return missed(hi, hi, r)  # rate saturates below the target
     else:
         lo, hi = mu, mu
         for _ in range(20):
             lo *= 0.5
-            if rate_at(lo) <= target_rate:
+            r = rate_at(lo)
+            if r <= target_rate:
                 break
         else:
-            return lo
+            return missed(lo, lo, r)
     for _ in range(40):
         mid = 0.5 * (lo + hi)
         r = rate_at(mid)
@@ -354,7 +365,7 @@ def _calibrate_mu(base: SimConfig, target_rate: float, n_gates: int, seed: int) 
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return missed(0.5 * (lo + hi), mid, r)
 
 
 def cmd_sweep_deadtime(args) -> int:

@@ -166,7 +166,6 @@ class ClickTrace:
     total_gates: int
     hidden_avalanches: int
     tau_s: float
-    dropped_spawns: int = 0
     config: SimConfig | None = field(default=None, repr=False)
 
     @property
@@ -186,8 +185,9 @@ class ClickTrace:
         return self.click_gates % self.gates_per_pulse == 0
 
 
-def _dead_gates(tau_s: float, f_g: float) -> int:
-    return max(1, int(math.ceil(tau_s * f_g - 1e-9)))
+def _span_gates(span: float, f_g: float) -> int:
+    """Whole gates a time span covers, at least one, forgiving float noise."""
+    return max(1, math.ceil(span * f_g - 1e-9))
 
 
 def gate_loop_args(cfg: SimConfig) -> tuple:
@@ -202,7 +202,7 @@ def gate_loop_args(cfg: SimConfig) -> tuple:
         cfg.p_ap_internal,
         cfg.tau_detrap * cfg.f_g,
         is_lt,
-        _dead_gates(scheme.tau_s, cfg.f_g),
+        _span_gates(scheme.tau_s, cfg.f_g),
         scheme.tau_c * cfg.f_g,
         scheme.tau_er * cfg.f_g if not is_lt else 0.0,
         scheme.ramp == "step",
@@ -213,7 +213,7 @@ def gate_loop_args(cfg: SimConfig) -> tuple:
 def run_simulation(cfg: SimConfig) -> ClickTrace:
     """Run one seeded simulation and return the registered click train."""
     scheme = cfg.scheme
-    clicks, hidden, dropped = _kernels.gate_loop(*gate_loop_args(cfg))
+    clicks, hidden = _kernels.gate_loop(*gate_loop_args(cfg))
     return ClickTrace(
         click_gates=clicks,
         f_g=cfg.f_g,
@@ -221,7 +221,6 @@ def run_simulation(cfg: SimConfig) -> ClickTrace:
         total_gates=cfg.n_gates,
         hidden_avalanches=int(hidden),
         tau_s=scheme.tau_s,
-        dropped_spawns=int(dropped),
         config=cfg,
     )
 
@@ -269,7 +268,7 @@ def build_sweep_histogram(
     bins, c0 = _kernels.sweep_scan(
         np.ascontiguousarray(trace.click_gates, dtype=np.int64),
         m,
-        sweep * trace.f_g,
+        _span_gates(sweep, trace.f_g),
         bin_width * trace.f_g,
         n_bins,
     )

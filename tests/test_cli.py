@@ -1,8 +1,7 @@
 """End-to-end tests of the command-line interface.
 
 Commands run in-process through ``cli.main`` for speed; one test drives the
-installed console entry through a subprocess to cover the env-flag fallback
-path as well.
+console entry through a subprocess as well.
 """
 
 import numpy as np
@@ -13,9 +12,11 @@ from afterpulse.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     ConfigError,
+    _calibrate_mu,
     load_config,
     main,
 )
+from afterpulse.simulator import DeadTimeScheme, SchemeKind, SimConfig
 
 BASE_CONFIG = """\
 [detector]
@@ -385,6 +386,24 @@ class TestSweepDeadtime:
             assert np.isfinite(float(fields[5]))
             assert fields[7] in ("True", "False")
 
+    @pytest.mark.parametrize(
+        "target_hz, mu_out", [(1e6, 2.0**20), (1e-3, 2.0**-20)], ids=["above", "below"]
+    )
+    def test_missed_calibration_is_flagged(self, target_hz, mu_out, capsys):
+        # a 10 kHz laser cannot reach 1 MHz, and 10 kHz of dark counts keep
+        # the rate far above 1 mHz however weak the pulses
+        base = SimConfig(
+            scheme=DeadTimeScheme(SchemeKind.LT, tau_l=1e-6),
+            n_gates=1,
+            seed=3,
+            dcr_per_gate=1e4 / 312.5e6,
+        )
+        mu = _calibrate_mu(base, target_hz, n_gates=3_125_000, seed=3)
+        assert mu == mu_out  # the best-effort value is still returned
+        err = capsys.readouterr().err
+        assert f"missed the target {target_hz!r} Hz" in err
+        assert "reached" in err
+
     def test_tau_inside_baseline_window_rejected(self, tmp_path, capsys):
         # with the default 20-25 us window the afterpulse region at 20 us
         # would be the window itself
@@ -469,7 +488,6 @@ class TestEntryPoint:
         cfg = tmp_path / "run.ini"
         cfg.write_text(BASE_CONFIG.replace("n_gates = 50000000", "n_gates = 5000000"))
         out = tmp_path / "h.csv"
-        env = dict(subprocess_env, AFTERPULSE_NO_NUMBA="1")
         proc = subprocess.run(
             [
                 sys.executable,
@@ -483,7 +501,7 @@ class TestEntryPoint:
             ],
             capture_output=True,
             text=True,
-            env=env,
+            env=subprocess_env,
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
