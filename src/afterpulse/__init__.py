@@ -27,7 +27,6 @@ from .simulator import (
     SchemeKind,
     SimConfig,
     build_sweep_histogram,
-    effective_efficiency,
     run_simulation,
 )
 
@@ -41,7 +40,6 @@ __all__ = [
     "SchemeKind",
     "ClickTrace",
     "run_simulation",
-    "effective_efficiency",
     "build_sweep_histogram",
     "SweepHistogram",
     "GateHistogram",

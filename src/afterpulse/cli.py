@@ -233,6 +233,20 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _meta_float(
+    hist: SweepHistogram | GateHistogram, key: str, path, default: float | None = None
+) -> float:
+    """A number from the histogram metadata; ``default`` when the key is absent."""
+    if default is not None and key not in hist.meta:
+        return default
+    try:
+        return float(hist.meta[key])
+    except ValueError as exc:
+        raise DegenerateDataError(
+            f"{path}: metadata {key} = {hist.meta[key]!r} is not a number"
+        ) from exc
+
+
 def cmd_estimate(args) -> int:
     if args.method != "custom" and not args.dark:
         raise ConfigError(f"method '{args.method}' needs --dark HISTOGRAM")
@@ -249,14 +263,14 @@ def cmd_estimate(args) -> int:
                 raise DegenerateDataError(
                     "custom method needs --tau-s or tau_s_ns metadata"
                 )
-            tau_s = float(hist.meta["tau_s_ns"]) * 1e-9
+            tau_s = _meta_float(hist, "tau_s_ns", args.hist) * 1e-9
         rate = args.rate
         if rate is None:
             if "rate_hz" not in hist.meta:
                 raise DegenerateDataError(
                     "custom method needs --rate or rate_hz metadata"
                 )
-            rate = float(hist.meta["rate_hz"])
+            rate = _meta_float(hist, "rate_hz", args.hist)
         window = (args.window_start, args.window_end)
         measured, full = _custom_estimate(hist, rate, tau_s, window)
         print("method,p_exp,p_s,p1,p2,P_ap")
@@ -270,8 +284,8 @@ def cmd_estimate(args) -> int:
         return EXIT_OK
     lit = _gate_histogram(hist, args.hist)
     dark = _gate_histogram(read_histogram(args.dark), args.dark)
-    f_g = float(lit.meta.get("f_g_hz", lit.f_g))
-    f_l = float(lit.meta.get("f_l_hz", f_g / lit.gates_per_period))
+    f_g = _meta_float(lit, "f_g_hz", args.hist, lit.f_g)
+    f_l = _meta_float(lit, "f_l_hz", args.hist, f_g / lit.gates_per_period)
     if args.method == "bethune":
         value = estimate_bethune(lit, dark)
     elif args.method == "yuan":
@@ -338,24 +352,16 @@ def _calibrate_mu(base: SimConfig, target_rate: float, n_gates: int, seed: int) 
     r = rate_at(mu)
     if abs(r - target_rate) <= tol:
         return mu
-    if r < target_rate:
-        lo, hi = mu, mu
-        for _ in range(20):
-            hi *= 2.0
-            r = rate_at(hi)
-            if r >= target_rate:
-                break
-        else:
-            return missed(hi, hi, r)  # rate saturates below the target
+    # double (below the target) or halve (above it) until the rate crosses
+    start, sign = mu, (1.0 if r < target_rate else -1.0)
+    for _ in range(20):
+        mu *= 2.0**sign
+        r = rate_at(mu)
+        if sign * (r - target_rate) >= 0.0:
+            break
     else:
-        lo, hi = mu, mu
-        for _ in range(20):
-            lo *= 0.5
-            r = rate_at(lo)
-            if r <= target_rate:
-                break
-        else:
-            return missed(lo, lo, r)
+        return missed(mu, mu, r)  # the rate saturates short of the target
+    lo, hi = sorted((start, mu))
     for _ in range(40):
         mid = 0.5 * (lo + hi)
         r = rate_at(mid)
@@ -456,8 +462,11 @@ def cmd_fit(args) -> int:
         fields = row.split(",")
         if len(fields) < 2:
             raise FitInputError(f"{args.data}:{lineno}: expected 'tau_us,value'")
-        xs.append(float(fields[0]) * 1e-6)
-        ys.append(float(fields[1]))
+        try:
+            xs.append(float(fields[0]) * 1e-6)
+            ys.append(float(fields[1]))
+        except ValueError as exc:
+            raise FitInputError(f"{args.data}:{lineno}: non-numeric field in {row!r}") from exc
     laws = (
         [FitLaw.POWER_LAW, FitLaw.EXPONENTIAL]
         if args.law == "both"

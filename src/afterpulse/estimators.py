@@ -41,6 +41,8 @@ __all__ = [
     "derive_all",
 ]
 
+BINS_PER_GATE = 10
+
 
 @dataclass(frozen=True)
 class EstimateBundle:
@@ -58,19 +60,18 @@ class EstimateBundle:
     meta: dict[str, float] = field(default_factory=dict)
 
 
-def fold_gate_histogram(trace: ClickTrace, bins_per_gate: int = 10) -> GateHistogram:
+def fold_gate_histogram(trace: ClickTrace) -> GateHistogram:
     """Fold a click train onto one laser period at sub-gate resolution.
 
     Clicks are resolved on the gate grid, so each lands in the central bin
-    of its gate.  The metadata records the gate and laser rates, the click
-    rate and the seed, as the histogram file format stores them.
+    of its gate, one of ``BINS_PER_GATE``.  The metadata records the gate
+    and laser rates, the click rate and the seed, as the histogram file
+    format stores them.
     """
-    if bins_per_gate < 1:
-        raise DegenerateDataError("bins_per_gate must be >= 1")
     m = trace.gates_per_pulse
     gate_idx = (trace.click_gates % m).astype(np.int64)
-    bin_idx = gate_idx * bins_per_gate + bins_per_gate // 2
-    bins = np.bincount(bin_idx, minlength=m * bins_per_gate).astype(np.int64)
+    bin_idx = gate_idx * BINS_PER_GATE + BINS_PER_GATE // 2
+    bins = np.bincount(bin_idx, minlength=m * BINS_PER_GATE).astype(np.int64)
     gate_time = 1.0 / trace.f_g
     meta = {"source": "simulator", "f_g_hz": repr(trace.f_g), "rate_hz": repr(trace.rate)}
     if trace.config is not None:
@@ -78,7 +79,7 @@ def fold_gate_histogram(trace: ClickTrace, bins_per_gate: int = 10) -> GateHisto
         meta["seed"] = str(trace.config.seed)
     return GateHistogram(
         bins=bins,
-        bin_width=gate_time / bins_per_gate,
+        bin_width=gate_time / BINS_PER_GATE,
         period=m * gate_time,
         gates_per_period=m,
         acquisition_gates=trace.total_gates,
@@ -250,8 +251,8 @@ def derive_all(p_exp: float, rate: float, tau_s: float) -> EstimateBundle:
 
     The busy fraction R*tau gives the total click probability per dead-time
     window, from which the base probability is p0 = R*tau / (1 + p_exp).
-    Fills the lumped (p_s), first-order (p1), second-order (p2, numeric
-    inversion) parameters and the model-independent afterpulse click
+    Fills the lumped (p_s), first-order (p1), second-order (p2, closed-form
+    cubic root) parameters and the model-independent afterpulse click
     probability.  A dark-dominated histogram can give a slightly negative
     ratio: the model parameters are computed at the physical floor of zero
     while ``p_exp`` is reported as measured.
@@ -263,16 +264,11 @@ def derive_all(p_exp: float, rate: float, tau_s: float) -> EstimateBundle:
     if p0 >= 1.0:
         raise DegenerateDataError(f"busy fraction gives p0 = {p0!r} >= 1")
     p_s = models.p_s_from_rate(exp)
-    p1 = models.invert_first(floored)
-    if p0 < 1e-12 or floored == 0.0:
-        p2 = p1  # the second-order inversion reduces to first order as p0 -> 0
-    else:
-        p2 = models.invert_second(floored, p0)
     return EstimateBundle(
         p_exp=p_exp,
         p_s=p_s,
-        p1=p1,
-        p2=p2,
+        p1=models.invert_first(floored),
+        p2=models.invert_second(floored, p0),
         p_universal=models.universal_p_ap(floored, p0),
         meta={"p0": p0, "p_n": p_n, "rate": rate, "tau_s": tau_s},
     )

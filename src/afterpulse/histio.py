@@ -256,10 +256,13 @@ def read_histogram(path: str | Path) -> SweepHistogram | GateHistogram:
     if not counts:
         raise HistogramFormatError(f"{path}: histogram has no bins")
 
-    bin_width = float(meta["bin_width_ns"]) * 1e-9
-    sweep = float(meta["sweep_ns"]) * 1e-9
-    c0 = int(meta["c0"])
-    width_ns = float(meta["bin_width_ns"])
+    try:
+        width_ns = float(meta["bin_width_ns"])
+        sweep = float(meta["sweep_ns"]) * 1e-9
+        c0 = int(meta["c0"])
+    except ValueError as exc:
+        raise HistogramFormatError(f"{path}: malformed mandatory metadata: {exc}") from exc
+    bin_width = width_ns * 1e-9
     for i, start in enumerate(starts):
         if abs(start - i * width_ns) > 0.5:
             raise HistogramFormatError(

@@ -11,8 +11,12 @@ at several truncation levels:
 * ``second_order_forward`` -- adds the second-order pair correction,
 * ``exact_forward``        -- union of all chain orders up to a cutoff.
 
-It also provides the numerical inversions used to recover model parameters
-from measured histogram ratios (``p_exp``), count rates and dead times.
+It also provides the inversions used to recover model parameters from
+measured histogram ratios (``p_exp``), count rates and dead times.  Every
+one is in closed form: the forward models are rational, so inverting the
+second-order model for ``p_ap`` is the smallest root in [0, 1) of a cubic
+(trigonometric Cardano), and solving any model for ``p0`` is the smaller
+root of a quadratic.
 
 All functions are pure and thread-safe.
 """
@@ -44,8 +48,8 @@ __all__ = [
 
 MODEL_NAMES = ("simple", "first", "second")
 
-_BISECT_TOL = 1e-13
-_MAX_BISECT = 200
+# how far a polynomial value or a root may stray past a boundary by rounding
+_ROUNDING = 1e-12
 
 
 class DomainError(ValueError):
@@ -56,22 +60,46 @@ class NoRootError(RuntimeError):
     """The requested inversion target is not reachable by the model."""
 
 
-def _bisect(below, lo: float, hi: float, tol: float) -> float:
-    """Midpoint of the bracket [lo, hi] narrowed onto where ``below`` turns false.
+def _smallest_unit_root(a: float, b: float, c: float) -> float | None:
+    """Smallest root in [0, 1) of f(x) = x^3 + a x^2 + b x + c, or None.
 
-    ``below(x)`` must hold left of the sought point and fail right of it.
-    Stops once the bracket is no wider than ``tol`` or after ``_MAX_BISECT``
-    halvings.
+    Trigonometric Cardano on the depressed cubic t^3 + p t + q, x = t - a/3.
+    A cosine argument past +-1 leaves one real root, unless f lies within
+    ``_ROUNDING`` of zero at the critical point where the other two would
+    meet: that is a double root blurred by rounding.  A single real root
+    gives None, because neither cubic solved here has one in [0, 1): the
+    second-order cubic is positive at 0 and falls to -inf, so its single
+    root is negative, and the branch-limit cubic always has three.
     """
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if below(mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol:
-            break
-    return 0.5 * (lo + hi)
+    shift = a / 3.0
+    p = b - a * shift
+    if p >= 0.0:
+        return None  # f is monotone
+    q = c + shift * (2.0 * shift * shift - b)
+    m = 2.0 * math.sqrt(-p / 3.0)
+    x = 3.0 * q / (p * m)
+    if abs(x) > 1.0:
+        crit = -0.5 * math.copysign(m, x) - shift
+        if abs(((crit + a) * crit + b) * crit + c) > _ROUNDING:
+            return None
+        x = math.copysign(1.0, x)
+    phi = math.acos(x) / 3.0
+    roots = [m * math.cos(phi - 2.0 * math.pi * k / 3.0) - shift for k in range(3)]
+    inside = [r for r in roots if 0.0 <= r < 1.0]
+    return min(inside) if inside else None
+
+
+def _smaller_root(a: float, b: float, c: float) -> float:
+    """Smaller root of a x^2 - b x + c = 0 (a >= 0, b > 0, c >= 0).
+
+    Written as 2c / (b + sqrt(b^2 - 4ac)) to avoid cancellation.  A
+    minimum above zero by no more than ``_ROUNDING`` is a double root
+    blurred by rounding.
+    """
+    disc = b * b - 4.0 * a * c
+    if disc < -4.0 * a * _ROUNDING:
+        raise NoRootError(f"{a!r} x^2 - {b!r} x + {c!r} has no real root")
+    return 2.0 * c / (b + math.sqrt(max(disc, 0.0)))
 
 
 def _check_unit(name: str, value: float, *, open_top: bool = False) -> None:
@@ -202,32 +230,29 @@ def ascending_branch_limit(p0: float) -> float:
 
     For fixed p0 the second-order model increases in p_ap while
     p0 < (1 - p)(1 + p)^2 / (1 + p + 2 p^2) and bends down beyond.  The
-    returned value is the crossover point; inversions are unique only on
-    [0, limit].
+    returned value is the crossover point, the root in [0, 1) of
+    p^3 + (1 + 2 p0) p^2 - (1 - p0) p - (1 - p0); inversions are unique
+    only on [0, limit].  At p0 = 0 the model rises on all of [0, 1) and
+    the limit is 1.
     """
     _check_unit("p0", p0)
-
-    def h(p: float) -> float:
-        return (1.0 - p) * (1.0 + p) ** 2 / (1.0 + p + 2.0 * p * p)
-
-    hi = 1.0 - 1e-9
-    if h(hi) >= p0:
-        return hi
-    return _bisect(lambda p: h(p) > p0, 0.0, hi, _BISECT_TOL)
+    root = _smallest_unit_root(1.0 + 2.0 * p0, p0 - 1.0, p0 - 1.0)
+    return 1.0 if root is None else root
 
 
-def invert_second(p_exp: float, p0: float, tol: float = 1e-12) -> float:
-    """Second-order afterpulse parameter, found numerically.
+def invert_second(p_exp: float, p0: float) -> float:
+    """Second-order afterpulse parameter, in closed form.
 
-    Solves second_order_forward(p0, p) = p0 * (1 + p_exp) for p by bisection
-    on the ascending branch of the model, which holds the physically
-    meaningful (smallest) root.  Raises NoRootError when the target exceeds
-    the branch maximum.
+    Solves second_order_forward(p0, p) = p0 * (1 + p_exp) for p.  With
+    e = p_exp that is the cubic (1 + e) p^3 - e p^2 + (p0 - 1 - e) p + e = 0,
+    whose smallest root in [0, 1) lies on the ascending branch of the model
+    and is the physically meaningful one.  At p0 = 0 the cubic factors as
+    (p^2 - 1)((1 + e) p - e) and the root is the first-order value.  Raises
+    NoRootError when the target exceeds the branch maximum.
     """
     if p_exp < 0.0:
         raise DomainError(f"p_exp must be >= 0, got {p_exp!r}")
-    if not 0.0 < p0 < 1.0:
-        raise DomainError(f"p0 must be in (0, 1), got {p0!r}")
+    _check_unit("p0", p0, open_top=True)
     if p_exp == 0.0:
         return 0.0
     target = p0 * (1.0 + p_exp)
@@ -235,20 +260,13 @@ def invert_second(p_exp: float, p0: float, tol: float = 1e-12) -> float:
         raise DomainError(
             f"p0 * (1 + p_exp) = {target!r} exceeds 1; inputs inconsistent"
         )
-
-    peak = ascending_branch_limit(p0)
-    f_peak = second_order_forward(p0, ModelParams(p_ap=peak))
-    if target > f_peak + 1e-12:
+    lead = 1.0 + p_exp
+    root = _smallest_unit_root(-p_exp / lead, (p0 - lead) / lead, p_exp / lead)
+    if root is None:
         raise NoRootError(
-            f"second-order model with p0={p0!r} never reaches "
-            f"{target!r} (max {f_peak!r})"
+            f"second-order model with p0={p0!r} never reaches {target!r}"
         )
-    return _bisect(
-        lambda p: second_order_forward(p0, ModelParams(p_ap=p)) < target,
-        0.0,
-        peak,
-        tol,
-    )
+    return root
 
 
 def p_s_from_rate(exp: ExperimentalAfterpulse) -> float:
@@ -285,41 +303,23 @@ def p0_from_observed(p_total: float, model: str, p_ap: float) -> float:
     """Base click probability solving the chosen forward model.
 
     ``model`` is one of ``"simple"``, ``"first"``, ``"second"``.  The simple
-    model is a quadratic in p0 and the smaller root is returned; the second
-    order model is bisected on its rising branch in p0.
+    model p_ap p0^2 - (1 + p_ap) p0 + p_total = 0 and the second-order model
+    s2 p0^2 - s1 p0 + p_total = 0 are quadratics in p0; the smaller root,
+    which lies on the rising branch, is returned.
     """
     _check_unit("p_total", p_total)
     _check_unit("p_ap", p_ap, open_top=True)
     if model == "first":
         return p_total * (1.0 - p_ap)
     if model == "simple":
-        if p_ap == 0.0:
-            return p_total
-        # p_ap * p0^2 - (1 + p_ap) * p0 + p_total = 0, smaller root,
-        # written to avoid cancellation
-        b = 1.0 + p_ap
-        disc = b * b - 4.0 * p_ap * p_total
-        if disc < 0.0:
-            raise NoRootError(
-                f"simple model cannot produce p_total={p_total!r} "
-                f"with p_s={p_ap!r}"
-            )
-        return 2.0 * p_total / (b + math.sqrt(disc))
+        return _smaller_root(p_ap, 1.0 + p_ap, p_total)
     if model == "second":
-        if p_ap == 0.0:
-            return p_total
-        cap = monotone_p0_limit(p_ap)
-        params = ModelParams(p_ap=p_ap)
-        f_cap = second_order_forward(cap, params)
-        if p_total > f_cap + 1e-12:
+        s1, s2 = geometric_sums(p_ap)
+        p0 = _smaller_root(s2, s1, p_total)
+        if p0 > 1.0 + _ROUNDING:
             raise NoRootError(
                 f"second-order model with p_ap={p_ap!r} never reaches "
-                f"{p_total!r} on its rising branch (max {f_cap!r})"
+                f"{p_total!r} for p0 <= 1"
             )
-        return _bisect(
-            lambda p0: second_order_forward(p0, params) < p_total,
-            0.0,
-            cap,
-            _BISECT_TOL,
-        )
+        return min(p0, 1.0)
     raise DomainError(f"unknown model {model!r}, expected one of {MODEL_NAMES}")

@@ -38,7 +38,6 @@ __all__ = [
     "ClickTrace",
     "SimulationConfigError",
     "run_simulation",
-    "effective_efficiency",
     "gate_loop_args",
     "build_sweep_histogram",
 ]
@@ -225,31 +224,10 @@ def run_simulation(cfg: SimConfig) -> ClickTrace:
     )
 
 
-def effective_efficiency(t_since_click: float, scheme: DeadTimeScheme) -> float:
-    """Bias-recovery detection efficiency at a time after a registered click.
-
-    For the latched scheme this is a step at ``tau_l``.  For active reset
-    the efficiency is 0 while the bias is held low, then recovers over
-    ``tau_er``; registration is additionally impossible before ``tau_l``,
-    which is enforced by the simulator, not by this curve.
-    """
-    if t_since_click < 0.0:
-        raise SimulationConfigError("t_since_click must be >= 0")
-    if scheme.kind == SchemeKind.LT:
-        return 0.0 if t_since_click < scheme.tau_l else 1.0
-    if t_since_click < scheme.tau_c:
-        return 0.0
-    if scheme.ramp == "step" or scheme.tau_er == 0.0:
-        return 1.0
-    frac = (t_since_click - scheme.tau_c) / scheme.tau_er
-    return min(1.0, frac)
-
-
 def build_sweep_histogram(
     trace: ClickTrace,
     sweep: float,
     bin_width: float,
-    gates_per_pulse: int | None = None,
 ) -> SweepHistogram:
     """Collect oscilloscope-style sweeps from a click train.
 
@@ -263,11 +241,10 @@ def build_sweep_histogram(
             f"need sweep > bin_width > 0, got sweep={sweep!r}, "
             f"bin_width={bin_width!r}"
         )
-    m = trace.gates_per_pulse if gates_per_pulse is None else gates_per_pulse
     n_bins = int(round(sweep / bin_width))
     bins, c0 = _kernels.sweep_scan(
         np.ascontiguousarray(trace.click_gates, dtype=np.int64),
-        m,
+        trace.gates_per_pulse,
         _span_gates(sweep, trace.f_g),
         bin_width * trace.f_g,
         n_bins,

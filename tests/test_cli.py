@@ -480,6 +480,54 @@ class TestFit:
         assert code == EXIT_NUMERIC
 
 
+def sweep_file(**meta):
+    """A three-bin sweep histogram, its metadata overridden by ``meta``."""
+    keys = {"bin_width_ns": "10", "sweep_ns": "30", "c0": "5",
+            "tau_s_ns": "10", "rate_hz": "1000.0", **meta}
+    return "".join(f"# {k} = {v}\n" for k, v in keys.items()) + "0,1\n10,2\n20,0\n"
+
+
+def gate_file(**meta):
+    """A two-gate folded histogram, its metadata overridden by ``meta``."""
+    keys = {"bin_width_ns": "1", "sweep_ns": "20", "c0": "0", "kind": "gate",
+            "gates_per_period": "2", "acquisition_gates": "1000", **meta}
+    bins = "".join(f"{i},{9 if i == 5 else 0}\n" for i in range(20))
+    return "".join(f"# {k} = {v}\n" for k, v in keys.items()) + bins
+
+
+class TestMalformedNumbers:
+    """A number that does not parse is a named error, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "text,argv,code,names",
+        [
+            ("tau_us,p_ap\n1,0.2\nabc,0.1\n", ["fit", "--data"], EXIT_NUMERIC, "in.csv:3"),
+            ("tau_us,p_ap\n1,0.2\n2,x\n", ["fit", "--data"], EXIT_NUMERIC, "in.csv:3"),
+            (sweep_file(bin_width_ns="ten"), ["estimate", "--method", "custom", "--hist"],
+             EXIT_CONFIG, "in.csv"),
+            (sweep_file(sweep_ns="3e1ns"), ["estimate", "--method", "custom", "--hist"],
+             EXIT_CONFIG, "in.csv"),
+            (sweep_file(c0="five"), ["estimate", "--method", "custom", "--hist"],
+             EXIT_CONFIG, "in.csv"),
+            (sweep_file(tau_s_ns="x"), ["estimate", "--method", "custom", "--hist"],
+             EXIT_NUMERIC, "tau_s_ns"),
+            (sweep_file(rate_hz="fast"), ["estimate", "--method", "custom", "--hist"],
+             EXIT_NUMERIC, "rate_hz"),
+            (gate_file(f_g_hz="abc"), ["estimate", "--method", "bethune", "--dark", "{in}",
+                                       "--hist"], EXIT_NUMERIC, "f_g_hz"),
+        ],
+        ids=["fit-x", "fit-y", "bin-width", "sweep", "c0", "tau-s", "rate", "f-g"],
+    )
+    def test_named_error(self, tmp_path, capsys, text, argv, code, names):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        argv = [str(path) if a == "{in}" else a for a in argv]
+        got, _, err = run_cli(capsys, *argv, path)
+        assert got == code
+        assert err.startswith("afterpulse: ") and names in err
+        assert "Traceback" not in err
+
+
 class TestEntryPoint:
     def test_console_script_runs_without_numba(self, tmp_path, subprocess_env):
         import subprocess

@@ -62,7 +62,7 @@ def gate_pair(f_l, mu, seed, n_gates, **kw):
 class TestGateHistogram:
     def test_fold_structure(self):
         trace = sim(F_G / 50, 1.0, 3, 10_000_000)
-        hist = fold_gate_histogram(trace, bins_per_gate=10)
+        hist = fold_gate_histogram(trace)
         assert hist.gates_per_period == 50
         assert hist.bins_per_gate == 10
         assert len(hist.bins) == 500

@@ -19,7 +19,6 @@ from afterpulse.simulator import (
     SimConfig,
     SimulationConfigError,
     build_sweep_histogram,
-    effective_efficiency,
     run_simulation,
 )
 
@@ -196,29 +195,6 @@ class TestDeadTime:
 
 
 class TestEffectiveEfficiency:
-    def test_zero_at_origin(self):
-        assert effective_efficiency(0.0, LT1US) == 0.0
-        scheme = DeadTimeScheme(SchemeKind.LT_AR, tau_l=1e-6, tau_c=2e-6, tau_er=1e-6)
-        assert effective_efficiency(0.0, scheme) == 0.0
-
-    def test_lt_step(self):
-        assert effective_efficiency(0.999e-6, LT1US) == 0.0
-        assert effective_efficiency(1.0e-6, LT1US) == 1.0
-
-    def test_ramp_midpoint(self):
-        scheme = DeadTimeScheme(
-            SchemeKind.LT_AR, tau_l=1e-6, tau_c=7.5e-6, tau_er=2.5e-6
-        )
-        assert effective_efficiency(8.75e-6, scheme) == pytest.approx(0.5)
-        assert effective_efficiency(10.1e-6, scheme) == 1.0
-
-    def test_step_ramp(self):
-        scheme = DeadTimeScheme(
-            SchemeKind.LT_AR, tau_l=1e-6, tau_c=7.5e-6, tau_er=2.5e-6, ramp="step"
-        )
-        assert effective_efficiency(7.6e-6, scheme) == 1.0
-        assert effective_efficiency(7.4e-6, scheme) == 0.0
-
     def test_first_registered_clicks_during_bias_recovery(self):
         # hold-off 7.5 us, recovery 2.5 us, latch 7.8 us: clicks appear from
         # 7.8 us on, before full recovery at 10 us, and the ramp suppresses
