@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -32,6 +33,7 @@ from .fitting import FitInputError, FitLaw, fit_curve
 from .histio import HistogramFormatError, SweepHistogram, read_histogram, write_histogram
 from .models import DomainError, NoRootError
 from .simulator import (
+    ClickTrace,
     DeadTimeScheme,
     SchemeKind,
     SimConfig,
@@ -53,6 +55,9 @@ _CONFIG_ERRORS = (ConfigError, SimulationConfigError, HistogramFormatError, OSEr
 _NUMERIC_ERRORS = (DegenerateDataError, NoRootError, DomainError, FitInputError)
 
 METHODS = ("custom", "bethune", "yuan", "coincidence")
+
+# runs one sweep row may take to meet the target rate
+CALIBRATION_RUNS = 6
 
 # defaults follow the bundled detector presets: 312.5 MHz gating, 20% PDE
 # with 100 Hz dark counts, 10 kHz pulsed laser near one photon per pulse
@@ -190,19 +195,19 @@ def _custom_estimate(
     return measured, derive_all(measured.p_exp, rate=rate, tau_s=tau_s)
 
 
-def _simulated_custom(cfg: RunConfig, sim: SimConfig) -> tuple[float, EstimateBundle]:
-    """Simulate, build the configured sweep histogram and estimate from it.
-
-    Returns the run's click rate and the model conversions.
-    """
-    trace = run_simulation(sim)
-    hist = build_sweep_histogram(
+def _sweep_histogram(cfg: RunConfig, trace: ClickTrace) -> SweepHistogram:
+    return build_sweep_histogram(
         trace,
         sweep=cfg[("histogram", "sweep_s")],
         bin_width=cfg[("histogram", "bin_width_s")],
     )
-    _, full = _custom_estimate(hist, trace.rate, sim.scheme.tau_s, cfg.dcr_window())
-    return trace.rate, full
+
+
+def _simulated_custom(cfg: RunConfig, trace: ClickTrace) -> EstimateBundle:
+    """The model conversions of a finished run's configured sweep histogram."""
+    hist = _sweep_histogram(cfg, trace)
+    _, full = _custom_estimate(hist, trace.rate, trace.tau_s, cfg.dcr_window())
+    return full
 
 
 def _bundle_fields(bundle: EstimateBundle) -> str:
@@ -217,11 +222,7 @@ def cmd_simulate(args) -> int:
     sim = cfg.sim_config(seed=args.seed)
     trace = run_simulation(sim)
     if args.kind == "sweep":
-        hist = build_sweep_histogram(
-            trace,
-            sweep=cfg[("histogram", "sweep_s")],
-            bin_width=cfg[("histogram", "bin_width_s")],
-        )
+        hist = _sweep_histogram(cfg, trace)
     else:
         hist = fold_gate_histogram(trace)
     write_histogram(hist, args.out)
@@ -320,7 +321,8 @@ def cmd_compare(args) -> int:
         for i, mu in enumerate(mus):
             seed = base.seed + 101 * (METHODS.index(method) + 1) + i
             if method == "custom":
-                _, bundle = _simulated_custom(cfg, replace(base, mu=mu, seed=seed))
+                trace = run_simulation(replace(base, mu=mu, seed=seed))
+                bundle = _simulated_custom(cfg, trace)
                 lines.append(f"{method},{mu!r}," + _bundle_fields(bundle))
             else:
                 value = _classical_estimate(method, base, mu, seed, yuan_gate)
@@ -331,47 +333,33 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _calibrate_mu(base: SimConfig, target_rate: float, n_gates: int, seed: int) -> float:
-    """Adjust the pulse energy so a short run reproduces the target rate."""
+def _calibrate_mu(base: SimConfig, target_rate: float) -> tuple[float, ClickTrace]:
+    """Rerun ``base`` with new pulse energies until its rate meets the target.
 
-    def rate_at(mu: float) -> float:
-        probe = replace(base, mu=mu, n_gates=n_gates, seed=seed)
-        return run_simulation(probe).rate
-
-    def missed(mu_out: float, mu_probe: float, r_probe: float) -> float:
-        print(
-            f"warning: rate calibration missed the target {target_rate!r} Hz by "
-            f"more than 2 %: the last probe, mu = {mu_probe!r}, reached "
-            f"{r_probe!r} Hz",
-            file=sys.stderr,
-        )
-        return mu_out
-
-    tol = 0.02 * target_rate
-    mu = base.mu
-    r = rate_at(mu)
-    if abs(r - target_rate) <= tol:
-        return mu
-    # double (below the target) or halve (above it) until the rate crosses
-    start, sign = mu, (1.0 if r < target_rate else -1.0)
-    for _ in range(20):
-        mu *= 2.0**sign
-        r = rate_at(mu)
-        if sign * (r - target_rate) >= 0.0:
+    Every run uses the config's own gate count and seed, so the accepted run
+    is the measurement.  A run more than 2 % off the target scales the
+    per-pulse click probability ``1 - exp(-mu*pde)``, to which the rate is
+    close to proportional, by target/rate.  After ``CALIBRATION_RUNS`` runs,
+    or when that probability cannot change or would reach 1, the last run
+    is returned with a warning on stderr.  Returns the run and its ``mu``.
+    """
+    sim = base
+    for runs in range(1, CALIBRATION_RUNS + 1):
+        trace = run_simulation(sim)
+        if abs(trace.rate - target_rate) <= 0.02 * target_rate:
+            return sim.mu, trace
+        # the next click probability is p * target / rate; it must stay in (0, 1)
+        scaled = sim.p_photon * target_rate
+        if runs == CALIBRATION_RUNS or scaled == 0.0 or scaled >= trace.rate:
             break
-    else:
-        return missed(mu, mu, r)  # the rate saturates short of the target
-    lo, hi = sorted((start, mu))
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        r = rate_at(mid)
-        if abs(r - target_rate) <= tol:
-            return mid
-        if r < target_rate:
-            lo = mid
-        else:
-            hi = mid
-    return missed(0.5 * (lo + hi), mid, r)
+        sim = replace(sim, mu=-math.log1p(-scaled / trace.rate) / sim.pde)
+    print(
+        f"warning: rate calibration missed the target {target_rate!r} Hz by "
+        f"more than 2 %: the last probe, mu = {sim.mu!r}, reached "
+        f"{trace.rate!r} Hz",
+        file=sys.stderr,
+    )
+    return sim.mu, trace
 
 
 def cmd_sweep_deadtime(args) -> int:
@@ -397,28 +385,24 @@ def cmd_sweep_deadtime(args) -> int:
         else [SchemeKind(args.scheme)]
     )
 
-    # fixed-rate sweep: the observed total count rate at the first dead time
-    # is the target; the pulse energy is recalibrated at every other point
-    cal_gates = min(base.n_gates, 200_000_000)
-    first_scheme = _scheme_for(schemes[0], taus[0], cfg)
-    target_rate = run_simulation(
-        replace(base, scheme=first_scheme, n_gates=cal_gates, seed=base.seed + 1)
-    ).rate
-
+    # fixed-rate sweep: the first row's rate is the target, and every later
+    # row is calibrated to it, starting from the previous row's pulse energy
     lines = ["scheme,tau_s,mu,rate_hz,p_exp,p_s,p2"]
     series: dict[SchemeKind, list[tuple[float, float]]] = {k: [] for k in schemes}
+    mu, target_rate = base.mu, None
     for kind in schemes:
         for j, tau in enumerate(taus):
-            scheme = _scheme_for(kind, tau, cfg)
-            probe = replace(base, scheme=scheme)
-            mu = _calibrate_mu(
-                probe, target_rate, cal_gates, seed=base.seed + 50 + j
+            row = replace(
+                base, scheme=_scheme_for(kind, tau, cfg), mu=mu, seed=base.seed + 1000 + j
             )
-            rate, full = _simulated_custom(
-                cfg, replace(probe, mu=mu, seed=base.seed + 1000 + j)
-            )
+            if target_rate is None:
+                trace = run_simulation(row)
+                target_rate = trace.rate
+            else:
+                mu, trace = _calibrate_mu(row, target_rate)
+            full = _simulated_custom(cfg, trace)
             lines.append(
-                f"{kind.value},{tau!r},{mu!r},{rate!r},"
+                f"{kind.value},{tau!r},{mu!r},{trace.rate!r},"
                 f"{full.p_exp!r},{full.p_s!r},{full.p2!r}"
             )
             series[kind].append((tau, full.p2))

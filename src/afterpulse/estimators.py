@@ -96,6 +96,21 @@ def _matched(lit: GateHistogram, dark: GateHistogram) -> None:
         )
 
 
+def _period_ratio(lit: GateHistogram, f_g: float, f_l: float) -> float:
+    """f_g/f_l, checked to be the histogram's whole gates per laser period."""
+    ratio = f_g / f_l
+    if abs(ratio - round(ratio)) > 1e-6:
+        raise DegenerateDataError(
+            f"f_g must be an integer multiple of f_l (f_g/f_l = {ratio!r})"
+        )
+    if lit.gates_per_period != round(ratio):
+        raise DegenerateDataError(
+            f"histogram has {lit.gates_per_period} gates per period, "
+            f"f_g/f_l = {round(ratio)}"
+        )
+    return ratio
+
+
 def estimate_bethune(lit: GateHistogram, dark: GateHistogram) -> float:
     """Afterpulse probability from a half-rate-laser two-gate histogram.
 
@@ -132,16 +147,7 @@ def estimate_yuan(
     give smaller estimates because the afterpulse density decays with gate
     number.
     """
-    ratio = f_g / f_l
-    if abs(ratio - round(ratio)) > 1e-6:
-        raise DegenerateDataError(
-            f"f_g must be an integer multiple of f_l (f_g/f_l = {ratio!r})"
-        )
-    if lit.gates_per_period != round(ratio):
-        raise DegenerateDataError(
-            f"histogram has {lit.gates_per_period} gates per period, "
-            f"f_g/f_l = {round(ratio)}"
-        )
+    ratio = _period_ratio(lit, f_g, f_l)
     _matched(lit, dark)
     m = lit.gates_per_period
     if not 1 <= ni_gate_index < m:
@@ -169,11 +175,7 @@ def estimate_coincidence(
     (R_de - R_c_de - (1 - f_l/f_g) * R_dark) / R_c_de, with R_de the total
     rate over the period and R_dark the total dark rate.
     """
-    ratio = f_g / f_l
-    if abs(ratio - round(ratio)) > 1e-6:
-        raise DegenerateDataError(
-            f"f_g must be an integer multiple of f_l (f_g/f_l = {ratio!r})"
-        )
+    _period_ratio(lit, f_g, f_l)
     _matched(lit, dark)
     ill = lit.illuminated_gate()
     r_de = lit.total_counts / lit.live_time

@@ -51,10 +51,6 @@ class FitResult:
     iterations: int
     converged: bool
 
-    def evaluate(self, xs_seconds: np.ndarray) -> np.ndarray:
-        x_us = np.asarray(xs_seconds, dtype=np.float64) * 1e6
-        return _evaluate(self.law, self.a, self.b, self.c, x_us)
-
 
 def _evaluate(law: FitLaw, a: float, b: float, c: float, x_us: np.ndarray):
     if law is FitLaw.EXPONENTIAL:
@@ -176,7 +172,9 @@ def fit_curve(
                 lam *= 5.0
                 continue
             candidate = theta + delta
-            new_rss, new_resid = rss_of(candidate)
+            # a trial step that overflows gives a non-finite rss and is rejected
+            with np.errstate(over="ignore", invalid="ignore"):
+                new_rss, new_resid = rss_of(candidate)
             if math.isfinite(new_rss) and new_rss <= rss:
                 step = float(np.max(np.abs(delta)))
                 improvement = rss - new_rss

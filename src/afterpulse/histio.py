@@ -24,7 +24,6 @@ __all__ = [
     "GateHistogram",
     "SweepHistogram",
     "merge_bins",
-    "normalize_for_plot",
     "read_histogram",
     "write_histogram",
 ]
@@ -159,15 +158,6 @@ def merge_bins(h: SweepHistogram, factor: int) -> SweepHistogram:
         c0=h.c0,
         meta=dict(h.meta),
     )
-
-
-def normalize_for_plot(h: SweepHistogram, c_dcr: float) -> np.ndarray:
-    """Bins divided by (c0 - c_dcr); presentation only, never fed to estimators."""
-    if h.c0 <= c_dcr:
-        raise HistogramFormatError(
-            f"c0 = {h.c0} must exceed the dark baseline {c_dcr!r}"
-        )
-    return h.bins.astype(np.float64) / (h.c0 - c_dcr)
 
 
 def _format_ns(value_s: float) -> str:

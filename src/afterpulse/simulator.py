@@ -180,9 +180,6 @@ class ClickTrace:
         """Total registered click rate over the run, in Hz."""
         return self.n_clicks / self.duration
 
-    def laser_coincident_mask(self) -> np.ndarray:
-        return self.click_gates % self.gates_per_pulse == 0
-
 
 def _span_gates(span: float, f_g: float) -> int:
     """Whole gates a time span covers, at least one, forgiving float noise."""

@@ -164,6 +164,15 @@ class TestCoincidence:
         assert spread > 0.25
 
 
+@pytest.mark.parametrize("estimate", [estimate_yuan, estimate_coincidence])
+def test_laser_rate_must_match_the_folded_period(estimate):
+    # a 50-gate fold read with f_l = f_g/2, as a wrong f_l_hz metadata entry
+    # would give it, is refused rather than scaled by the wrong period
+    lit, dark = gate_pair(F_G / 50, 1.0, 2, 5_000_000)
+    with pytest.raises(DegenerateDataError, match="gates per period"):
+        estimate(lit, dark, F_G, F_G / 2)
+
+
 def make_sweep(bins, bin_width=10e-9, c0=1000):
     bins = np.asarray(bins, dtype=np.int64)
     return SweepHistogram(
@@ -254,14 +263,12 @@ class TestEstimateCustom:
     def test_normalized_tails_agree_across_acquisition_lengths(self):
         # same process, different acquisition times: after trigger-count
         # normalization the dark-dominated tails coincide within noise
-        from afterpulse.histio import normalize_for_plot
-
         tails = []
         for n_gates, seed in ((800_000_000, 41), (2_400_000_000, 42)):
             trace = sim(1e4, 1.0, seed, n_gates, q=0.1, dcr=1e-5)
             h = build_sweep_histogram(trace, 25e-6, 10e-9)
             c_dcr = dcr_baseline(h, (20e-6, 25e-6))
-            norm = normalize_for_plot(h, c_dcr)
+            norm = h.bins / (h.c0 - c_dcr)
             mask = h.bin_starts >= 20e-6
             mean_tail = norm[mask].mean()
             counts = h.bins[mask].sum()

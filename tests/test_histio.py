@@ -9,7 +9,6 @@ from afterpulse.histio import (
     HistogramFormatError,
     SweepHistogram,
     merge_bins,
-    normalize_for_plot,
     read_histogram,
     write_histogram,
 )
@@ -62,22 +61,6 @@ class TestMergeBins:
         h = make_hist(np.arange(10))
         with pytest.raises(HistogramFormatError):
             merge_bins(h, 3)
-
-
-class TestNormalize:
-    def test_all_zero(self):
-        h = make_hist([0, 0, 0], c0=10)
-        assert np.all(normalize_for_plot(h, 0.0) == 0.0)
-
-    def test_division(self):
-        h = make_hist([10, 10], c0=1000)
-        out = normalize_for_plot(h, 0.0)
-        assert np.allclose(out, 0.01)
-
-    def test_degenerate(self):
-        h = make_hist([1, 2], c0=5)
-        with pytest.raises(HistogramFormatError):
-            normalize_for_plot(h, 5.0)
 
 
 class TestFileRoundTrip:
