@@ -3,15 +3,38 @@
 The gate loop walks a sine-gated detector over ``n_gates`` gates without
 visiting every gate: stretches of gates with identical per-gate click
 probability are skipped with geometric jumps, which is distribution-exact
-and makes the cost proportional to the number of photon arrivals, dark
-candidates, trap releases and clicks instead of the gate count.
+and makes the cost proportional to the number of visited events instead of
+the gate count.  Dead windows are skipped exactly too, since geometric
+gaps are memoryless:
 
-Randomness comes from one xorshift64* stream, drawn through two helpers:
-``_uniform`` (a float in [0, 1) for the recovery-efficiency and trap-fill
-draws) and ``_log_uniform`` (``scale * log u`` with u in (0, 1) for the
-geometric photon and dark gaps and the exponential detrap delay).  Pending
-trap releases and registered clicks sit in ``int64`` buffers that double
-when full (``_append``), so no carrier is ever dropped.
+* active reset: at a registered click the photon and dark streams restart
+  at the end of the hold-off, the pending trap releases inside it are
+  dropped, and a release that would land inside it is never queued;
+* latched comparator: in a latch window the photon stream is thinned to
+  the fires that fill a trap (Lewis & Shedler, 1979), from the click, or
+  from its first fire in the window when the click had no photon.  Only
+  those fires, the dark fires and the trap releases are visited there.  The
+  laser gates the thinned stream skips are counted, and the non-trapping
+  avalanches they hid are drawn as one binomial per run
+  (``hidden_avalanches`` is a run total).  The uniform of a thinned gap
+  that overshoots the window, rescaled, gives the gap past it, so a stream
+  advance stays one draw.
+
+Each avalanche fills a trap with probability ``q``, independently, so the
+trap marks of successive avalanches are kept as a geometric count of
+unmarked avalanches before the next marked one: an avalanche costs a
+decrement, a trap fill one draw.
+
+Randomness comes from one xorshift64* stream, seeded by splitmix64 and
+drawn through two helpers: ``_uniform`` (a float in [0, 1) for the
+recovery-efficiency and other Bernoulli draws) and ``_log_uniform``
+(``scale * log u`` with u in (0, 1) for the geometric gaps and the
+exponential detrap delay).
+Pending trap releases sit in a binary min-heap (the priority queue of
+Gibson & Bruck's next-reaction method, 2000), and every release due at a
+gate is popped there at once, as one avalanche.  The heap and the
+registered clicks are ``int64`` buffers that double when full
+(``_append``), so no carrier is ever dropped.
 
 The helpers are ``register_jitable`` and the kernels ``njit`` when numba
 imports; otherwise the same source runs as plain Python on numpy scalars.
@@ -85,6 +108,15 @@ def _log_uniform(s, scale):
 
 
 @_jitable
+def _splitmix64(x):
+    """The splitmix64 output for state ``x`` (a ``np.uint64``)."""
+    z = x + _SM_GAMMA
+    z = (z ^ (z >> _U30)) * _SM_M1
+    z = (z ^ (z >> _U27)) * _SM_M2
+    return z ^ (z >> _U31)
+
+
+@_jitable
 def _append(buf, n, value):
     """Store ``value`` at ``buf[n]``, doubling ``buf`` first when it is full."""
     if n == buf.shape[0]:
@@ -93,6 +125,92 @@ def _append(buf, n, value):
         buf = bigger
     buf[n] = value
     return buf, n + 1
+
+
+@_jitable
+def _heap_push(heap, n, value):
+    """Add ``value`` to the min-heap ``heap[:n]``; returns the buffer and size."""
+    heap, n = _append(heap, n, value)
+    i = n - 1
+    while i > 0:
+        parent = (i - 1) >> 1
+        up = heap[parent]
+        if up <= value:
+            break
+        heap[i] = up
+        i = parent
+    heap[i] = value
+    return heap, n
+
+
+@_jitable
+def _heap_pop(heap, n):
+    """Remove the smallest entry ``heap[0]`` of the min-heap; returns the size."""
+    n -= 1
+    last = heap[n]
+    i = 0
+    child = 1
+    while child < n:
+        low = heap[child]
+        if child + 1 < n:
+            right = heap[child + 1]
+            if right < low:
+                low = right
+                child += 1
+        if last <= low:
+            break
+        heap[i] = low
+        i = child
+        child = 2 * i + 1
+    heap[i] = last
+    return n
+
+
+@_jitable
+def _inv_log1m(p):
+    """``1 / log(1 - p)``, the scale of geometric gaps; 0 unless 0 < p < 1."""
+    if 0.0 < p < 1.0:
+        return 1.0 / math.log1p(-p)
+    return 0.0
+
+
+@_jitable
+def _binomial(s, n, p):
+    """One Binomial(n, p) draw, by inversion searching outwards from the mode."""
+    if n <= 0 or p <= 0.0:
+        return s, 0
+    if p >= 1.0:
+        return s, n
+    m = int((n + 1) * p)
+    if m > n:
+        m = n
+    f_mode = math.exp(
+        math.lgamma(n + 1.0) - math.lgamma(m + 1.0) - math.lgamma(n - m + 1.0)
+        + m * math.log(p) + (n - m) * math.log1p(-p)
+    )
+    odds = p / (1.0 - p)
+    s, u = _uniform(s)
+    u -= f_mode
+    lo, f_lo, hi, f_hi = m, f_mode, m, f_mode
+    while u >= 0.0:
+        moved = False
+        if hi < n and f_hi > 0.0:
+            f_hi *= (n - hi) / (hi + 1.0) * odds
+            hi += 1
+            u -= f_hi
+            if u < 0.0:
+                return s, hi
+            moved = True
+        if lo > 0 and f_lo > 0.0:
+            f_lo *= lo / ((n - lo + 1.0) * odds)
+            lo -= 1
+            u -= f_lo
+            if u < 0.0:
+                return s, lo
+            moved = True
+        if not moved:
+            break  # the pmf sum fell short of u by rounding
+    return s, m
 
 
 def _gate_loop_impl(
@@ -114,52 +232,66 @@ def _gate_loop_impl(
     Per-gate semantics: at an armed gate the click probability is
     eff(dt) * [1 - (1-p_photon)(1-p_dark)(1-p_trap)], decomposed into
     independent per-source Bernoulli fires thinned by the recovery
-    efficiency.  Within the dead window the latched-comparator scheme
-    (``is_lt``) still grows avalanches (counted as hidden, each may trap a
-    carrier) while the active-reset scheme suppresses avalanches entirely
-    and pending trap releases are lost.
+    efficiency; coincident sources make one avalanche.  Within the dead
+    window the latched-comparator scheme (``is_lt``) still grows avalanches
+    (counted as hidden, each may trap a carrier) while the active-reset
+    scheme suppresses avalanches entirely and pending trap releases are
+    lost.  Every avalanche fills a trap with probability ``q_ap``; the
+    carrier is released after an exponential delay of mean
+    ``detrap_gates``, at the next whole gate.
 
     Returns (click_gates int64 array, hidden_avalanches).
     """
-    # xorshift64* state from one splitmix64 round
-    s = seed + _SM_GAMMA
-    s = (s ^ (s >> _U30)) * _SM_M1
-    s = (s ^ (s >> _U27)) * _SM_M2
-    s = s ^ (s >> _U31)
+    s = _splitmix64(seed)
     if s == _UZERO:
         s = _SM_GAMMA
 
     n_pulses = (n_gates + gates_per_pulse - 1) // gates_per_pulse
+    inv_lp_ph = _inv_log1m(p_photon)
+    inv_lp_dk = _inv_log1m(p_dark)
+    # An avalanche's trap is decided by its release's mark, else by its
+    # photon fire's, else by its dark fire's; every mark is set with
+    # probability q_ap.  Marks drawn one avalanche after another are kept
+    # as a geometric count of unmarked avalanches before the next marked
+    # one (to_trap), so most avalanches cost a decrement, not a draw.
+    inv_lp_q = _inv_log1m(q_ap)
+    to_trap = _FAR
+    if q_ap >= 1.0:
+        to_trap = 0
+    elif q_ap > 0.0:
+        s, gap = _log_uniform(s, inv_lp_q)
+        to_trap = int(gap) if gap < 4.0e18 else _FAR
+    # In a latch window the photon stream is thinned to its marked fires
+    # (Lewis & Shedler) from the click, or from its first fire there; a
+    # laser gate it skips hid an unmarked fire with probability miss_ph.  Past the
+    # window, the uniform of a thinned gap that overshoots it, rescaled to
+    # (0, 1], gives the full stream's gap: ratio_ph converts the scales.
+    th_ph = q_ap * p_photon if is_lt else 0.0
+    miss_ph = 0.0
+    if th_ph < 1.0:
+        miss_ph = (p_photon - th_ph) / (1.0 - th_ph)
+    # no marked fire at all when th_ph = 0: every thinned gap overshoots,
+    # and its rescaled overshoot is a plain gap of the full stream; every
+    # fire is marked when th_ph = 1, and no gap overshoots
+    inv_lp_th_ph = _inv_log1m(th_ph) if th_ph > 0.0 else -1e300
+    ratio_ph = inv_lp_ph / inv_lp_th_ph if th_ph < 1.0 else 0.0
 
-    inv_lp_ph = 0.0
-    if 0.0 < p_photon < 1.0:
-        inv_lp_ph = 1.0 / math.log1p(-p_photon)
-    inv_lp_dk = 0.0
-    if 0.0 < p_dark < 1.0:
-        inv_lp_dk = 1.0 / math.log1p(-p_dark)
-
-    # next laser pulse whose photon component fires
-    phot_pulse = 0
     next_phot = _FAR
     if p_photon >= 1.0:
         next_phot = 0
     elif p_photon > 0.0:
-        s, kf = _log_uniform(s, inv_lp_ph)
-        if kf < 4.0e18:
-            phot_pulse = int(kf)
-            if phot_pulse < n_pulses:
-                next_phot = phot_pulse * gates_per_pulse
-
-    # next gate whose dark-count component fires
+        s, gap = _log_uniform(s, inv_lp_ph)
+        if gap < n_pulses:
+            next_phot = int(gap) * gates_per_pulse
     next_dark = _FAR
     if p_dark >= 1.0:
         next_dark = 0
     elif p_dark > 0.0:
-        s, kf = _log_uniform(s, inv_lp_dk)
-        if kf < 4.0e18 and int(kf) < n_gates:
-            next_dark = int(kf)
+        s, gap = _log_uniform(s, inv_lp_dk)
+        if gap < n_gates:
+            next_dark = int(gap)
 
-    rel = np.empty(512, np.int64)
+    rel = np.empty(512, np.int64)  # min-heap of pending release gates
     n_rel = 0
     next_rel = _FAR
 
@@ -167,6 +299,9 @@ def _gate_loop_impl(
     n_clicks = 0
 
     last_click = -_FAR
+    dead_end = -_FAR  # last_click + dead_gates: the first armed gate
+    ph_stop = 0  # the photon stream is thinned below this laser pulse
+    skip_ph = 0  # laser gates of latch windows the thinned stream skipped
     hidden = 0
 
     while True:
@@ -179,14 +314,38 @@ def _gate_loop_impl(
             break
         phot_f = next_phot == e
         dark_f = next_dark == e
-        trap_f = next_rel == e
 
-        dt = e - last_click
-        avalanche = False
-        registered = False
-        if dt >= dead_gates:
-            effv = 1.0
+        # the streams that fired restart at ``start``; the releases before
+        # it are spent, or lost
+        start = e + 1
+        own = True  # the avalanche's own trap mark decides its trap
+        trap = False
+        if e < dead_end:
+            # latch window (under active reset nothing is pending in the
+            # hold-off): the comparator is latched but the bias high, so
+            # the avalanche grows and quenches unseen
+            hidden += 1
+            if e < ph_stop * gates_per_pulse and e % gates_per_pulse == 0:
+                # a laser gate the thinned stream covers: visited after all
+                skip_ph -= 1
+                if next_rel != e:
+                    if phot_f:
+                        own = False  # a marked photon fire
+                        trap = True
+                    else:
+                        # a dark fire, unless an unmarked photon fire the
+                        # thinned stream skipped decides the trap
+                        s, u = _uniform(s)
+                        own = u >= miss_ph
+            elif phot_f:
+                # the photon stream's first fire in a window its click did
+                # not thin: thin it for the rest of the window
+                ph_stop = (min(dead_end, n_gates) + gates_per_pulse - 1) // gates_per_pulse
+                skip_ph += ph_stop - e // gates_per_pulse - 1
+        else:
             if not is_lt:
+                dt = e - last_click
+                effv = 1.0
                 tf = float(dt)
                 if ramp_is_step:
                     if tf < ramp_start:
@@ -195,69 +354,66 @@ def _gate_loop_impl(
                     effv = (tf - ramp_start) / ramp_len
                     if effv < 0.0:
                         effv = 0.0
-            if effv >= 1.0:
-                avalanche = True
-                registered = True
-            else:
-                s, u = _uniform(s)
-                if u < effv:
-                    avalanche = True
-                    registered = True
-        elif is_lt:
-            # comparator latched but bias high: the avalanche grows and
-            # quenches unseen, refilling traps
-            avalanche = True
-            hidden += 1
-
-        if trap_f:
-            # all releases effective at this gate are consumed, whether or
-            # not they produced a registered click
-            j = 0
-            next_rel = _FAR
-            for i in range(n_rel):
-                r = int(rel[i])
-                if r > e:
-                    rel[j] = r
-                    j += 1
-                    if r < next_rel:
-                        next_rel = r
-            n_rel = j
-
-        if phot_f:
-            if p_photon >= 1.0:
-                phot_pulse += 1
-            else:
-                s, kf = _log_uniform(s, inv_lp_ph)
-                if kf < 4.0e18:
-                    phot_pulse += 1 + int(kf)
-                else:
-                    phot_pulse = n_pulses
-            next_phot = phot_pulse * gates_per_pulse if phot_pulse < n_pulses else _FAR
-
-        if dark_f:
-            if p_dark >= 1.0:
-                next_dark = e + 1
-            else:
-                s, kf = _log_uniform(s, inv_lp_dk)
-                next_dark = _FAR
-                if kf < 4.0e18:
-                    nd = e + 1 + int(kf)
-                    if nd < n_gates:
-                        next_dark = nd
-
-        if avalanche:
-            s, u = _uniform(s)
-            if u < q_ap:
-                s, delay = _log_uniform(s, -detrap_gates)
-                rg = e + max(1, math.ceil(delay))
-                if rg < n_gates:
-                    rel, n_rel = _append(rel, n_rel, rg)
-                    if rg < next_rel:
-                        next_rel = rg
-            if registered:
+                if effv < 1.0:
+                    s, u = _uniform(s)
+                    own = u < effv  # registered, or no avalanche at all
+            if own:
                 clicks, n_clicks = _append(clicks, n_clicks, e)
                 last_click = e
+                dead_end = e + dead_gates
+                if phot_f and is_lt:
+                    # thin the photon stream for the latch window
+                    ph_stop = (min(dead_end, n_gates) + gates_per_pulse - 1) // gates_per_pulse
+                    skip_ph += ph_stop - e // gates_per_pulse - 1
+                if not is_lt:
+                    # hold-off: restart the streams at its end and lose
+                    # every carrier released inside it
+                    start = dead_end
+                    phot_f = phot_f or next_phot < dead_end
+                    dark_f = dark_f or next_dark < dead_end
+        if own:
+            if to_trap > 0:
+                to_trap -= 1
+            else:
+                trap = True
+                if q_ap < 1.0:
+                    s, gap = _log_uniform(s, inv_lp_q)
+                    to_trap = int(gap) if gap < 4.0e18 else _FAR
 
+        if next_rel < start:
+            while n_rel > 0 and rel[0] < start:
+                n_rel = _heap_pop(rel, n_rel)
+            next_rel = int(rel[0]) if n_rel > 0 else _FAR
+        if phot_f:
+            k = (start + gates_per_pulse - 1) // gates_per_pulse
+            gap = 0.0  # to the next fire, in laser pulses
+            if k < ph_stop:
+                # latch window: only the marked fires up to ph_stop
+                s, gap = _log_uniform(s, inv_lp_th_ph)
+                if gap >= ph_stop - k:
+                    gap = (gap - (ph_stop - k)) * ratio_ph
+                    k = ph_stop
+            elif p_photon < 1.0:
+                s, gap = _log_uniform(s, inv_lp_ph)
+            k = k + int(gap) if gap < 4.0e18 else n_pulses
+            next_phot = k * gates_per_pulse if k < n_pulses else _FAR
+        if dark_f:
+            next_dark = start
+            if p_dark < 1.0:
+                s, gap = _log_uniform(s, inv_lp_dk)
+                next_dark = start + int(gap) if gap < 4.0e18 else _FAR
+            if next_dark >= n_gates:
+                next_dark = _FAR
+        if trap:
+            s, delay = _log_uniform(s, -detrap_gates)
+            rg = e + max(1, math.ceil(delay))
+            if start <= rg < n_gates:
+                rel, n_rel = _heap_push(rel, n_rel, rg)
+                if rg < next_rel:
+                    next_rel = rg
+
+    s, k = _binomial(s, skip_ph, miss_ph)
+    hidden += k
     return clicks[:n_clicks].copy(), hidden
 
 

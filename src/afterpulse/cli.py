@@ -40,6 +40,7 @@ from .simulator import (
     SimulationConfigError,
     build_sweep_histogram,
     run_simulation,
+    stream,
 )
 
 EXIT_OK = 0
@@ -301,7 +302,7 @@ def cmd_estimate(args) -> int:
 def _classical_estimate(method: str, base: SimConfig, mu: float, seed: int, yuan_gate: int) -> float:
     f_l = base.f_g / 2 if method == "bethune" else base.f_g / 50
     lit_cfg = replace(base, f_l=f_l, mu=mu, seed=seed)
-    dark_cfg = replace(base, f_l=f_l, mu=0.0, seed=seed + 7919)
+    dark_cfg = replace(base, f_l=f_l, mu=0.0, seed=stream(seed, "dark", 0))
     lit = fold_gate_histogram(run_simulation(lit_cfg))
     dark = fold_gate_histogram(run_simulation(dark_cfg))
     if method == "bethune":
@@ -319,7 +320,7 @@ def cmd_compare(args) -> int:
     lines = ["method,mu,p_exp,p_s,p1,p2,P_ap"]
     for method in METHODS:
         for i, mu in enumerate(mus):
-            seed = base.seed + 101 * (METHODS.index(method) + 1) + i
+            seed = stream(base.seed, method, i)
             if method == "custom":
                 trace = run_simulation(replace(base, mu=mu, seed=seed))
                 bundle = _simulated_custom(cfg, trace)
@@ -393,7 +394,10 @@ def cmd_sweep_deadtime(args) -> int:
     for kind in schemes:
         for j, tau in enumerate(taus):
             row = replace(
-                base, scheme=_scheme_for(kind, tau, cfg), mu=mu, seed=base.seed + 1000 + j
+                base,
+                scheme=_scheme_for(kind, tau, cfg),
+                mu=mu,
+                seed=stream(base.seed, "sweep", j),
             )
             if target_rate is None:
                 trace = run_simulation(row)

@@ -15,8 +15,16 @@ detector, producing afterpulses.  Two dead-time circuits are modelled:
   ``tau_er`` after the bias is restored, optionally as a linear ramp.
 
 Events are resolved on the gate grid; trap-release instants are continuous
-but take effect at the next gate.  A run is deterministic for a fixed seed
+but take effect at the next gate.  The kernel (``_kernels``) skips the gates
+where nothing can change, and skips dead windows exactly: an active-reset
+hold-off is jumped over, with the carriers released inside it lost, and a
+latch window visits only the photon fires that fill a trap, the dark fires
+and the trap releases.  The non-trapping avalanches a latch window hides
+are counted per run, so ``hidden_avalanches`` is a run total.  Pending
+releases wait in a binary heap.  A run is deterministic for a fixed seed,
 and simulations with independent configs are safe to run concurrently.
+``stream`` derives the seeds of the several runs one command makes from
+its one seed.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ __all__ = [
     "run_simulation",
     "gate_loop_args",
     "build_sweep_histogram",
+    "stream",
 ]
 
 
@@ -179,6 +188,22 @@ class ClickTrace:
     def rate(self) -> float:
         """Total registered click rate over the run, in Hz."""
         return self.n_clicks / self.duration
+
+
+def stream(seed: int, purpose: str, index: int) -> int:
+    """Seed of stream ``index`` of the named ``purpose`` under a run's seed.
+
+    Two splitmix64 rounds, keyed by a hash of the purpose and by the index,
+    turn any valid seed into a valid seed, and distinct streams of one seed
+    into unrelated kernel streams: counter-based streams, after Salmon et
+    al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11).
+    """
+    digest = hashlib.blake2b(purpose.encode("utf-8"), digest_size=8).digest()
+    key = np.uint64(int.from_bytes(digest, "little"))
+    with np.errstate(over="ignore"):
+        x = _kernels._splitmix64(np.uint64(seed) ^ key)
+        x = _kernels._splitmix64(x ^ np.uint64(index))
+    return int(x >> np.uint64(1))
 
 
 def _span_gates(span: float, f_g: float) -> int:

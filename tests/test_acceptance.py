@@ -43,6 +43,7 @@ from afterpulse.simulator import (
     SimConfig,
     build_sweep_histogram,
     run_simulation,
+    stream,
 )
 
 F_G = 312.5e6
@@ -81,7 +82,7 @@ def custom_pipeline(cfg, sweep=25e-6, window=(20e-6, 25e-6)):
 def classical_pipeline(method, mu, n_gates, seed, q=0.10, scheme=HOLD_OFF):
     f_l = F_G / 2 if method == "bethune" else F_G / 50
     lit_cfg = sim_config(n_gates, seed, f_l=f_l, mu=mu, q=q, scheme=scheme)
-    dark_cfg = replace(lit_cfg, mu=0.0, seed=seed + 7919)
+    dark_cfg = replace(lit_cfg, mu=0.0, seed=stream(seed, "dark", 0))
     lit_trace = run_simulation(lit_cfg)
     dark_trace = run_simulation(dark_cfg)
     lit = fold_gate_histogram(lit_trace)

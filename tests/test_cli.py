@@ -344,7 +344,37 @@ class TestCompare:
             assert abs(estimate) < 0.02, line
 
 
+    def test_largest_seed_runs(self, tmp_path, capsys):
+        # every run's seed is a named stream of the base seed, so no
+        # offset can push it past 63 bits
+        cfg = tmp_path / "small.ini"
+        cfg.write_text(
+            BASE_CONFIG.replace("n_gates = 50000000", "n_gates = 2000000")
+            .replace("laser_frequency_hz = 1e4", "laser_frequency_hz = 5e4")
+            .replace("sweep_s = 25e-6", "sweep_s = 18e-6")
+            + "[estimation]\ndcr_window_start_s = 13e-6\ndcr_window_end_s = 18e-6\n"
+        )
+        out = tmp_path / "cmp.csv"
+        code, _, err = run_cli(
+            capsys, "compare", "--config", cfg, "--mu", "1", "--seed", 2**63 - 1,
+            "--out", out,
+        )
+        assert code == EXIT_OK, err
+        assert len(out.read_text().strip().splitlines()) == 1 + 4
+
+
 class TestSweepDeadtime:
+    def test_largest_seed_runs(self, tmp_path, capsys):
+        cfg = tmp_path / "small.ini"
+        cfg.write_text(BASE_CONFIG.replace("n_gates = 50000000", "n_gates = 20000000"))
+        out = tmp_path / "swp.csv"
+        code, _, err = run_cli(
+            capsys, "sweep-deadtime", "--config", cfg, "--tau", "0.5e-6,1e-6,2e-6",
+            "--scheme", "lt-ar", "--seed", 2**63 - 1, "--out", out,
+        )
+        assert code == EXIT_OK, err
+        assert len(out.read_text().strip().splitlines()) == 1 + 3
+
     def test_lt_exceeds_lt_ar_at_short_dead_times(self, tmp_path, capsys):
         # the 50 us sweep puts the baseline window past the 20 us point, so
         # that every row is a measurement

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2, chi2_contingency
 
@@ -32,7 +32,7 @@ from afterpulse import _kernels
 
 RUNS = 300
 N_GATES = 3000
-# per check; 45 checks run, so a correct kernel fails one about 0.5 % of the time
+# per check; 48 checks run, so a correct kernel fails one about 0.5 % of the time
 ALPHA = 1e-4
 SWEEP_BINS = 8
 
@@ -137,18 +137,25 @@ def check_against_reference(args):
 common = dict(
     gates_per_pulse=st.sampled_from([2, 1, 3, 7]),
     p_photon=st.floats(0.1, 0.9),
-    p_dark=st.sampled_from([0.01, 0.0, 0.05]),
+    p_dark=st.sampled_from([0.01, 0.0, 0.05, 0.3]),
     q_ap=st.floats(0.1, 0.7),
     detrap_gates=st.floats(1.0, 40.0),
     dead_gates=st.integers(3, 40),
 )
-# derandomized: the same examples on every run, and no example database
+# derandomized: the same examples on every run, and no example database;
+# no shrinking, since a smaller failing example means nothing to a
+# statistical test
 ORACLE_SETTINGS = settings(max_examples=5, derandomize=True, deadline=None, database=None,
+                           phases=[Phase.explicit, Phase.generate],
                            suppress_health_check=[HealthCheck.too_slow])
 
 
 @ORACLE_SETTINGS
 @given(**common)
+# dark fires on most gates: they land among the photon fires the thinned
+# stream skips
+@example(gates_per_pulse=1, p_photon=0.5, p_dark=0.3, q_ap=0.6, detrap_gates=3.0,
+         dead_gates=20)
 def test_latched_matches_reference(gates_per_pulse, p_photon, p_dark, q_ap,
                                    detrap_gates, dead_gates):
     check_against_reference((N_GATES, gates_per_pulse, p_photon, p_dark, q_ap,
