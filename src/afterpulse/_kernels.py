@@ -291,6 +291,14 @@ def _gate_loop_impl(
         if gap < n_gates:
             next_dark = int(gap)
 
+    # after an active reset the efficiency is below 1 until ramp_end
+    ramp_end = -1.0
+    if not is_lt:
+        if ramp_is_step:
+            ramp_end = ramp_start
+        elif ramp_len > 0.0:
+            ramp_end = ramp_start + ramp_len
+
     rel = np.empty(512, np.int64)  # min-heap of pending release gates
     n_rel = 0
     next_rel = _FAR
@@ -343,20 +351,15 @@ def _gate_loop_impl(
                 ph_stop = (min(dead_end, n_gates) + gates_per_pulse - 1) // gates_per_pulse
                 skip_ph += ph_stop - e // gates_per_pulse - 1
         else:
-            if not is_lt:
-                dt = e - last_click
-                effv = 1.0
-                tf = float(dt)
-                if ramp_is_step:
-                    if tf < ramp_start:
-                        effv = 0.0
-                elif ramp_len > 0.0 and tf < ramp_start + ramp_len:
+            if e - last_click < ramp_end:
+                # still recovering from an active reset: registered with
+                # the efficiency, or no avalanche at all
+                tf = float(e - last_click)
+                effv = 0.0
+                if not ramp_is_step and tf > ramp_start:
                     effv = (tf - ramp_start) / ramp_len
-                    if effv < 0.0:
-                        effv = 0.0
-                if effv < 1.0:
-                    s, u = _uniform(s)
-                    own = u < effv  # registered, or no avalanche at all
+                s, u = _uniform(s)
+                own = u < effv
             if own:
                 clicks, n_clicks = _append(clicks, n_clicks, e)
                 last_click = e
