@@ -176,7 +176,11 @@ def _inv_log1m(p):
 
 @_jitable
 def _binomial(s, n, p):
-    """One Binomial(n, p) draw, by inversion searching outwards from the mode."""
+    """One Binomial(n, p) draw, by inversion searching outwards from the mode.
+
+    The mode's probability comes from ``lgamma``, so the probabilities are
+    exact up to a relative rounding error of about 1e-16 * n * log(n).
+    """
     if n <= 0 or p <= 0.0:
         return s, 0
     if p >= 1.0:
@@ -263,9 +267,10 @@ def _gate_loop_impl(
         to_trap = int(gap) if gap < 4.0e18 else _FAR
     # In a latch window the photon stream is thinned to its marked fires
     # (Lewis & Shedler) from the click, or from its first fire there; a
-    # laser gate it skips hid an unmarked fire with probability miss_ph.  Past the
-    # window, the uniform of a thinned gap that overshoots it, rescaled to
-    # (0, 1], gives the full stream's gap: ratio_ph converts the scales.
+    # laser gate it skips hid an unmarked fire with probability miss_ph.
+    # Past the window, the uniform of a thinned gap that overshoots it,
+    # rescaled to (0, 1], gives the full stream's gap: ratio_ph converts
+    # the scales.
     th_ph = q_ap * p_photon if is_lt else 0.0
     miss_ph = 0.0
     if th_ph < 1.0:
