@@ -2,8 +2,9 @@
 
 The file format is a plain UTF-8 text table shared by the simulator and by
 oscilloscope exports: ``# key = value`` metadata lines (mandatory keys
-``bin_width_ns``, ``sweep_ns``, ``c0``) followed by one ``bin_start_ns,count``
-record per line with integer fields.  Writing then reading a histogram is a
+``bin_width_ns``, ``sweep_ns``, ``c0``) and one ``bin_start_ns,count`` record
+per line, fields read with ``int()``; blank lines are skipped, ``#`` lines may
+appear anywhere, and the first bad line is named.  Writing then reading is a
 bit-exact identity on the counts.
 
 Gate-folded histograms share the format: ``kind = gate`` marks them, the
@@ -13,7 +14,8 @@ period takes the place of the sweep, ``c0`` is 0, and ``gates_per_period``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,7 @@ __all__ = [
 ]
 
 _MANDATORY_KEYS = ("bin_width_ns", "sweep_ns", "c0")
+_BLOCK = 512  # records formatted or parsed at once, bounding the strings held
 
 
 class HistogramFormatError(ValueError):
@@ -148,8 +151,6 @@ def merge_bins(h: SweepHistogram, factor: int) -> SweepHistogram:
         raise HistogramFormatError(
             f"{len(h.bins)} bins are not divisible by factor {factor}"
         )
-    if factor == 1:
-        return replace(h, bins=h.bins.copy(), meta=dict(h.meta))
     merged = h.bins.reshape(-1, factor).sum(axis=1)
     return SweepHistogram(
         bin_width=h.bin_width * factor,
@@ -186,14 +187,47 @@ def write_histogram(h: SweepHistogram | GateHistogram, path: str | Path) -> None
         f"# sweep_ns = {_format_ns(span)}",
         f"# c0 = {c0}",
     ]
-    for key in sorted(meta):
-        if key in _MANDATORY_KEYS:
-            continue
-        lines.append(f"# {key} = {meta[key]}")
-    width_ns = h.bin_width * 1e9
-    for i, count in enumerate(h.bins):
-        lines.append(f"{round(i * width_ns)},{int(count)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines += [f"# {key} = {meta[key]}" for key in sorted(meta) if key not in _MANDATORY_KEYS]
+    # rint rounds half to even, as round() does, on the same IEEE product
+    starts = np.rint(np.arange(len(h.bins)) * (h.bin_width * 1e9)).astype(np.int64)
+    pairs = np.column_stack((starts, h.bins))
+    blocks = (pairs[i : i + _BLOCK] for i in range(0, len(pairs), _BLOCK))
+    records = "".join("%d,%d\n" * len(b) % tuple(b.ravel().tolist()) for b in blocks)
+    Path(path).write_text("\n".join(lines) + "\n" + records, encoding="utf-8")
+
+
+def _line_fault(text: str) -> str | None:
+    """What is wrong with one stripped line, as a message template, or None."""
+    if text.startswith("#"):
+        body = text[1:].strip()
+        return "metadata line without '=': {raw!r}" if body and "=" not in body else None
+    fields = text.split(",")
+    if len(fields) != 2:
+        return "expected 'bin_start_ns,count', got {raw!r}"
+    try:
+        start, count = int(fields[0]), int(fields[1])
+    except ValueError:
+        return "non-integer field in {raw!r}"
+    if count < 0:
+        return f"negative count {count}"
+    if not (-(2**63) <= start < 2**63 and count < 2**63):
+        return "field out of int64 range in {raw!r}"
+    return None
+
+
+def _records(rows: list[str]) -> np.ndarray | None:
+    """The records as ``(start, count)`` int64 pairs, or None if one is malformed."""
+    values = np.empty((len(rows), 2), dtype=np.int64)
+    for i in range(0, len(rows), _BLOCK):
+        block = rows[i : i + _BLOCK]
+        if list(map(str.count, block, repeat(","))).count(1) != len(block):
+            return None
+        fields = ",".join(block).split(",")
+        try:
+            values[i : i + _BLOCK] = np.array(fields, dtype=np.int64).reshape(-1, 2)
+        except (ValueError, OverflowError):
+            return None
+    return None if np.any(values[:, 1] < 0) else values
 
 
 def read_histogram(path: str | Path) -> SweepHistogram | GateHistogram:
@@ -201,50 +235,24 @@ def read_histogram(path: str | Path) -> SweepHistogram | GateHistogram:
 
     A file with ``kind = gate`` metadata comes back as a ``GateHistogram``.
     """
-    meta: dict[str, str] = {}
-    starts: list[int] = []
-    counts: list[int] = []
-    for lineno, raw in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if not body:
-                continue
-            if "=" not in body:
-                raise HistogramFormatError(
-                    f"{path}:{lineno}: metadata line without '=': {raw!r}"
-                )
-            key, _, value = body.partition("=")
-            meta[key.strip()] = value.strip()
-            continue
-        fields = line.split(",")
-        if len(fields) != 2:
-            raise HistogramFormatError(
-                f"{path}:{lineno}: expected 'bin_start_ns,count', got {raw!r}"
-            )
-        try:
-            start = int(fields[0])
-            count = int(fields[1])
-        except ValueError as exc:
-            raise HistogramFormatError(
-                f"{path}:{lineno}: non-integer field in {raw!r}"
-            ) from exc
-        if count < 0:
-            raise HistogramFormatError(
-                f"{path}:{lineno}: negative count {count}"
-            )
-        starts.append(start)
-        counts.append(count)
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    stripped = list(map(str.strip, lines))
+    rows = [text for text in stripped if text and text[0] != "#"]
+    notes = [text for text in stripped if text[:1] == "#"]
+    values = _records(rows)
+    if values is None or any(map(_line_fault, notes)):
+        i = next(i for i, text in enumerate(stripped) if text and _line_fault(text))
+        fault = _line_fault(stripped[i]).format(raw=lines[i])
+        raise HistogramFormatError(f"{path}:{i + 1}: {fault}")
+    entries = (note[1:].partition("=") for note in notes)
+    meta = {key.strip(): value.strip() for key, sep, value in entries if sep}
 
     for key in _MANDATORY_KEYS:
         if key not in meta:
             raise HistogramFormatError(f"{path}: missing mandatory key {key!r}")
-    if not counts:
+    if not rows:
         raise HistogramFormatError(f"{path}: histogram has no bins")
+    del lines, stripped, rows, notes  # free the line strings before the grid check
 
     try:
         width_ns = float(meta["bin_width_ns"])
@@ -252,21 +260,18 @@ def read_histogram(path: str | Path) -> SweepHistogram | GateHistogram:
         c0 = int(meta["c0"])
     except ValueError as exc:
         raise HistogramFormatError(f"{path}: malformed mandatory metadata: {exc}") from exc
-    bin_width = width_ns * 1e-9
-    for i, start in enumerate(starts):
-        if abs(start - i * width_ns) > 0.5:
-            raise HistogramFormatError(
-                f"{path}: bin {i} starts at {start} ns, expected "
-                f"{i * width_ns:.0f} ns"
-            )
+    starts = values[:, 0]
+    with np.errstate(invalid="ignore"):  # 0 * inf for an infinite width
+        off_grid = np.flatnonzero(np.abs(starts - np.arange(len(starts)) * width_ns) > 0.5)
+    if off_grid.size:
+        i = int(off_grid[0])
+        raise HistogramFormatError(
+            f"{path}: bin {i} starts at {starts[i]} ns, expected {i * width_ns:.0f} ns"
+        )
     extra = {k: v for k, v in meta.items() if k not in _MANDATORY_KEYS}
     # the sweep container's layout checks apply to gate files as well
     hist = SweepHistogram(
-        bin_width=bin_width,
-        sweep=sweep,
-        bins=np.array(counts, dtype=np.int64),
-        c0=c0,
-        meta=extra,
+        bin_width=width_ns * 1e-9, sweep=sweep, bins=values[:, 1].copy(), c0=c0, meta=extra
     )
     if extra.get("kind") != "gate":
         return hist
@@ -278,11 +283,6 @@ def read_histogram(path: str | Path) -> SweepHistogram | GateHistogram:
     except (KeyError, ValueError) as exc:
         raise DegenerateDataError(f"{path}: incomplete gate metadata: {exc}") from exc
     return GateHistogram(
-        bins=hist.bins,
-        bin_width=bin_width,
-        period=sweep,
-        gates_per_period=gates,
-        acquisition_gates=acq,
-        tau_s=tau_s,
-        meta=extra,
+        bins=hist.bins, bin_width=hist.bin_width, period=sweep, gates_per_period=gates,
+        acquisition_gates=acq, tau_s=tau_s, meta=extra,
     )

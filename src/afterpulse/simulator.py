@@ -68,7 +68,9 @@ class DeadTimeScheme:
     ``tau_l`` is the comparator latching time.  For ``LT_AR``, ``tau_c`` is
     the active bias hold-off and ``tau_er`` the post-reset recovery
     interval; the efficiency ramps 0 -> 1 over [tau_c, tau_c + tau_er]
-    (``ramp="linear"``) or jumps at tau_c (``ramp="step"``).
+    (``ramp="linear"``) or jumps at tau_c + tau_er (``ramp="step"``).  Zero
+    efficiency is the hold-off here, so a step extends the hold-off to
+    tau_c + tau_er.
     """
 
     kind: SchemeKind
@@ -99,6 +101,8 @@ class DeadTimeScheme:
         """Statistical dead time: earliest possible click-to-click spacing."""
         if self.kind == SchemeKind.LT:
             return self.tau_l
+        if self.ramp == "step":
+            return max(self.tau_l, self.tau_c + self.tau_er)
         return max(self.tau_l, self.tau_c)
 
 

@@ -1,8 +1,19 @@
-"""Tests for the histogram container, bin merging and file round trips."""
+"""Tests for the histogram container, bin merging and file round trips.
+
+The file reader and writer work on whole arrays; ``reference_read`` and
+``reference_write`` below are the line-by-line definitions they are checked
+against, on hypothesis-drawn files (derandomized, so every run sees the same
+files) and on one hand-written file per malformed kind.
+"""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from afterpulse import cli
 from afterpulse.histio import (
     DegenerateDataError,
     GateHistogram,
@@ -117,6 +128,18 @@ class TestFileRoundTrip:
         with pytest.raises(HistogramFormatError, match="mandatory"):
             read_histogram(path)
 
+    @pytest.mark.parametrize(
+        "record", ["10,99999999999999999999", "99999999999999999999,2", "10,9223372036854775808"]
+    )
+    def test_int64_overflow_reports_line(self, tmp_path, capsys, record):
+        path = tmp_path / "big.csv"
+        path.write_text(f"# bin_width_ns = 10\n# sweep_ns = 30\n# c0 = 5\n0,1\n{record}\n20,0\n")
+        with pytest.raises(HistogramFormatError, match=":5: field out of int64 range"):
+            read_histogram(path)
+        code = cli.main(["estimate", "--hist", str(path), "--method", "custom"])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"afterpulse: {path}:5: ")
+
 
 class TestGateFiles:
     def make_gate(self, **meta):
@@ -160,3 +183,211 @@ class TestGateFiles:
         path.write_text(path.read_text().replace("# gates_per_period = 2\n", ""))
         with pytest.raises(DegenerateDataError, match="incomplete gate metadata"):
             read_histogram(path)
+
+
+# ---------------------------------------------------------------------------
+# Differential checks against line-by-line reference implementations
+
+
+def reference_write(h, path):
+    """One formatted record per bin, as the format defines them."""
+    if isinstance(h, GateHistogram):
+        span, c0 = h.period, 0
+        meta = {
+            "kind": "gate",
+            "gates_per_period": str(h.gates_per_period),
+            "acquisition_gates": str(h.acquisition_gates),
+            "tau_s_ns": f"{h.tau_s * 1e9:.6g}",
+            **h.meta,
+        }
+    else:
+        span, c0, meta = h.sweep, h.c0, h.meta
+
+    def ns(value_s):
+        value = value_s * 1e9
+        return str(int(round(value))) if abs(value - round(value)) < 1e-6 else repr(value)
+
+    lines = [f"# bin_width_ns = {ns(h.bin_width)}", f"# sweep_ns = {ns(span)}", f"# c0 = {c0}"]
+    for key in sorted(meta):
+        if key not in ("bin_width_ns", "sweep_ns", "c0"):
+            lines.append(f"# {key} = {meta[key]}")
+    width_ns = h.bin_width * 1e9
+    for i, count in enumerate(h.bins):
+        lines.append(f"{round(i * width_ns)},{int(count)}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def reference_read(path):
+    """Parse a sweep-histogram file one line at a time, raising at the first bad line."""
+    meta, starts, counts = {}, [], []
+    text = Path(path).read_text(encoding="utf-8")
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if not body:
+                continue
+            if "=" not in body:
+                raise HistogramFormatError(f"{path}:{lineno}: metadata line without '=': {raw!r}")
+            key, _, value = body.partition("=")
+            meta[key.strip()] = value.strip()
+            continue
+        fields = line.split(",")
+        if len(fields) != 2:
+            raise HistogramFormatError(
+                f"{path}:{lineno}: expected 'bin_start_ns,count', got {raw!r}"
+            )
+        try:
+            start, count = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise HistogramFormatError(f"{path}:{lineno}: non-integer field in {raw!r}")
+        if count < 0:
+            raise HistogramFormatError(f"{path}:{lineno}: negative count {count}")
+        if not (-(2**63) <= start < 2**63 and count < 2**63):
+            raise HistogramFormatError(f"{path}:{lineno}: field out of int64 range in {raw!r}")
+        starts.append(start)
+        counts.append(count)
+    for key in ("bin_width_ns", "sweep_ns", "c0"):
+        if key not in meta:
+            raise HistogramFormatError(f"{path}: missing mandatory key {key!r}")
+    if not counts:
+        raise HistogramFormatError(f"{path}: histogram has no bins")
+    try:
+        width_ns = float(meta.pop("bin_width_ns"))
+        sweep_ns = float(meta.pop("sweep_ns"))
+        c0 = int(meta.pop("c0"))
+    except ValueError as exc:
+        raise HistogramFormatError(f"{path}: malformed mandatory metadata: {exc}")
+    for i, start in enumerate(starts):
+        if abs(start - i * width_ns) > 0.5:
+            raise HistogramFormatError(
+                f"{path}: bin {i} starts at {start} ns, expected {i * width_ns:.0f} ns"
+            )
+    return SweepHistogram(
+        bin_width=width_ns * 1e-9, sweep=sweep_ns * 1e-9, bins=counts, c0=c0, meta=meta
+    )
+
+
+def outcome(read, path):
+    """What reading ``path`` gives: the histogram's content, or the error."""
+    try:
+        h = read(path)
+    except HistogramFormatError as exc:
+        return "error", str(exc)
+    return "ok", h.bins.tolist(), h.bin_width, h.sweep, h.c0, h.meta
+
+
+WIDTHS_NS = ["1", "10", "0.32", repr(1 / 30), "2.5"]
+# record variants, from the bin's grid start s and its count c
+RECORDS = {
+    "plain": lambda s, c: f"{s},{c}",
+    "signed": lambda s, c: f"{s:+d},+{c}",
+    "padded": lambda s, c: f"  {s} ,\t{c:06d}  ",
+    "underscored": lambda s, c: f"{s:_d},{c * 1000:_d}",
+    "arabic-indic digits": lambda s, c: f"{s},\u0661\u0662",
+    "int64 max": lambda s, c: f"{s},{2**63 - 1}",
+    "one field": lambda s, c: f"{s}",
+    "three fields": lambda s, c: f"{s},{c},0",
+    "empty field": lambda s, c: f"{s},",
+    "decimal point": lambda s, c: f"{s},{c}.0",
+    "word": lambda s, c: f"{s},many",
+    "hex": lambda s, c: f"0x{s:x},{c}",
+    "trailing note": lambda s, c: f"{s},{c} # note",
+    "negative": lambda s, c: f"{s},-{c + 1}",
+    "negative beyond int64": lambda s, c: f"{s},-{2**64}",
+    "off grid": lambda s, c: f"{s + 3},{c}",
+    "count beyond int64": lambda s, c: f"{s},{2**63}",
+    "start beyond int64": lambda s, c: f"{2**70},{c}",
+    "start below int64": lambda s, c: f"{-(2**63) - 1},{c}",
+}
+VALID_RECORDS = ["plain", "signed", "padded", "underscored", "arabic-indic digits", "int64 max"]
+NOTES = [
+    "", "   ", "\t", "#", "  #  ", "# seed = 3", "#source=simulator", "# a = b = c",
+    "# no equals sign", "  # x", "# = empty key",
+]
+
+
+@st.composite
+def histogram_files(draw):
+    """Text of a sweep-histogram file, well formed or with a few faults."""
+    width = draw(st.sampled_from(WIDTHS_NS))
+    n = draw(st.sampled_from([0, 1, 2, 3, 5, 8, 600, 1100]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = rng.integers(0, 1000, n)
+    kinds = draw(st.lists(st.sampled_from(sorted(RECORDS)), min_size=1, max_size=3))
+    kinds = [k if k in VALID_RECORDS or draw(st.integers(0, 2)) == 0 else "plain" for k in kinds]
+    variant = rng.choice(kinds, n) if n else []
+    lines = [RECORDS[k](round(i * float(width)), int(c)) for i, (k, c) in enumerate(zip(variant, counts))]
+    sweep = n * float(width) * draw(st.sampled_from([1, 1, 1, 2]))
+    header = [f"# bin_width_ns = {width}", f"# sweep_ns = {sweep!r}", "# c0 = 7"]
+    if draw(st.integers(0, 9)) == 0:
+        del header[draw(st.integers(0, 2))]
+    if draw(st.integers(0, 9)) == 0:
+        header.append("# c0 = seven")
+    # the metadata may sit anywhere, blank lines and notes between records
+    for note in header + draw(st.lists(st.sampled_from(NOTES), max_size=6)):
+        lines.insert(draw(st.integers(0, len(lines))), note)
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + draw(st.sampled_from([newline, ""]))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=histogram_files())
+def test_reader_matches_line_by_line_reference(tmp_path, text):
+    path = tmp_path / "drawn.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert outcome(read_histogram, path) == outcome(reference_read, path)
+
+
+MALFORMED = {
+    **{kind: f"0,1\n{RECORDS[kind](10, 4)}\n20,2\n" for kind in RECORDS if kind not in VALID_RECORDS},
+    "metadata without '='": "0,1\n# sweep_ns 30\n20,2\n",
+    "no bins": "\n# note = 1\n",
+}
+
+
+@pytest.mark.parametrize("body", MALFORMED.values(), ids=MALFORMED.keys())
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_each_malformed_kind_matches_reference(tmp_path, body, newline):
+    path = tmp_path / "bad.csv"
+    text = "# bin_width_ns = 10\n\n# sweep_ns = 30\n# c0 = 5\n" + body
+    path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+    got = outcome(read_histogram, path)
+    assert got[0] == "error"
+    assert got == outcome(reference_read, path)
+
+
+@pytest.mark.parametrize("missing", ["bin_width_ns", "sweep_ns", "c0"])
+def test_missing_key_matches_reference(tmp_path, missing):
+    path = tmp_path / "nokey.csv"
+    header = "".join(f"# {k} = 10\n" for k in ("bin_width_ns", "sweep_ns", "c0") if k != missing)
+    path.write_text(header + "0,1\n")
+    got = outcome(read_histogram, path)
+    assert got == ("error", f"{path}: missing mandatory key {missing!r}")
+    assert got == outcome(reference_read, path)
+
+
+@pytest.mark.parametrize("width_ns", [1.0, 10.0, 0.32, 1 / 30])
+@pytest.mark.parametrize("n_bins", [1, 511, 512, 513, 2500])
+def test_writer_matches_reference_formatter(tmp_path, width_ns, n_bins):
+    rng = np.random.default_rng(n_bins)
+    bins = rng.integers(0, 10**6, n_bins)
+    bins[0] = 2**63 - 1
+    width = width_ns * 1e-9
+    sweep = SweepHistogram(bin_width=width, sweep=width * n_bins, bins=bins, c0=9, meta={"seed": "3"})
+    gate = GateHistogram(
+        bins=np.repeat(bins, 2)[: 2 * n_bins],
+        bin_width=width,
+        period=width * 2 * n_bins,
+        gates_per_period=2,
+        acquisition_gates=10**6,
+        tau_s=0.2e-6,
+        meta={"f_g_hz": "312500000.0"},
+    )
+    for h in (sweep, gate):
+        write_histogram(h, tmp_path / "new.csv")
+        reference_write(h, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
