@@ -16,7 +16,6 @@ from .estimators import (
     estimate_coincidence,
     estimate_custom,
     estimate_yuan,
-    fold_gate_histogram,
 )
 from .fitting import FitLaw, FitResult, fit_curve
 from .histio import SweepHistogram, merge_bins, read_histogram, write_histogram
@@ -27,6 +26,7 @@ from .simulator import (
     SchemeKind,
     SimConfig,
     build_sweep_histogram,
+    fold_gate_histogram,
     run_simulation,
 )
 

@@ -228,7 +228,6 @@ def _gate_loop_impl(
     dead_gates,
     ramp_start,
     ramp_len,
-    ramp_is_step,
     seed,
 ):
     """Simulate registered clicks on the gate grid.
@@ -236,7 +235,9 @@ def _gate_loop_impl(
     Per-gate semantics: at an armed gate the click probability is
     eff(dt) * [1 - (1-p_photon)(1-p_dark)(1-p_trap)], decomposed into
     independent per-source Bernoulli fires thinned by the recovery
-    efficiency; coincident sources make one avalanche.  Within the dead
+    efficiency; coincident sources make one avalanche.  eff rises linearly
+    from 0 at ``ramp_start`` to 1 at ``ramp_start + ramp_len`` gates after
+    the last click, and is 1 when ``ramp_len`` is 0.  Within the dead
     window the latched-comparator scheme (``is_lt``) still grows avalanches
     (counted as hidden, each may trap a carrier) while the active-reset
     scheme suppresses avalanches entirely and pending trap releases are
@@ -297,12 +298,7 @@ def _gate_loop_impl(
             next_dark = int(gap)
 
     # after an active reset the efficiency is below 1 until ramp_end
-    ramp_end = -1.0
-    if not is_lt:
-        if ramp_is_step:
-            ramp_end = ramp_start
-        elif ramp_len > 0.0:
-            ramp_end = ramp_start + ramp_len
+    ramp_end = ramp_start + ramp_len if ramp_len > 0.0 else -1.0
 
     rel = np.empty(512, np.int64)  # min-heap of pending release gates
     n_rel = 0
@@ -361,7 +357,7 @@ def _gate_loop_impl(
                 # the efficiency, or no avalanche at all
                 tf = float(e - last_click)
                 effv = 0.0
-                if not ramp_is_step and tf > ramp_start:
+                if tf > ramp_start:
                     effv = (tf - ramp_start) / ramp_len
                 s, u = _uniform(s)
                 own = u < effv

@@ -27,7 +27,6 @@ from .estimators import (
     estimate_coincidence,
     estimate_custom,
     estimate_yuan,
-    fold_gate_histogram,
 )
 from .fitting import FitInputError, FitLaw, fit_curve
 from .histio import HistogramFormatError, SweepHistogram, read_histogram, write_histogram
@@ -39,6 +38,7 @@ from .simulator import (
     SimConfig,
     SimulationConfigError,
     build_sweep_histogram,
+    fold_gate_histogram,
     run_simulation,
     stream,
 )
@@ -207,7 +207,7 @@ def _sweep_histogram(cfg: RunConfig, trace: ClickTrace) -> SweepHistogram:
 def _simulated_custom(cfg: RunConfig, trace: ClickTrace) -> EstimateBundle:
     """The model conversions of a finished run's configured sweep histogram."""
     hist = _sweep_histogram(cfg, trace)
-    _, full = _custom_estimate(hist, trace.rate, trace.tau_s, cfg.dcr_window())
+    _, full = _custom_estimate(hist, trace.rate, trace.config.scheme.tau_s, cfg.dcr_window())
     return full
 
 
@@ -227,7 +227,7 @@ def cmd_simulate(args) -> int:
     else:
         hist = fold_gate_histogram(trace)
     write_histogram(hist, args.out)
-    live_time = trace.duration - trace.n_clicks * sim.scheme.tau_s
+    live_time = sim.duration - trace.n_clicks * sim.scheme.tau_s
     print(f"clicks = {trace.n_clicks}")
     print(f"hidden_avalanches = {trace.hidden_avalanches}")
     print(f"live_time_s = {live_time!r}")

@@ -15,6 +15,9 @@ The sweep-histogram method measures the ratio of afterpulse counts (above
 the dark baseline) to trigger counts, ``p_exp = C_ap / C0``, and converts it
 into the lumped, first-order and second-order internal afterpulse
 probabilities via the forward models.
+
+Every method reads histograms only: ``simulator`` builds both kinds from a
+click train and ``histio`` reads them from files.
 """
 
 from __future__ import annotations
@@ -26,13 +29,11 @@ import numpy as np
 
 from . import models
 from .histio import DegenerateDataError, GateHistogram, SweepHistogram
-from .simulator import ClickTrace
 
 __all__ = [
     "DegenerateDataError",
     "GateHistogram",
     "EstimateBundle",
-    "fold_gate_histogram",
     "estimate_bethune",
     "estimate_yuan",
     "estimate_coincidence",
@@ -40,8 +41,6 @@ __all__ = [
     "estimate_custom",
     "derive_all",
 ]
-
-BINS_PER_GATE = 10
 
 
 @dataclass(frozen=True)
@@ -58,34 +57,6 @@ class EstimateBundle:
     p_universal: float | None = None
     negative_ap_warning: bool = False
     meta: dict[str, float] = field(default_factory=dict)
-
-
-def fold_gate_histogram(trace: ClickTrace) -> GateHistogram:
-    """Fold a click train onto one laser period at sub-gate resolution.
-
-    Clicks are resolved on the gate grid, so each lands in the central bin
-    of its gate, one of ``BINS_PER_GATE``.  The metadata records the gate
-    and laser rates, the click rate and the seed, as the histogram file
-    format stores them.
-    """
-    m = trace.gates_per_pulse
-    gate_idx = (trace.click_gates % m).astype(np.int64)
-    bin_idx = gate_idx * BINS_PER_GATE + BINS_PER_GATE // 2
-    bins = np.bincount(bin_idx, minlength=m * BINS_PER_GATE).astype(np.int64)
-    gate_time = 1.0 / trace.f_g
-    meta = {"source": "simulator", "f_g_hz": repr(trace.f_g), "rate_hz": repr(trace.rate)}
-    if trace.config is not None:
-        meta["f_l_hz"] = repr(trace.config.f_l)
-        meta["seed"] = str(trace.config.seed)
-    return GateHistogram(
-        bins=bins,
-        bin_width=gate_time / BINS_PER_GATE,
-        period=m * gate_time,
-        gates_per_period=m,
-        acquisition_gates=trace.total_gates,
-        tau_s=trace.tau_s,
-        meta=meta,
-    )
 
 
 def _matched(lit: GateHistogram, dark: GateHistogram) -> None:

@@ -124,13 +124,7 @@ def initial_guess(xs, ys, law: FitLaw) -> tuple[float, float, float]:
     return a0, b0, c0
 
 
-def fit_curve(
-    xs,
-    ys,
-    law: FitLaw | str,
-    sigma=None,
-    start: tuple[float, float, float] | None = None,
-) -> FitResult:
+def fit_curve(xs, ys, law: FitLaw | str, sigma=None) -> FitResult:
     """Damped least-squares fit of one decay law to (dead time, probability).
 
     ``xs`` in seconds, ``ys`` dimensionless.  Optional per-point ``sigma``
@@ -149,7 +143,7 @@ def fit_curve(
     else:
         weights = np.ones_like(ys)
 
-    theta = np.array(start if start is not None else initial_guess(xs, ys, law))
+    theta = np.array(initial_guess(xs, ys, law))
 
     def rss_of(params):
         resid = (_evaluate(law, *params, x_us) - ys) * weights

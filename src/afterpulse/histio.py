@@ -77,9 +77,6 @@ class SweepHistogram:
         """Left edge of every bin, in seconds after the trigger."""
         return np.arange(len(self.bins)) * self.bin_width
 
-    def total_counts(self) -> int:
-        return int(self.bins.sum())
-
 
 @dataclass
 class GateHistogram:
@@ -260,9 +257,11 @@ def read_histogram(path: str | Path) -> SweepHistogram | GateHistogram:
         c0 = int(meta["c0"])
     except ValueError as exc:
         raise HistogramFormatError(f"{path}: malformed mandatory metadata: {exc}") from exc
+    for key, value in (("bin_width_ns", width_ns), ("sweep_ns", sweep)):
+        if not np.isfinite(value):
+            raise HistogramFormatError(f"{path}: {key} = {meta[key]} is not a finite number")
     starts = values[:, 0]
-    with np.errstate(invalid="ignore"):  # 0 * inf for an infinite width
-        off_grid = np.flatnonzero(np.abs(starts - np.arange(len(starts)) * width_ns) > 0.5)
+    off_grid = np.flatnonzero(np.abs(starts - np.arange(len(starts)) * width_ns) > 0.5)
     if off_grid.size:
         i = int(off_grid[0])
         raise HistogramFormatError(

@@ -25,19 +25,23 @@ releases wait in a binary heap.  A run is deterministic for a fixed seed,
 and simulations with independent configs are safe to run concurrently.
 ``stream`` derives the seeds of the several runs one command makes from
 its one seed.
+
+``build_sweep_histogram`` and ``fold_gate_histogram`` turn a run's
+``ClickTrace`` into the two histogram kinds, reading the gate grid from the
+``SimConfig`` the trace keeps.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import _kernels
-from .histio import SweepHistogram
+from .histio import GateHistogram, SweepHistogram
 
 __all__ = [
     "SchemeKind",
@@ -48,8 +52,11 @@ __all__ = [
     "run_simulation",
     "gate_loop_args",
     "build_sweep_histogram",
+    "fold_gate_histogram",
     "stream",
 ]
+
+BINS_PER_GATE = 10
 
 
 class SimulationConfigError(ValueError):
@@ -170,28 +177,20 @@ class SimConfig:
 
 @dataclass
 class ClickTrace:
-    """Registered comparator clicks from one run, on the gate grid."""
+    """Registered comparator clicks from one run of ``config``, on the gate grid."""
 
+    config: SimConfig
     click_gates: np.ndarray
-    f_g: float
-    gates_per_pulse: int
-    total_gates: int
     hidden_avalanches: int
-    tau_s: float
-    config: SimConfig | None = field(default=None, repr=False)
 
     @property
     def n_clicks(self) -> int:
         return int(len(self.click_gates))
 
     @property
-    def duration(self) -> float:
-        return self.total_gates / self.f_g
-
-    @property
     def rate(self) -> float:
         """Total registered click rate over the run, in Hz."""
-        return self.n_clicks / self.duration
+        return self.n_clicks / self.config.duration
 
 
 def stream(seed: int, purpose: str, index: int) -> int:
@@ -219,6 +218,8 @@ def gate_loop_args(cfg: SimConfig) -> tuple:
     """Arguments of ``_kernels.gate_loop`` for one run, in gate units."""
     scheme = cfg.scheme
     is_lt = scheme.kind == SchemeKind.LT
+    # a step ramp is carried by the hold-off (``DeadTimeScheme.tau_s``)
+    ramped = not is_lt and scheme.ramp == "linear"
     return (
         cfg.n_gates,
         cfg.gates_per_pulse,
@@ -229,25 +230,15 @@ def gate_loop_args(cfg: SimConfig) -> tuple:
         is_lt,
         _span_gates(scheme.tau_s, cfg.f_g),
         scheme.tau_c * cfg.f_g,
-        scheme.tau_er * cfg.f_g if not is_lt else 0.0,
-        scheme.ramp == "step",
+        scheme.tau_er * cfg.f_g if ramped else 0.0,
         np.uint64(cfg.seed),
     )
 
 
 def run_simulation(cfg: SimConfig) -> ClickTrace:
     """Run one seeded simulation and return the registered click train."""
-    scheme = cfg.scheme
     clicks, hidden = _kernels.gate_loop(*gate_loop_args(cfg))
-    return ClickTrace(
-        click_gates=clicks,
-        f_g=cfg.f_g,
-        gates_per_pulse=cfg.gates_per_pulse,
-        total_gates=cfg.n_gates,
-        hidden_avalanches=int(hidden),
-        tau_s=scheme.tau_s,
-        config=cfg,
-    )
+    return ClickTrace(config=cfg, click_gates=clicks, hidden_avalanches=int(hidden))
 
 
 def build_sweep_histogram(
@@ -267,28 +258,60 @@ def build_sweep_histogram(
             f"need sweep > bin_width > 0, got sweep={sweep!r}, "
             f"bin_width={bin_width!r}"
         )
+    cfg = trace.config
     n_bins = int(round(sweep / bin_width))
     bins, c0 = _kernels.sweep_scan(
         np.ascontiguousarray(trace.click_gates, dtype=np.int64),
-        trace.gates_per_pulse,
-        _span_gates(sweep, trace.f_g),
-        bin_width * trace.f_g,
+        cfg.gates_per_pulse,
+        _span_gates(sweep, cfg.f_g),
+        bin_width * cfg.f_g,
         n_bins,
     )
     meta = {
         "source": "simulator",
-        "tau_s_ns": f"{trace.tau_s * 1e9:.6g}",
+        "tau_s_ns": f"{cfg.scheme.tau_s * 1e9:.6g}",
         "rate_hz": repr(trace.rate),
         "hidden_avalanches": str(trace.hidden_avalanches),
-        "total_gates": str(trace.total_gates),
+        "total_gates": str(cfg.n_gates),
+        "seed": str(cfg.seed),
+        "config_sha1": cfg.config_digest(),
     }
-    if trace.config is not None:
-        meta["seed"] = str(trace.config.seed)
-        meta["config_sha1"] = trace.config.config_digest()
     return SweepHistogram(
         bin_width=bin_width,
         sweep=sweep,
         bins=bins,
         c0=int(c0),
+        meta=meta,
+    )
+
+
+def fold_gate_histogram(trace: ClickTrace) -> GateHistogram:
+    """Fold a click train onto one laser period at sub-gate resolution.
+
+    Clicks are resolved on the gate grid, so each lands in the central bin
+    of its gate, one of ``BINS_PER_GATE``.  The metadata records the gate
+    and laser rates, the click rate and the seed, as the histogram file
+    format stores them.
+    """
+    cfg = trace.config
+    m = cfg.gates_per_pulse
+    gate_idx = (trace.click_gates % m).astype(np.int64)
+    bin_idx = gate_idx * BINS_PER_GATE + BINS_PER_GATE // 2
+    bins = np.bincount(bin_idx, minlength=m * BINS_PER_GATE).astype(np.int64)
+    gate_time = 1.0 / cfg.f_g
+    meta = {
+        "source": "simulator",
+        "f_g_hz": repr(cfg.f_g),
+        "rate_hz": repr(trace.rate),
+        "f_l_hz": repr(cfg.f_l),
+        "seed": str(cfg.seed),
+    }
+    return GateHistogram(
+        bins=bins,
+        bin_width=gate_time / BINS_PER_GATE,
+        period=m * gate_time,
+        gates_per_period=m,
+        acquisition_gates=cfg.n_gates,
+        tau_s=cfg.scheme.tau_s,
         meta=meta,
     )

@@ -16,7 +16,6 @@ from afterpulse.estimators import (
     estimate_coincidence,
     estimate_custom,
     estimate_yuan,
-    fold_gate_histogram,
 )
 from afterpulse.histio import SweepHistogram, merge_bins
 from afterpulse.models import (
@@ -30,6 +29,7 @@ from afterpulse.simulator import (
     SchemeKind,
     SimConfig,
     build_sweep_histogram,
+    fold_gate_histogram,
     run_simulation,
 )
 

@@ -63,7 +63,7 @@ class TestMergeBins:
         m = merge_bins(h, 10)
         assert len(m.bins) == 250
         assert m.bin_width == pytest.approx(100e-9)
-        assert m.total_counts() == h.total_counts()
+        assert int(m.bins.sum()) == int(h.bins.sum())
         assert m.c0 == h.c0
         # block sums match exactly
         assert np.array_equal(m.bins, h.bins.reshape(250, 10).sum(axis=1))
@@ -139,6 +139,21 @@ class TestFileRoundTrip:
         code = cli.main(["estimate", "--hist", str(path), "--method", "custom"])
         assert code == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"afterpulse: {path}:5: ")
+
+    @pytest.mark.parametrize("key", ["bin_width_ns", "sweep_ns"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_mandatory_metadata_is_named(self, tmp_path, capsys, key, value):
+        meta = {"bin_width_ns": "10", "sweep_ns": "10", "c0": "5", key: value}
+        path = tmp_path / "nonfinite.csv"
+        path.write_text("".join(f"# {k} = {v}\n" for k, v in meta.items()) + "0,1\n")
+        message = f"{path}: {key} = {value} is not a finite number"
+        with pytest.raises(HistogramFormatError) as info:
+            read_histogram(path)
+        assert str(info.value) == message
+        assert outcome(reference_read, path) == ("error", message)
+        code = cli.main(["estimate", "--hist", str(path), "--method", "custom"])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"afterpulse: {message}\n"
 
 
 class TestGateFiles:
@@ -254,12 +269,16 @@ def reference_read(path):
             raise HistogramFormatError(f"{path}: missing mandatory key {key!r}")
     if not counts:
         raise HistogramFormatError(f"{path}: histogram has no bins")
+    raw = {key: meta.pop(key) for key in ("bin_width_ns", "sweep_ns", "c0")}
     try:
-        width_ns = float(meta.pop("bin_width_ns"))
-        sweep_ns = float(meta.pop("sweep_ns"))
-        c0 = int(meta.pop("c0"))
+        width_ns = float(raw["bin_width_ns"])
+        sweep_ns = float(raw["sweep_ns"])
+        c0 = int(raw["c0"])
     except ValueError as exc:
         raise HistogramFormatError(f"{path}: malformed mandatory metadata: {exc}")
+    for key, value in (("bin_width_ns", width_ns), ("sweep_ns", sweep_ns)):
+        if not np.isfinite(value):
+            raise HistogramFormatError(f"{path}: {key} = {raw[key]} is not a finite number")
     for i, start in enumerate(starts):
         if abs(start - i * width_ns) > 0.5:
             raise HistogramFormatError(

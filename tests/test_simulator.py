@@ -43,6 +43,11 @@ def base_cfg(**kw):
     return SimConfig(**defaults)
 
 
+def hand_made_trace(click_gates, **kw):
+    """The given click train, as if ``base_cfg(**kw)`` had registered it."""
+    return ClickTrace(base_cfg(**kw), np.array(click_gates, dtype=np.int64), 0)
+
+
 class TestConfigValidation:
     def test_laser_must_divide_gate_frequency(self):
         with pytest.raises(SimulationConfigError):
@@ -127,7 +132,7 @@ class TestClickSources:
         n_pulses = 1_200_000
         cfg = base_cfg(n_gates=n_pulses * 31250, seed=5)
         trace = run_simulation(cfg)
-        clicks = int((trace.click_gates % trace.gates_per_pulse == 0).sum())
+        clicks = int((trace.click_gates % cfg.gates_per_pulse == 0).sum())
         p = cfg.p_photon
         se = math.sqrt(n_pulses * p * (1 - p))
         assert abs(clicks - n_pulses * p) <= 3 * se
@@ -178,6 +183,27 @@ class TestDeadTime:
             gaps = np.diff(trace.click_gates)
             assert gaps.min() >= math.ceil((0.2e-6 + tau_er) * F_G - 1e-9)
         assert clicks[0.5e-6] < clicks[0.0]
+
+    def test_step_and_linear_agree_without_recovery_time(self):
+        # 67.2 ns is 21 gates, 21.000000000000004 as a float product: with
+        # no recovery interval either ramp is the bare 21-gate hold-off
+        traces = [
+            run_simulation(
+                base_cfg(
+                    scheme=DeadTimeScheme(
+                        SchemeKind.LT_AR, tau_l=67.2e-9, tau_c=67.2e-9, ramp=ramp
+                    ),
+                    n_gates=2_000_000,
+                    seed=3,
+                    f_l=F_G / 2,
+                    dcr_per_gate=100 / F_G,
+                    p_ap_internal=0.2,
+                )
+            )
+            for ramp in ("linear", "step")
+        ]
+        assert np.array_equal(traces[0].click_gates, traces[1].click_gates)
+        assert traces[0].hidden_avalanches == traces[1].hidden_avalanches
 
     def test_lt_hidden_avalanches_counted(self):
         # fast traps: releases land inside the latch window and fire unseen
@@ -255,46 +281,25 @@ class TestEffectiveEfficiency:
 
 class TestSweepHistogram:
     def test_single_click_trace(self):
-        trace = ClickTrace(
-            click_gates=np.array([31250], dtype=np.int64),
-            f_g=F_G,
-            gates_per_pulse=31250,
-            total_gates=10_000_000,
-            hidden_avalanches=0,
-            tau_s=1e-6,
-        )
+        trace = hand_made_trace([31250])
         hist = build_sweep_histogram(trace, 25e-6, 10e-9)
         assert hist.c0 == 1
-        assert hist.total_counts() == 0
+        assert int(hist.bins.sum()) == 0
 
     def test_non_coincident_clicks_do_not_trigger(self):
-        trace = ClickTrace(
-            click_gates=np.array([17, 31250 + 11], dtype=np.int64),
-            f_g=F_G,
-            gates_per_pulse=31250,
-            total_gates=10_000_000,
-            hidden_avalanches=0,
-            tau_s=1e-6,
-        )
+        trace = hand_made_trace([17, 31250 + 11])
         hist = build_sweep_histogram(trace, 25e-6, 10e-9)
         assert hist.c0 == 0
-        assert hist.total_counts() == 0
+        assert int(hist.bins.sum()) == 0
 
     def test_windows_do_not_overlap(self):
         # two coincident clicks 10 us apart: the second falls inside the
         # first sweep and must be binned, not taken as a new trigger
         m = 3125  # 100 kHz laser
-        trace = ClickTrace(
-            click_gates=np.array([0, m, 10 * m], dtype=np.int64),
-            f_g=F_G,
-            gates_per_pulse=m,
-            total_gates=1_000_000,
-            hidden_avalanches=0,
-            tau_s=1e-6,
-        )
+        trace = hand_made_trace([0, m, 10 * m], f_l=1e5, n_gates=1_000_000)
         hist = build_sweep_histogram(trace, 25e-6, 10e-9)
         assert hist.c0 == 2  # gates 0 and 10*m; gate m is inside the sweep
-        assert hist.total_counts() == 1
+        assert int(hist.bins.sum()) == 1
 
     def test_dead_time_gap_bins_empty(self):
         cfg = base_cfg(
@@ -363,17 +368,10 @@ class TestSweepHistogram:
         # 6250.000000000001 as a float product): the next pulse's click
         # opens a new sweep instead of landing in the last bin
         m = 6250
-        trace = ClickTrace(
-            click_gates=np.array([0, m], dtype=np.int64),
-            f_g=F_G,
-            gates_per_pulse=m,
-            total_gates=1_000_000,
-            hidden_avalanches=0,
-            tau_s=1e-6,
-        )
+        trace = hand_made_trace([0, m], f_l=5e4, n_gates=1_000_000)
         hist = build_sweep_histogram(trace, 20e-6, 10e-9)
         assert hist.c0 == 2
-        assert hist.total_counts() == 0
+        assert int(hist.bins.sum()) == 0
 
 
 class TestReleaseQueue:
