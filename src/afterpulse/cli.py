@@ -149,6 +149,8 @@ def load_config(path: str | Path) -> RunConfig:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     values: dict[str, dict[str, object]] = {}
     for section in parser.sections():
         if section not in _SCHEMA:
@@ -442,7 +444,10 @@ def _scheme_for(kind: SchemeKind, tau: float, cfg: RunConfig) -> DeadTimeScheme:
 
 
 def cmd_fit(args) -> int:
-    rows = Path(args.data).read_text(encoding="utf-8").strip().splitlines()
+    try:
+        rows = Path(args.data).read_text(encoding="utf-8").strip().splitlines()
+    except UnicodeDecodeError as exc:
+        raise FitInputError(f"{args.data}: not UTF-8 text ({exc.reason})") from None
     if len(rows) < 2:
         raise FitInputError(f"{args.data}: no data rows")
     xs, ys = [], []

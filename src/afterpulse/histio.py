@@ -5,7 +5,8 @@ oscilloscope exports: ``# key = value`` metadata lines (mandatory keys
 ``bin_width_ns``, ``sweep_ns``, ``c0``) and one ``bin_start_ns,count`` record
 per line, fields read with ``int()``; blank lines are skipped, ``#`` lines may
 appear anywhere, and the first bad line is named.  Writing then reading is a
-bit-exact identity on the counts.
+bit-exact identity on the counts; the writer's own form is read in a few
+whole-file array passes, any other file line by line, with the same result.
 
 Gate-folded histograms share the format: ``kind = gate`` marks them, the
 period takes the place of the sweep, ``c0`` is 0, and ``gates_per_period``,
@@ -227,12 +228,53 @@ def _records(rows: list[str]) -> np.ndarray | None:
     return None if np.any(values[:, 1] < 0) else values
 
 
-def read_histogram(path: str | Path) -> SweepHistogram | GateHistogram:
-    """Parse the text-table format; raises with a line number on bad input.
+def _writer_form(data: bytes) -> tuple[list[str], np.ndarray] | None:
+    """Notes and records of a file in the writer's own form, else None.
 
-    A file with ``kind = gate`` metadata comes back as a ``GateHistogram``.
+    That form is ASCII with ``LF`` line ends only: the ``#`` lines first, then
+    ``start,count`` records whose fields have 1 to 18 digits (so below 2**63)
+    and a final line end.  Such a file is checked and converted in a few
+    array passes; any other file, well formed or not, is left to the
+    line-by-line path.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not data.isascii() or b"\r" in data:
+        return None
+    end = 0
+    while data.startswith(b"#", end):
+        end = data.find(b"\n", end) + 1
+        if not end:
+            return None
+    head = data[:end]
+    notes = head.decode("ascii").splitlines()
+    # a separator other than \n would make two lines where the file has one
+    if len(notes) != head.count(b"\n") or not data.endswith(b"\n", end):
+        return None
+    if any(map(_line_fault, notes)):
+        return None
+    text = np.frombuffer(data, dtype=np.uint8, offset=end)
+    seps = np.flatnonzero((text - ord("0")) > 9)  # uint8 wraps below '0'
+    kinds = text[seps]
+    if (
+        len(seps) % 2
+        or np.any(kinds[0::2] != ord(","))
+        or np.any(kinds[1::2] != ord("\n"))
+    ):
+        return None
+    spans = np.diff(seps, prepend=-1)  # digits in each field, plus one
+    if spans.min() < 2 or spans.max() > 19:
+        return None
+    del seps, kinds, spans
+    body = data[end:].replace(b"\n", b",")
+    values = np.fromstring(body, dtype=np.int64, sep=",")
+    return notes, values.reshape(-1, 2)
+
+
+def _line_by_line(data: bytes, path: str | Path) -> tuple[list[str], np.ndarray]:
+    """Notes and records of any file in the format; raises at the first bad line."""
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise HistogramFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     stripped = list(map(str.strip, lines))
     rows = [text for text in stripped if text and text[0] != "#"]
     notes = [text for text in stripped if text[:1] == "#"]
@@ -241,15 +283,25 @@ def read_histogram(path: str | Path) -> SweepHistogram | GateHistogram:
         i = next(i for i, text in enumerate(stripped) if text and _line_fault(text))
         fault = _line_fault(stripped[i]).format(raw=lines[i])
         raise HistogramFormatError(f"{path}:{i + 1}: {fault}")
+    return notes, values
+
+
+def read_histogram(path: str | Path) -> SweepHistogram | GateHistogram:
+    """Parse the text-table format; raises with a line number on bad input.
+
+    A file with ``kind = gate`` metadata comes back as a ``GateHistogram``.
+    """
+    data = Path(path).read_bytes()
+    notes, values = _writer_form(data) or _line_by_line(data, path)
+    del data  # free the file's bytes before the grid check
     entries = (note[1:].partition("=") for note in notes)
     meta = {key.strip(): value.strip() for key, sep, value in entries if sep}
 
     for key in _MANDATORY_KEYS:
         if key not in meta:
             raise HistogramFormatError(f"{path}: missing mandatory key {key!r}")
-    if not rows:
+    if not len(values):
         raise HistogramFormatError(f"{path}: histogram has no bins")
-    del lines, stripped, rows, notes  # free the line strings before the grid check
 
     try:
         width_ns = float(meta["bin_width_ns"])

@@ -63,6 +63,14 @@ class SimulationConfigError(ValueError):
     """A simulation configuration violates an invariant."""
 
 
+def _require_finite(obj, *names: str) -> None:
+    # NaN passes every < and <= check below, so it is refused first
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise SimulationConfigError(f"{name} must be a finite number, got {value!r}")
+
+
 class SchemeKind(str, Enum):
     LT = "lt"
     LT_AR = "lt-ar"
@@ -87,6 +95,7 @@ class DeadTimeScheme:
     ramp: str = "linear"
 
     def __post_init__(self) -> None:
+        _require_finite(self, "tau_l", "tau_c", "tau_er")
         if self.tau_l <= 0.0:
             raise SimulationConfigError(f"tau_l must be > 0, got {self.tau_l!r}")
         if self.kind == SchemeKind.LT_AR:
@@ -129,6 +138,9 @@ class SimConfig:
     tau_detrap: float = 1e-6
 
     def __post_init__(self) -> None:
+        _require_finite(
+            self, "f_g", "f_l", "mu", "pde", "dcr_per_gate", "p_ap_internal", "tau_detrap"
+        )
         if self.f_g <= 0 or self.f_l <= 0:
             raise SimulationConfigError("f_g and f_l must be positive")
         if self.f_l > self.f_g:

@@ -587,6 +587,60 @@ class TestMalformedNumbers:
         assert "Traceback" not in err
 
 
+class TestNonUtf8Input:
+    """A file that is not UTF-8 text is a named error, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "data,argv,code",
+        [
+            (b"[run]\nn_gates = 1000 # caf\xe9\n", ["simulate", "--out", "{out}", "--config"],
+             EXIT_CONFIG),
+            (b"tau_us,p_ap\n1,0.2\n2,\xff\n", ["fit", "--data"], EXIT_NUMERIC),
+            (sweep_file().encode() + b"30,\xff\n", ["estimate", "--method", "custom", "--hist"],
+             EXIT_CONFIG),
+        ],
+        ids=["config", "fit-table", "histogram"],
+    )
+    def test_named_error(self, tmp_path, capsys, data, argv, code):
+        path = tmp_path / "in.dat"
+        path.write_bytes(data)
+        out = tmp_path / "out.csv"
+        argv = [str(out) if a == "{out}" else a for a in argv]
+        got, _, err = run_cli(capsys, *argv, path)
+        assert got == code
+        assert err.startswith(f"afterpulse: {path}: not UTF-8 text")
+        assert not out.exists()
+
+
+class TestNonFiniteConfig:
+    """NaN passes every range check, so a non-finite value is refused first."""
+
+    @pytest.mark.parametrize(
+        "section,key,field",
+        [
+            ("source", "mean_photons", "mu"),
+            ("source", "laser_frequency_hz", "f_l"),
+            ("detector", "pde", "pde"),
+            ("detector", "afterpulse_probability", "p_ap_internal"),
+            ("detector", "dcr_hz", "dcr_per_gate"),
+            ("detector", "detrap_time_s", "tau_detrap"),
+            ("detector", "gate_frequency_hz", "f_g"),
+            ("deadtime", "latch_time_s", "tau_l"),
+            ("deadtime", "hold_time_s", "tau_c"),
+            ("deadtime", "recovery_time_s", "tau_er"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_simulate_names_the_field(self, tmp_path, capsys, section, key, field, value):
+        path = tmp_path / "run.ini"
+        path.write_text(f"[run]\nn_gates = 1000\nseed = 3\n[{section}]\n{key} = {value}\n")
+        out = tmp_path / "hist.csv"
+        code, _, err = run_cli(capsys, "simulate", "--config", path, "--out", out)
+        assert code == EXIT_CONFIG
+        assert err == f"afterpulse: {field} must be a finite number, got {float(value)!r}\n"
+        assert not out.exists()
+
+
 class TestEntryPoint:
     def test_console_script_runs_without_numba(self, tmp_path, subprocess_env):
         import subprocess

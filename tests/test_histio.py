@@ -3,7 +3,8 @@
 The file reader and writer work on whole arrays; ``reference_read`` and
 ``reference_write`` below are the line-by-line definitions they are checked
 against, on hypothesis-drawn files (derandomized, so every run sees the same
-files) and on one hand-written file per malformed kind.
+files), on one hand-written file per malformed kind, and on files one step
+off the writer's own form, which the reader takes in whole-file array passes.
 """
 
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from afterpulse import cli
+from afterpulse import cli, histio
 from afterpulse.histio import (
     DegenerateDataError,
     GateHistogram,
@@ -328,15 +329,26 @@ NOTES = [
 ]
 
 
+HEADER_NOTES = [note for note in NOTES if note.startswith("#")]
+
+
 @st.composite
 def histogram_files(draw):
-    """Text of a sweep-histogram file, well formed or with a few faults."""
+    """Text of a sweep-histogram file, well formed or with a few faults.
+
+    Two draws in five are in the writer's own form, the reader's whole-file
+    path: the header first, ``plain`` records, ``\\n`` line ends.
+    """
+    canonical = draw(st.integers(0, 4)) < 2
     width = draw(st.sampled_from(WIDTHS_NS))
     n = draw(st.sampled_from([0, 1, 2, 3, 5, 8, 600, 1100]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     counts = rng.integers(0, 1000, n)
-    kinds = draw(st.lists(st.sampled_from(sorted(RECORDS)), min_size=1, max_size=3))
-    kinds = [k if k in VALID_RECORDS or draw(st.integers(0, 2)) == 0 else "plain" for k in kinds]
+    if canonical:
+        kinds = ["plain"]
+    else:
+        kinds = draw(st.lists(st.sampled_from(sorted(RECORDS)), min_size=1, max_size=3))
+        kinds = [k if k in VALID_RECORDS or draw(st.integers(0, 2)) == 0 else "plain" for k in kinds]
     variant = rng.choice(kinds, n) if n else []
     lines = [RECORDS[k](round(i * float(width)), int(c)) for i, (k, c) in enumerate(zip(variant, counts))]
     sweep = n * float(width) * draw(st.sampled_from([1, 1, 1, 2]))
@@ -345,6 +357,9 @@ def histogram_files(draw):
         del header[draw(st.integers(0, 2))]
     if draw(st.integers(0, 9)) == 0:
         header.append("# c0 = seven")
+    if canonical:
+        notes = draw(st.lists(st.sampled_from(HEADER_NOTES), max_size=3))
+        return "\n".join(header + notes + lines) + "\n"
     # the metadata may sit anywhere, blank lines and notes between records
     for note in header + draw(st.lists(st.sampled_from(NOTES), max_size=6)):
         lines.insert(draw(st.integers(0, len(lines))), note)
@@ -377,6 +392,74 @@ def test_each_malformed_kind_matches_reference(tmp_path, body, newline):
     got = outcome(read_histogram, path)
     assert got[0] == "error"
     assert got == outcome(reference_read, path)
+
+
+WRITER_FORM = "# bin_width_ns = 10\n# sweep_ns = 30\n# c0 = 5\n# seed = 3\n0,1\n10,2\n20,3\n"
+# (file text, whether it is in the writer's own form); each pins one edge
+NEAR_WRITER_FORM = {
+    "writer form": (WRITER_FORM, True),
+    "18-digit count": (WRITER_FORM.replace("10,2\n", f"10,{10**18 - 1}\n"), True),
+    "leading zeros": (WRITER_FORM.replace("10,2\n", "010,002\n"), True),
+    "19-digit count": (WRITER_FORM.replace("10,2\n", f"10,{2**63 - 1}\n"), False),
+    "19-digit zero-padded count": (WRITER_FORM.replace("10,2\n", f"10,{2:019d}\n"), False),
+    "note after the records": (WRITER_FORM + "# source = scope\n", False),
+    "note between the records": (WRITER_FORM.replace("10,2\n", "10,2\n# x = 1\n"), False),
+    "blank last line": (WRITER_FORM + "\n", False),
+    "blank line before the records": (WRITER_FORM.replace("# seed = 3\n", "# seed = 3\n\n"), False),
+    "no final newline": (WRITER_FORM[:-1], False),
+    "padded record": (WRITER_FORM.replace("10,2\n", "10, 2\n"), False),
+    "signed count": (WRITER_FORM.replace("10,2\n", "10,+2\n"), False),
+    "one field": (WRITER_FORM.replace("10,2\n", "10\n"), False),
+    "three fields": (WRITER_FORM.replace("10,2\n", "10,2,0\n"), False),
+    "empty field": (WRITER_FORM.replace("10,2\n", "10,\n"), False),
+    "header line without '='": (WRITER_FORM.replace("# seed = 3", "# seed 3"), False),
+    "NEL in a header line": (WRITER_FORM.replace("# seed = 3", "# seed = 3\x85# b = 4"), False),
+    "LS in a header line": (WRITER_FORM.replace("# seed = 3", "# seed = 3\u2028# b = 4"), False),
+    "NEL making a record": (WRITER_FORM.replace("# seed = 3", "# seed = 3\x8510,2"), False),
+    "VT in a header line": (WRITER_FORM.replace("# seed = 3", "# seed = 3\x0b# b = 4"), False),
+    "FF in a header line": (WRITER_FORM.replace("# seed = 3", "# seed = 3\x0c# b = 4"), False),
+    "FS in a header line": (WRITER_FORM.replace("# seed = 3", "# seed = 3\x1c0,1"), False),
+    "CRLF": (WRITER_FORM.replace("\n", "\r\n"), False),
+    "CR in a header line": (WRITER_FORM.replace("# seed = 3", "# seed = 3\r# b = 4"), False),
+}
+
+
+@pytest.mark.parametrize("text,fast", NEAR_WRITER_FORM.values(), ids=NEAR_WRITER_FORM.keys())
+def test_near_writer_form_matches_reference(tmp_path, text, fast):
+    path = tmp_path / "near.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert (histio._writer_form(path.read_bytes()) is not None) == fast
+    assert outcome(read_histogram, path) == outcome(reference_read, path)
+
+
+def test_writer_output_takes_the_whole_file_path(tmp_path, monkeypatch):
+    def no_line_by_line(rows):
+        raise AssertionError("the line-by-line record parser ran")
+
+    monkeypatch.setattr(histio, "_records", no_line_by_line)
+    rng = np.random.default_rng(5)
+    bins = rng.integers(0, 10**6, 25_000)
+    bins[-1] = 10**18 - 1
+    sweep = make_hist(bins, bin_width=1e-9, c0=12, seed=3)
+    gate = GateHistogram(
+        bins=bins[:20_000], bin_width=0.32e-9, period=6.4e-6, gates_per_period=2000,
+        acquisition_gates=10**6, tau_s=0.2e-6, meta={"f_g_hz": "312500000.0"},
+    )
+    for h in (sweep, gate):
+        path = tmp_path / "out.csv"
+        write_histogram(h, path)
+        back = read_histogram(path)
+        assert type(back) is type(h)
+        assert np.array_equal(back.bins, h.bins)
+        assert back.meta == h.meta
+
+
+def test_non_utf8_file_is_named(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(WRITER_FORM.replace("# seed = 3", "# source = caf\xe9").encode("latin-1"))
+    with pytest.raises(HistogramFormatError) as info:
+        read_histogram(path)
+    assert str(info.value) == f"{path}: not UTF-8 text (invalid continuation byte)"
 
 
 @pytest.mark.parametrize("missing", ["bin_width_ns", "sweep_ns", "c0"])

@@ -75,6 +75,22 @@ class TestConfigValidation:
         with pytest.raises(SimulationConfigError):
             DeadTimeScheme(SchemeKind.LT, tau_l=1e-6, ramp="cubic")
 
+    @pytest.mark.parametrize(
+        "field", ["f_g", "f_l", "mu", "pde", "dcr_per_gate", "p_ap_internal", "tau_detrap"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_config_value_named(self, field, value):
+        with pytest.raises(SimulationConfigError, match=f"^{field} must be a finite number"):
+            base_cfg(**{field: value})
+
+    @pytest.mark.parametrize("field", ["tau_l", "tau_c", "tau_er"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", [SchemeKind.LT, SchemeKind.LT_AR])
+    def test_non_finite_scheme_value_named(self, field, value, kind):
+        times = {"tau_l": 1e-6, "tau_c": 1e-6, "tau_er": 0.0, field: value}
+        with pytest.raises(SimulationConfigError, match=f"^{field} must be a finite number"):
+            DeadTimeScheme(kind, **times)
+
     def test_tau_s(self):
         assert LT1US.tau_s == 1e-6
         s = DeadTimeScheme(SchemeKind.LT_AR, tau_l=1e-6, tau_c=2e-6)
