@@ -25,27 +25,38 @@ trap marks of successive avalanches are kept as a geometric count of
 unmarked avalanches before the next marked one: an avalanche costs a
 decrement, a trap fill one draw.
 
-Randomness comes from one xorshift64* stream, seeded by splitmix64 and
-drawn through two helpers: ``_uniform`` (a float in [0, 1) for the
-recovery-efficiency and other Bernoulli draws) and ``_log_uniform``
+Randomness comes from one xorshift64* stream, seeded by splitmix64.  The
+kernels draw it through ``_draw_uniform`` (a float in [0, 1) for the
+recovery-efficiency and other Bernoulli draws) and ``_draw_log_uniform``
 (``scale * log u`` with u in (0, 1) for the geometric gaps and the
-exponential detrap delay).
-Pending trap releases sit in a binary min-heap (the priority queue of
-Gibson & Bruck's next-reaction method, 2000), and every release due at a
-gate is popped there at once, as one avalanche.  The heap and the
-registered clicks are ``int64`` buffers that double when full
-(``_append``), so no carrier is ever dropped.
+exponential detrap delay), from the draw state ``_draw_start`` makes of the
+seeded state.  Compiled, these are the scalar steps ``_uniform`` and
+``_log_uniform`` on the state itself.  In plain Python a scalar step costs
+several numpy scalar operations, so there the state is an iterator over
+the stream computed in numpy blocks: the shift-xor step is linear over
+GF(2)^64, and byte tables of its powers advance a whole block of states at
+once.  Each draw still takes its own ``math.log``, and both paths give the
+same numbers, so a seed's click train does not depend on the backend.
+
+Pending trap releases sit in a min-heap (the priority queue of Gibson &
+Bruck's next-reaction method, 2000): a ``heapq`` list that always holds the
+sentinel ``_FAR``, so its smallest entry is the next release, or ``_FAR``.
+Every release due at a gate is popped there at once, as one avalanche.
+The registered clicks go into an ``int64`` buffer that doubles when full,
+so no carrier or click is ever dropped.
 
 The helpers are ``register_jitable`` and the kernels ``njit`` when numba
-imports; otherwise the same source runs as plain Python on numpy scalars.
-Both paths consume the same random stream, so a given seed produces
-bit-identical click trains in both.  ``gate_loop`` and ``sweep_scan`` are
-bound once at import; ``gate_loop_python``, ``gate_loop_jit`` and
-``_sweep_scan_impl`` stay addressable for the equivalence tests.
+imports; otherwise the same source runs as plain Python.  ``gate_loop`` and
+``sweep_scan`` are bound once at import; ``gate_loop_python``,
+``gate_loop_jit`` and ``_sweep_scan_impl`` stay addressable for the
+equivalence tests.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
+import itertools
 import math
 
 import numpy as np
@@ -117,53 +128,106 @@ def _splitmix64(x):
 
 
 @_jitable
-def _append(buf, n, value):
-    """Store ``value`` at ``buf[n]``, doubling ``buf`` first when it is full."""
-    if n == buf.shape[0]:
-        bigger = np.empty(2 * n, np.int64)
-        bigger[:n] = buf
-        buf = bigger
-    buf[n] = value
-    return buf, n + 1
+def _grown(buf):
+    """A buffer twice the size of ``buf`` that starts with its entries."""
+    bigger = np.empty(2 * buf.shape[0], np.int64)
+    bigger[: buf.shape[0]] = buf
+    return bigger
+
+
+# The python path draws the same stream in numpy blocks.  The xorshift step
+# T is linear over GF(2)^64 (Marsaglia, 2003), so T^(2^i) advances a whole
+# block of states by 2^i steps at once, as the XOR of 8 byte-table lookups
+# per state (jump ahead, Haramoto et al., 2008).  Blocks double from 2
+# states up to 2**_BLOCK_LEVELS, so a run that draws a few numbers
+# computes a few.
+_BLOCK_LEVELS = 12
+
+
+def _byte_tables(images):
+    """The (8, 256) lookup tables of a linear map, from its 64 unit images.
+
+    Row j, column b holds the image of ``b << 8j``.
+    """
+    tab = np.zeros((8, 1), np.uint64)
+    per_byte = images.reshape(8, 8)
+    for k in range(8):
+        tab = np.concatenate([tab, tab ^ per_byte[:, k : k + 1]], axis=1)
+    return tab
+
+
+def _jump(tab, states):
+    """The linear map with byte tables ``tab`` applied to each state."""
+    planes = np.asarray(states, "<u8").view(np.uint8).reshape(-1, 8).T.copy()
+    out = tab[0].take(planes[0])
+    for j in range(1, 8):
+        out ^= tab[j].take(planes[j])
+    return out
+
+
+@functools.cache
+def _jump_tables():
+    """Byte tables of T^(2^i) for i = 0 .. _BLOCK_LEVELS, built on first use."""
+    images = np.uint64(1) << np.arange(64, dtype=np.uint64)
+    images ^= images >> _U12
+    images ^= images << _U25
+    images ^= images >> _U27
+    tables = [_byte_tables(images)]
+    for _ in range(_BLOCK_LEVELS):
+        images = _jump(tables[-1], images)  # T^(2^(i+1)) is T^(2^i) twice
+        tables.append(_byte_tables(images))
+    return tables
+
+
+def _blocks(s):
+    """The stream after state ``s`` in blocks: lists of ``(s * MULT) >> 11``."""
+    jumps = _jump_tables()
+    states = np.array([s], np.uint64)
+    for tab in jumps[:-1]:
+        # the next len(states) states, then the len(states) after those
+        ahead = _jump(tab, states)
+        states = np.concatenate([ahead, _jump(tab, ahead)])
+        yield ((states * _MULT) >> _U11).tolist()
+    while True:
+        states = _jump(jumps[-1], states)
+        yield ((states * _MULT) >> _U11).tolist()
+
+
+def _block_start(s):
+    """The python path's draw state for generator state ``s``."""
+    return itertools.chain.from_iterable(_blocks(s))
+
+
+def _block_uniform(st):
+    """``_uniform`` on the block stream: x * 2**-53 is exact, as x < 2**53."""
+    return st, next(st) * _TWO53INV
+
+
+def _block_log_uniform(st, scale):
+    """``_log_uniform`` on the block stream.
+
+    ``((s * MULT) >> 12) + 0.5`` over 2**52 is ``(x | 1)`` over 2**53,
+    exactly, for x the block stream's ``(s * MULT) >> 11``.
+    """
+    return st, scale * math.log((next(st) | 1) * _TWO53INV)
 
 
 @_jitable
-def _heap_push(heap, n, value):
-    """Add ``value`` to the min-heap ``heap[:n]``; returns the buffer and size."""
-    heap, n = _append(heap, n, value)
-    i = n - 1
-    while i > 0:
-        parent = (i - 1) >> 1
-        up = heap[parent]
-        if up <= value:
-            break
-        heap[i] = up
-        i = parent
-    heap[i] = value
-    return heap, n
+def _same_state(s):
+    """The compiled path's draw state is the generator state itself."""
+    return s
 
 
-@_jitable
-def _heap_pop(heap, n):
-    """Remove the smallest entry ``heap[0]`` of the min-heap; returns the size."""
-    n -= 1
-    last = heap[n]
-    i = 0
-    child = 1
-    while child < n:
-        low = heap[child]
-        if child + 1 < n:
-            right = heap[child + 1]
-            if right < low:
-                low = right
-                child += 1
-        if last <= low:
-            break
-        heap[i] = low
-        i = child
-        child = 2 * i + 1
-    heap[i] = last
-    return n
+# the draws the kernels make: the scalar steps when compiled, the blocks
+# otherwise; both give the same numbers
+if USING_NUMBA:
+    _draw_start, _draw_uniform, _draw_log_uniform = _same_state, _uniform, _log_uniform
+else:
+    _draw_start, _draw_uniform, _draw_log_uniform = (
+        _block_start,
+        _block_uniform,
+        _block_log_uniform,
+    )
 
 
 @_jitable
@@ -193,7 +257,7 @@ def _binomial(s, n, p):
         + m * math.log(p) + (n - m) * math.log1p(-p)
     )
     odds = p / (1.0 - p)
-    s, u = _uniform(s)
+    s, u = _draw_uniform(s)
     u -= f_mode
     lo, f_lo, hi, f_hi = m, f_mode, m, f_mode
     while u >= 0.0:
@@ -250,6 +314,7 @@ def _gate_loop_impl(
     s = _splitmix64(seed)
     if s == _UZERO:
         s = _SM_GAMMA
+    s = _draw_start(s)
 
     n_pulses = (n_gates + gates_per_pulse - 1) // gates_per_pulse
     inv_lp_ph = _inv_log1m(p_photon)
@@ -264,7 +329,7 @@ def _gate_loop_impl(
     if q_ap >= 1.0:
         to_trap = 0
     elif q_ap > 0.0:
-        s, gap = _log_uniform(s, inv_lp_q)
+        s, gap = _draw_log_uniform(s, inv_lp_q)
         to_trap = int(gap) if gap < 4.0e18 else _FAR
     # In a latch window the photon stream is thinned to its marked fires
     # (Lewis & Shedler) from the click, or from its first fire there; a
@@ -286,23 +351,22 @@ def _gate_loop_impl(
     if p_photon >= 1.0:
         next_phot = 0
     elif p_photon > 0.0:
-        s, gap = _log_uniform(s, inv_lp_ph)
+        s, gap = _draw_log_uniform(s, inv_lp_ph)
         if gap < n_pulses:
             next_phot = int(gap) * gates_per_pulse
     next_dark = _FAR
     if p_dark >= 1.0:
         next_dark = 0
     elif p_dark > 0.0:
-        s, gap = _log_uniform(s, inv_lp_dk)
+        s, gap = _draw_log_uniform(s, inv_lp_dk)
         if gap < n_gates:
             next_dark = int(gap)
 
     # after an active reset the efficiency is below 1 until ramp_end
     ramp_end = ramp_start + ramp_len if ramp_len > 0.0 else -1.0
 
-    rel = np.empty(512, np.int64)  # min-heap of pending release gates
-    n_rel = 0
-    next_rel = _FAR
+    rel = [_FAR]  # min-heap of pending release gates, over the sentinel
+    next_rel = _FAR  # rel[0]
 
     clicks = np.empty(4096, np.int64)
     n_clicks = 0
@@ -344,7 +408,7 @@ def _gate_loop_impl(
                     else:
                         # a dark fire, unless an unmarked photon fire the
                         # thinned stream skipped decides the trap
-                        s, u = _uniform(s)
+                        s, u = _draw_uniform(s)
                         own = u >= miss_ph
             elif phot_f:
                 # the photon stream's first fire in a window its click did
@@ -359,10 +423,13 @@ def _gate_loop_impl(
                 effv = 0.0
                 if tf > ramp_start:
                     effv = (tf - ramp_start) / ramp_len
-                s, u = _uniform(s)
+                s, u = _draw_uniform(s)
                 own = u < effv
             if own:
-                clicks, n_clicks = _append(clicks, n_clicks, e)
+                if n_clicks == clicks.shape[0]:
+                    clicks = _grown(clicks)
+                clicks[n_clicks] = e
+                n_clicks += 1
                 last_click = e
                 dead_end = e + dead_gates
                 if phot_f and is_lt:
@@ -381,38 +448,38 @@ def _gate_loop_impl(
             else:
                 trap = True
                 if q_ap < 1.0:
-                    s, gap = _log_uniform(s, inv_lp_q)
+                    s, gap = _draw_log_uniform(s, inv_lp_q)
                     to_trap = int(gap) if gap < 4.0e18 else _FAR
 
         if next_rel < start:
-            while n_rel > 0 and rel[0] < start:
-                n_rel = _heap_pop(rel, n_rel)
-            next_rel = int(rel[0]) if n_rel > 0 else _FAR
+            while rel[0] < start:
+                heapq.heappop(rel)
+            next_rel = rel[0]
         if phot_f:
             k = (start + gates_per_pulse - 1) // gates_per_pulse
             gap = 0.0  # to the next fire, in laser pulses
             if k < ph_stop:
                 # latch window: only the marked fires up to ph_stop
-                s, gap = _log_uniform(s, inv_lp_th_ph)
+                s, gap = _draw_log_uniform(s, inv_lp_th_ph)
                 if gap >= ph_stop - k:
                     gap = (gap - (ph_stop - k)) * ratio_ph
                     k = ph_stop
             elif p_photon < 1.0:
-                s, gap = _log_uniform(s, inv_lp_ph)
+                s, gap = _draw_log_uniform(s, inv_lp_ph)
             k = k + int(gap) if gap < 4.0e18 else n_pulses
             next_phot = k * gates_per_pulse if k < n_pulses else _FAR
         if dark_f:
             next_dark = start
             if p_dark < 1.0:
-                s, gap = _log_uniform(s, inv_lp_dk)
+                s, gap = _draw_log_uniform(s, inv_lp_dk)
                 next_dark = start + int(gap) if gap < 4.0e18 else _FAR
             if next_dark >= n_gates:
                 next_dark = _FAR
         if trap:
-            s, delay = _log_uniform(s, -detrap_gates)
+            s, delay = _draw_log_uniform(s, -detrap_gates)
             rg = e + max(1, math.ceil(delay))
             if start <= rg < n_gates:
-                rel, n_rel = _heap_push(rel, n_rel, rg)
+                heapq.heappush(rel, rg)
                 if rg < next_rel:
                     next_rel = rg
 
@@ -450,7 +517,7 @@ def _sweep_scan_impl(click_gates, gates_per_pulse, sweep_gates, binw_gates, n_bi
 
 
 def gate_loop_python(*args):
-    """Pure numpy path; numerically identical to the jitted path."""
+    """Plain-Python path; bit-identical to the jitted path."""
     with np.errstate(over="ignore"):
         return _gate_loop_impl(*args)
 

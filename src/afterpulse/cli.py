@@ -19,9 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import (
-    DegenerateDataError,
     EstimateBundle,
-    GateHistogram,
     derive_all,
     estimate_bethune,
     estimate_coincidence,
@@ -29,7 +27,14 @@ from .estimators import (
     estimate_yuan,
 )
 from .fitting import FitInputError, FitLaw, fit_curve
-from .histio import HistogramFormatError, SweepHistogram, read_histogram, write_histogram
+from .histio import (
+    DegenerateDataError,
+    GateHistogram,
+    HistogramFormatError,
+    SweepHistogram,
+    read_histogram,
+    write_histogram,
+)
 from .models import DomainError, NoRootError
 from .simulator import (
     ClickTrace,
@@ -95,6 +100,10 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "yuan_gate_index": (int, 1),
     },
 }
+
+# float keys that reach no SimConfig, which names its own non-finite fields;
+# NaN would pass every window check downstream
+_FINITE_KEYS = (("estimation", "dcr_window_start_s"), ("estimation", "dcr_window_end_s"))
 
 
 @dataclass(frozen=True)
@@ -179,6 +188,12 @@ def load_config(path: str | Path) -> RunConfig:
                 values[section][key] = value
             else:
                 values[section][key] = default
+    for section, key in _FINITE_KEYS:
+        value = values[section][key]
+        if not math.isfinite(value):
+            raise ConfigError(
+                f"{path}: key '{key}' in [{section}]: must be a finite number, got {value!r}"
+            )
     return RunConfig(values=values)
 
 
@@ -244,14 +259,25 @@ def _meta_float(
     if default is not None and key not in hist.meta:
         return default
     try:
-        return float(hist.meta[key])
+        value = float(hist.meta[key])
     except ValueError as exc:
         raise DegenerateDataError(
             f"{path}: metadata {key} = {hist.meta[key]!r} is not a number"
         ) from exc
+    if not math.isfinite(value):
+        raise DegenerateDataError(f"{path}: metadata {key} = {value!r} is not finite")
+    return value
 
 
 def cmd_estimate(args) -> int:
+    for option, value in (
+        ("--tau-s", args.tau_s),
+        ("--rate", args.rate),
+        ("--window-start", args.window_start),
+        ("--window-end", args.window_end),
+    ):
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{option} must be a finite number, got {value!r}")
     if args.method != "custom" and not args.dark:
         raise ConfigError(f"method '{args.method}' needs --dark HISTOGRAM")
     hist = read_histogram(args.hist)

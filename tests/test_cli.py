@@ -641,6 +641,46 @@ class TestNonFiniteConfig:
         assert not out.exists()
 
 
+class TestNonFiniteEstimationInput:
+    """An estimation input that is NaN or infinite is refused by its name."""
+
+    @pytest.mark.parametrize(
+        "option", ["--rate", "--tau-s", "--window-start", "--window-end"]
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_estimate_option(self, tmp_path, capsys, option, value):
+        path = tmp_path / "in.csv"
+        path.write_text(sweep_file())
+        code, out, err = run_cli(
+            capsys, "estimate", "--method", "custom", "--hist", path, option, value
+        )
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == f"afterpulse: {option} must be a finite number, got {float(value)!r}\n"
+
+    @pytest.mark.parametrize("key", ["dcr_window_start_s", "dcr_window_end_s"])
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    def test_compare_window_key(self, tmp_path, capsys, key, value):
+        path = tmp_path / "run.ini"
+        path.write_text(f"[run]\nn_gates = 1000\nseed = 3\n[estimation]\n{key} = {value}\n")
+        out = tmp_path / "table.csv"
+        code, _, err = run_cli(capsys, "compare", "--config", path, "--mu", "1", "--out", out)
+        assert code == EXIT_CONFIG
+        assert err == (
+            f"afterpulse: {path}: key '{key}' in [estimation]: "
+            f"must be a finite number, got {float(value)!r}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["rate_hz", "tau_s_ns"])
+    def test_metadata_value(self, tmp_path, capsys, key):
+        path = tmp_path / "in.csv"
+        path.write_text(sweep_file(**{key: "nan"}))
+        code, _, err = run_cli(capsys, "estimate", "--method", "custom", "--hist", path)
+        assert code == EXIT_NUMERIC
+        assert err == f"afterpulse: {path}: metadata {key} = nan is not finite\n"
+
+
 class TestEntryPoint:
     def test_console_script_runs_without_numba(self, tmp_path, subprocess_env):
         import subprocess

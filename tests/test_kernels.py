@@ -1,4 +1,8 @@
-"""Kernel tests: the jitted and pure-numpy paths agree, and the helpers hold."""
+"""Kernel tests: pinned click trains, the jitted and plain-Python paths agree,
+and the helpers hold."""
+
+import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -70,6 +74,37 @@ CONFIGS = [
 ]
 IDS = ["lt", "lt-ar-bethune", "lt-ar-ramp", "lt-dense", "lt-ar-step"]
 
+# 2**64 - 0x9E3779B97F4A7C15: splitmix64 maps this seed to the state 0,
+# which the kernel replaces by the splitmix64 increment
+ZERO_STATE_SEED = 0x61C8864680B583EB
+
+# the CONFIGS plus edge cases, each with the sha256 of its click train's
+# bytes followed by its hidden count in decimal
+PINNED = {
+    **dict(zip(IDS, CONFIGS)),
+    "q0": dataclasses.replace(CONFIGS[1], p_ap_internal=0.0),
+    "q1": dataclasses.replace(CONFIGS[0], n_gates=200_000, p_ap_internal=1.0),
+    "p-photon-1": dataclasses.replace(CONFIGS[4], n_gates=200_000, mu=200.0),
+    "laser-every-gate": dataclasses.replace(
+        CONFIGS[3], n_gates=200_000, f_l=312.5e6, mu=0.05
+    ),
+    "no-dark": dataclasses.replace(CONFIGS[2], dcr_per_gate=0.0),
+    "zero-state-seed": dataclasses.replace(CONFIGS[3], seed=ZERO_STATE_SEED),
+}
+DIGESTS = {
+    "lt": "df2d9066313dff3c6647aa61c28b0bb72e83dd2fc823c883112440b98f89a3d9",
+    "lt-ar-bethune": "b1132f762ee000912e6ba5e9311fca0d8128fe10b14f2498f136e9750474d1df",
+    "lt-ar-ramp": "48e0438664c35ed8cfbcd21491125b25a06d01fdd4c98d1d5a58f1ce1a44baf3",
+    "lt-dense": "e02d65907ad4e403d19fa589f59ee63e6505a3425bbbab6d86a6b002df7c23b6",
+    "lt-ar-step": "4d084b9a4c4c8247e904266f48f8abe06b2d3d2ad3d08d069e0a1b91ed121600",
+    "q0": "cf279b212d8df360503ae58ed9b701c8a9f185ac281e92b70fb2d52cde16a3f9",
+    "q1": "e5159325602239f6773dd9f2840112a4654c1e6162613c93e084fe5faf8f1cd2",
+    "p-photon-1": "20d2c64234190c848406c64f822a691638a53a9fee10e24cd6f3c4eb00980ccb",
+    "laser-every-gate": "3cb98a4be3a5f45854b5849805de110a6e59b3e59e4308c52667c185d85bcf5e",
+    "no-dark": "8fed771ace66b87b07a7f55c2c20f9ebe92c9731c1698a8c630477ff5cac9744",
+    "zero-state-seed": "8af42702b47d9b3ee73c46eabdbb257dd444f322d790f205a203cf4222226f67",
+}
+
 
 @needs_numba
 @pytest.mark.parametrize("cfg", CONFIGS, ids=IDS)
@@ -126,7 +161,7 @@ def test_releases_on_one_gate_make_one_avalanche():
 def test_binomial_draws_follow_the_binomial(n, p):
     draws = []
     with np.errstate(over="ignore"):  # the generator's state wraps around
-        s = _kernels._splitmix64(np.uint64(7))
+        s = _kernels._draw_start(_kernels._splitmix64(np.uint64(7)))
         for _ in range(2000):
             s, x = _kernels._binomial(s, n, p)
             draws.append(x)
@@ -135,3 +170,50 @@ def test_binomial_draws_follow_the_binomial(n, p):
     observed = np.bincount(np.searchsorted(edges, draws), minlength=edges.size + 1)
     expected = np.diff(np.concatenate([[0.0], stats.binom.cdf(edges, n, p), [1.0]]))
     assert stats.chisquare(observed, expected * len(draws)).pvalue > 1e-4
+
+
+def _digest(clicks, hidden):
+    h = hashlib.sha256(np.ascontiguousarray(clicks, dtype="<i8").tobytes())
+    h.update(str(int(hidden)).encode("ascii"))
+    return h.hexdigest()
+
+
+def test_pinned_configs_cover_the_edge_cases():
+    assert PINNED["p-photon-1"].p_photon == 1.0
+    assert PINNED["laser-every-gate"].gates_per_pulse == 1
+    with np.errstate(over="ignore"):
+        assert _kernels._splitmix64(np.uint64(ZERO_STATE_SEED)) == 0
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_gate_loop_output_is_pinned(name):
+    # the bound kernel, so that each backend is held to the same streams
+    clicks, hidden = _kernels.gate_loop(*gate_loop_args(PINNED[name]))
+    assert clicks.dtype == np.int64
+    assert _digest(clicks, hidden) == DIGESTS[name]
+
+
+def test_block_stream_draws_the_scalar_stream():
+    # the doubling start-up (blocks of 2, 4, ... states) and then three
+    # full blocks and a few draws of a fourth, so three full-block edges
+    cap = 2**_kernels._BLOCK_LEVELS
+    n_draws = (2 * cap - 2) + 3 * cap + 5
+    scales = (-1.0, -3.7e3)
+    scalar, block = [], []
+    with np.errstate(over="ignore"):  # the generator's state wraps around
+        s = _kernels._splitmix64(np.uint64(2024))
+        st = _kernels._block_start(s)
+        for k in range(n_draws):
+            kind = k % 3
+            if kind == 0:
+                s, a = _kernels._uniform(s)
+                st, b = _kernels._block_uniform(st)
+            else:
+                s, a = _kernels._log_uniform(s, scales[kind - 1])
+                st, b = _kernels._block_log_uniform(st, scales[kind - 1])
+            scalar.append(a)
+            block.append(b)
+    scalar, block = np.array(scalar), np.array(block)
+    assert np.array_equal(scalar, block)
+    assert np.all((scalar[0::3] >= 0.0) & (scalar[0::3] < 1.0))
+    assert np.all(scalar[1::3] > 0.0) and np.all(scalar[2::3] > 0.0)
