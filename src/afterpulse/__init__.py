@@ -1,10 +1,10 @@
 """Afterpulse characterization toolkit for sine-gated single-photon detectors.
 
-Submodules: ``models`` (recursive click-probability models and inversions),
-``simulator`` (seeded Monte Carlo of the gated detector), ``estimators``
-(Bethune / Yuan / coincidence / sweep-histogram methods), ``fitting``
-(dead-time decay-law fits), ``histio`` (sweep and gate histogram
-containers and their file format) and ``cli`` (command-line front end).
+Submodules: ``models`` (click-probability model inversions), ``simulator``
+(seeded Monte Carlo of the gated detector), ``estimators`` (Bethune / Yuan /
+coincidence / sweep-histogram methods), ``fitting`` (dead-time decay-law
+fits), ``histio`` (sweep and gate histogram containers and their file
+format) and ``cli`` (command-line front end).
 """
 
 from ._kernels import USING_NUMBA
@@ -18,8 +18,7 @@ from .estimators import (
     estimate_yuan,
 )
 from .fitting import FitLaw, FitResult, fit_curve
-from .histio import SweepHistogram, merge_bins, read_histogram, write_histogram
-from .models import ModelParams
+from .histio import SweepHistogram, read_histogram, write_histogram
 from .simulator import (
     ClickTrace,
     DeadTimeScheme,
@@ -34,7 +33,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "USING_NUMBA",
-    "ModelParams",
     "SimConfig",
     "DeadTimeScheme",
     "SchemeKind",
@@ -44,7 +42,6 @@ __all__ = [
     "SweepHistogram",
     "GateHistogram",
     "EstimateBundle",
-    "merge_bins",
     "read_histogram",
     "write_histogram",
     "estimate_custom",

@@ -26,7 +26,7 @@ from .estimators import (
     estimate_custom,
     estimate_yuan,
 )
-from .fitting import FitInputError, FitLaw, fit_curve
+from .fitting import FitInputError, FitLaw, FitResult, fit_curve
 from .histio import (
     DegenerateDataError,
     GateHistogram,
@@ -60,7 +60,9 @@ class ConfigError(ValueError):
 _CONFIG_ERRORS = (ConfigError, SimulationConfigError, HistogramFormatError, OSError)
 _NUMERIC_ERRORS = (DegenerateDataError, NoRootError, DomainError, FitInputError)
 
-METHODS = ("custom", "bethune", "yuan", "coincidence")
+# gates per laser period of each folded-gate method's runs under ``compare``
+_FOLDED = {"bethune": 2, "yuan": 50, "coincidence": 50}
+METHODS = ("custom", *_FOLDED)
 
 # runs one sweep row may take to meet the target rate
 CALIBRATION_RUNS = 6
@@ -102,8 +104,11 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
 }
 
 # float keys that reach no SimConfig, which names its own non-finite fields;
-# NaN would pass every window check downstream
-_FINITE_KEYS = (("estimation", "dcr_window_start_s"), ("estimation", "dcr_window_end_s"))
+# NaN passes every comparison downstream
+_FINITE_KEYS = (
+    ("histogram", "sweep_s"), ("histogram", "bin_width_s"),
+    ("estimation", "dcr_window_start_s"), ("estimation", "dcr_window_end_s"),
+)
 
 
 @dataclass(frozen=True)
@@ -278,7 +283,7 @@ def cmd_estimate(args) -> int:
     ):
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"{option} must be a finite number, got {value!r}")
-    if args.method != "custom" and not args.dark:
+    if args.method in _FOLDED and not args.dark:
         raise ConfigError(f"method '{args.method}' needs --dark HISTOGRAM")
     hist = read_histogram(args.hist)
     if args.method == "custom":
@@ -316,28 +321,25 @@ def cmd_estimate(args) -> int:
     dark = _gate_histogram(read_histogram(args.dark), args.dark)
     f_g = _meta_float(lit, "f_g_hz", args.hist, lit.f_g)
     f_l = _meta_float(lit, "f_l_hz", args.hist, f_g / lit.gates_per_period)
-    if args.method == "bethune":
-        value = estimate_bethune(lit, dark)
-    elif args.method == "yuan":
-        value = estimate_yuan(lit, dark, f_g, f_l, ni_gate_index=args.ni_gate)
-    else:
-        value = estimate_coincidence(lit, dark, f_g, f_l)
+    value = _folded_estimate(args.method, lit, dark, f_g, f_l, args.ni_gate)
     print("method,P_ap")
     print(f"{args.method},{value!r}")
     return EXIT_OK
 
 
-def _classical_estimate(method: str, base: SimConfig, mu: float, seed: int, yuan_gate: int) -> float:
-    f_l = base.f_g / 2 if method == "bethune" else base.f_g / 50
-    lit_cfg = replace(base, f_l=f_l, mu=mu, seed=seed)
-    dark_cfg = replace(base, f_l=f_l, mu=0.0, seed=stream(seed, "dark", 0))
-    lit = fold_gate_histogram(run_simulation(lit_cfg))
-    dark = fold_gate_histogram(run_simulation(dark_cfg))
+def _folded_estimate(
+    method: str, lit: GateHistogram, dark: GateHistogram, f_g: float, f_l: float, gate: int
+) -> float:
+    """``P_ap`` of one folded-gate method; ``gate`` is Yuan's gate index.
+
+    The estimators are looked up by name at each call, so that a wrapper
+    installed on this module sees every call.
+    """
     if method == "bethune":
         return estimate_bethune(lit, dark)
     if method == "yuan":
-        return estimate_yuan(lit, dark, base.f_g, f_l, ni_gate_index=yuan_gate)
-    return estimate_coincidence(lit, dark, base.f_g, f_l)
+        return estimate_yuan(lit, dark, f_g, f_l, ni_gate_index=gate)
+    return estimate_coincidence(lit, dark, f_g, f_l)
 
 
 def cmd_compare(args) -> int:
@@ -353,9 +355,14 @@ def cmd_compare(args) -> int:
                 trace = run_simulation(replace(base, mu=mu, seed=seed))
                 bundle = _simulated_custom(cfg, trace)
                 lines.append(f"{method},{mu!r}," + _bundle_fields(bundle))
-            else:
-                value = _classical_estimate(method, base, mu, seed, yuan_gate)
-                lines.append(f"{method},{mu!r},,,,,{value!r}")
+                continue
+            f_l = base.f_g / _FOLDED[method]
+            lit, dark = (
+                fold_gate_histogram(run_simulation(replace(base, f_l=f_l, mu=m, seed=s)))
+                for m, s in ((mu, seed), (0.0, stream(seed, "dark", 0)))
+            )
+            value = _folded_estimate(method, lit, dark, base.f_g, f_l, yuan_gate)
+            lines.append(f"{method},{mu!r},,,,,{value!r}")
     table = "\n".join(lines) + "\n"
     Path(args.out).write_text(table, encoding="utf-8")
     print(table, end="")
@@ -444,17 +451,21 @@ def cmd_sweep_deadtime(args) -> int:
     for kind in schemes:
         xs = np.array([t for t, _ in series[kind]])
         ys = np.array([v for _, v in series[kind]])
-        for law in (FitLaw.POWER_LAW, FitLaw.EXPONENTIAL):
+        for law in FitLaw:
             try:
                 fit = fit_curve(xs, ys, law)
             except FitInputError as exc:
                 print(f"{kind.value},{law.value},,,,,,{exc}", file=sys.stderr)
                 continue
-            print(
-                f"{kind.value},{law.value},{fit.a!r},{fit.b!r},{fit.c!r},"
-                f"{fit.rss!r},{fit.iterations},{fit.converged}"
-            )
+            print(f"{kind.value},{_fit_row(fit)}")
     return EXIT_OK
+
+
+def _fit_row(fit: FitResult) -> str:
+    return (
+        f"{fit.law.value},{fit.a!r},{fit.b!r},{fit.c!r},{fit.rss!r},"
+        f"{fit.iterations},{fit.converged}"
+    )
 
 
 def _scheme_for(kind: SchemeKind, tau: float, cfg: RunConfig) -> DeadTimeScheme:
@@ -486,18 +497,10 @@ def cmd_fit(args) -> int:
             ys.append(float(fields[1]))
         except ValueError as exc:
             raise FitInputError(f"{args.data}:{lineno}: non-numeric field in {row!r}") from exc
-    laws = (
-        [FitLaw.POWER_LAW, FitLaw.EXPONENTIAL]
-        if args.law == "both"
-        else [FitLaw(args.law)]
-    )
+    laws = list(FitLaw) if args.law == "both" else [FitLaw(args.law)]
     print("law,a,b,c,rss,iterations,converged")
     for law in laws:
-        fit = fit_curve(np.array(xs), np.array(ys), law)
-        print(
-            f"{law.value},{fit.a!r},{fit.b!r},{fit.c!r},{fit.rss!r},"
-            f"{fit.iterations},{fit.converged}"
-        )
+        print(_fit_row(fit_curve(np.array(xs), np.array(ys), law)))
     return EXIT_OK
 
 

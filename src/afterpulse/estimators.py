@@ -14,7 +14,7 @@ collected with and without illumination:
 The sweep-histogram method measures the ratio of afterpulse counts (above
 the dark baseline) to trigger counts, ``p_exp = C_ap / C0``, and converts it
 into the lumped, first-order and second-order internal afterpulse
-probabilities via the forward models.
+probabilities with the inversions of ``models``.
 
 Every method reads histograms only: ``simulator`` builds both kinds from a
 click train and ``histio`` reads them from files.

@@ -1,4 +1,4 @@
-"""Histogram data models, bin merging, normalization and file I/O.
+"""Histogram data models and file I/O.
 
 The file format is a plain UTF-8 text table shared by the simulator and by
 oscilloscope exports: ``# key = value`` metadata lines (mandatory keys
@@ -26,7 +26,6 @@ __all__ = [
     "HistogramFormatError",
     "GateHistogram",
     "SweepHistogram",
-    "merge_bins",
     "read_histogram",
     "write_histogram",
 ]
@@ -139,24 +138,6 @@ class GateHistogram:
     def illuminated_gate(self) -> int:
         """Index of the gate with maximal counts, taken as illuminated."""
         return int(np.argmax(self.gate_counts()))
-
-
-def merge_bins(h: SweepHistogram, factor: int) -> SweepHistogram:
-    """Merge consecutive bins by an integer factor, conserving all counts."""
-    if factor < 1:
-        raise HistogramFormatError(f"merge factor must be >= 1, got {factor}")
-    if len(h.bins) % factor != 0:
-        raise HistogramFormatError(
-            f"{len(h.bins)} bins are not divisible by factor {factor}"
-        )
-    merged = h.bins.reshape(-1, factor).sum(axis=1)
-    return SweepHistogram(
-        bin_width=h.bin_width * factor,
-        sweep=h.sweep,
-        bins=merged,
-        c0=h.c0,
-        meta=dict(h.meta),
-    )
 
 
 def _format_ns(value_s: float) -> str:

@@ -21,21 +21,8 @@ from afterpulse.estimators import (
     estimate_yuan,
 )
 from afterpulse.fitting import FitLaw, fit_curve
-from afterpulse.histio import merge_bins, read_histogram, write_histogram
-from afterpulse.models import (
-    ExperimentalAfterpulse,
-    ModelParams,
-    ascending_branch_limit,
-    exact_forward,
-    first_order_forward,
-    invert_second,
-    invert_simple,
-    monotone_p0_limit,
-    p0_from_observed,
-    p_s_from_rate,
-    second_order_forward,
-    simple_forward,
-)
+from afterpulse.histio import read_histogram, write_histogram
+from afterpulse.models import ExperimentalAfterpulse, invert_second, p_s_from_rate
 from afterpulse.simulator import (
     DeadTimeScheme,
     SchemeKind,
@@ -44,6 +31,18 @@ from afterpulse.simulator import (
     fold_gate_histogram,
     run_simulation,
     stream,
+)
+from paper_models import (
+    ModelParams,
+    ascending_branch_limit,
+    exact_forward,
+    first_order_forward,
+    invert_simple,
+    merge_bins,
+    monotone_p0_limit,
+    p0_from_observed,
+    second_order_forward,
+    simple_forward,
 )
 
 F_G = 312.5e6

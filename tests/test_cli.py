@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from afterpulse import cli
 from afterpulse.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -18,7 +19,7 @@ from afterpulse.cli import (
     load_config,
     main,
 )
-from afterpulse.simulator import DeadTimeScheme, SchemeKind, SimConfig
+from afterpulse.simulator import DeadTimeScheme, SchemeKind, SimConfig, stream
 
 BASE_CONFIG = """\
 [detector]
@@ -46,6 +47,16 @@ seed = 5
 sweep_s = 25e-6
 bin_width_s = 10e-9
 """
+
+
+# 2e6 gates at a 50 kHz laser, with a sweep shorter than the 20 us laser
+# period, so that the next pulse's click never lands in the baseline window
+SHORT_SWEEP = (
+    BASE_CONFIG.replace("n_gates = 50000000", "n_gates = 2000000")
+    .replace("laser_frequency_hz = 1e4", "laser_frequency_hz = 5e4")
+    .replace("sweep_s = 25e-6", "sweep_s = 18e-6")
+    + "[estimation]\ndcr_window_start_s = 13e-6\ndcr_window_end_s = 18e-6\n"
+)
 
 
 @pytest.fixture
@@ -291,6 +302,17 @@ class TestEstimate:
         )
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("key,option", [("tau_s_ns", "--tau-s"), ("rate_hz", "--rate")])
+    def test_custom_needs_option_or_metadata(self, tmp_path, capsys, key, option):
+        path = tmp_path / "in.csv"
+        path.write_text(
+            "".join(ln for ln in sweep_file().splitlines(True) if not ln.startswith(f"# {key} "))
+        )
+        code, out, err = run_cli(capsys, "estimate", "--method", "custom", "--hist", path)
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert err == f"afterpulse: custom method needs {option} or {key} metadata\n"
+
 
 class TestCompare:
     def test_table_structure_and_determinism(self, tmp_path, capsys):
@@ -361,6 +383,67 @@ class TestCompare:
         )
         assert code == EXIT_OK, err
         assert len(out.read_text().strip().splitlines()) == 1 + 4
+
+    def test_folded_rows_match_estimate_on_simulated_gate_files(self, tmp_path, capsys):
+        # compare's lit run of method m at pulse energy i takes the stream
+        # (seed, m, i) and its dark run that stream's "dark" stream, at
+        # f_g / 2 for Bethune and f_g / 50 for Yuan and coincidence.  A gate
+        # file stores the dead time and the period in ns, and 200 ns reads
+        # back as 2.0000000000000002e-07 s, so a rate-normalized value may
+        # differ from compare's in-memory one in its last digit
+        seed = 11
+        config = SHORT_SWEEP.replace("afterpulse_probability = 0.10", "afterpulse_probability = 0.2")
+        path = tmp_path / "cmp.ini"
+        path.write_text(config)
+        table = tmp_path / "cmp.csv"
+        code, _, err = run_cli(
+            capsys, "compare", "--config", path, "--mu", "1,3", "--seed", seed, "--out", table
+        )
+        assert code == EXIT_OK, err
+        rows = {
+            (f[0], f[1]): f[6] for f in (ln.split(",") for ln in table.read_text().splitlines()[1:])
+        }
+        for method, gates in (("bethune", 2), ("yuan", 50), ("coincidence", 50)):
+            laser = config.replace("laser_frequency_hz = 5e4", f"laser_frequency_hz = {312.5e6 / gates!r}")
+            for i, mu in enumerate(("1.0", "3.0")):
+                lit_seed = stream(seed, method, i)
+                for name, photons, run_seed in (
+                    ("lit", mu, lit_seed),
+                    ("dark", "0.0", stream(lit_seed, "dark", 0)),
+                ):
+                    ini = tmp_path / f"{name}.ini"
+                    ini.write_text(laser.replace("mean_photons = 1.0", f"mean_photons = {photons}"))
+                    code, _, err = run_cli(
+                        capsys, "simulate", "--config", ini, "--out", tmp_path / f"{name}.csv",
+                        "--kind", "gate", "--seed", run_seed,
+                    )
+                    assert code == EXIT_OK, err
+                code, out, err = run_cli(
+                    capsys, "estimate", "--hist", tmp_path / "lit.csv", "--method", method,
+                    "--dark", tmp_path / "dark.csv",
+                )
+                assert code == EXIT_OK, err
+                header, row = out.splitlines()
+                name, value = row.split(",")
+                assert (header, name) == ("method,P_ap", method)
+                assert float(value) == pytest.approx(float(rows[(method, mu)]), rel=1e-15)
+
+    def test_estimators_are_looked_up_at_each_call(self, tmp_path, capsys, monkeypatch):
+        # a wrapper set on the cli module after import must see every call
+        calls = dict.fromkeys(("estimate_bethune", "estimate_yuan", "estimate_coincidence"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(cli, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counted)
+        path = tmp_path / "cmp.ini"
+        path.write_text(SHORT_SWEEP.replace("n_gates = 2000000", "n_gates = 1000000"))
+        code, _, err = run_cli(
+            capsys, "compare", "--config", path, "--mu", "1", "--out", tmp_path / "cmp.csv"
+        )
+        assert code == EXIT_OK, err
+        assert calls == dict.fromkeys(calls, 1)
 
 
 class TestSweepDeadtime:
@@ -638,6 +721,34 @@ class TestNonFiniteConfig:
         code, _, err = run_cli(capsys, "simulate", "--config", path, "--out", out)
         assert code == EXIT_CONFIG
         assert err == f"afterpulse: {field} must be a finite number, got {float(value)!r}\n"
+        assert not out.exists()
+
+
+class TestNonFiniteHistogramKey:
+    """A non-finite sweep or bin width is refused at load, before any run."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate"], ["compare", "--mu", "1"], ["sweep-deadtime", "--tau", "0.5e-6,1e-6"]],
+        ids=["simulate", "compare", "sweep-deadtime"],
+    )
+    @pytest.mark.parametrize("key", ["sweep_s", "bin_width_s"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_names_file_and_key(self, tmp_path, capsys, monkeypatch, argv, key, value):
+        runs = []
+        real = cli.run_simulation
+        monkeypatch.setattr(cli, "run_simulation", lambda cfg: runs.append(cfg) or real(cfg))
+        path = tmp_path / "run.ini"
+        path.write_text(f"[run]\nn_gates = 1000\nseed = 3\n[histogram]\n{key} = {value}\n")
+        out = tmp_path / "out.csv"
+        code, stdout, err = run_cli(capsys, *argv, "--config", path, "--out", out)
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert err == (
+            f"afterpulse: {path}: key '{key}' in [histogram]: "
+            f"must be a finite number, got {float(value)!r}\n"
+        )
+        assert runs == []
         assert not out.exists()
 
 

@@ -37,15 +37,23 @@ change.
 Commands run in-process through ``cli.main`` inside a temporary working
 directory and take relative paths, because ``simulate`` echoes its
 ``--out`` path and error messages name their input files.
+
+The ``--help`` page of the program and of each command, and the config
+schema, are pinned the same way.  Help text wraps at the terminal width,
+so it is taken at ``COLUMNS=80``; argparse lays it out differently from
+one Python minor version to the next, so its digests hold on Python 3.11
+only.
 """
 
 import contextlib
 import hashlib
 import io
+import sys
 from pathlib import Path
 
 import pytest
 
+from afterpulse import cli
 from afterpulse.cli import main
 
 CONFIG = """\
@@ -206,3 +214,31 @@ def test_cli_output_bytes_unchanged(case, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     record = CASES[case]()
     assert record == {name: GOLDEN[name] for name in record}
+
+
+# argv before --help -> sha256 of the help page printed at 80 columns
+HELP_GOLDEN = {
+    "": "f6d00a771be92220b832ae4b6c2750596e237971318b93450dc9b51ba58cbca7",
+    "simulate": "bbbb886a9557e8b234d4909d705e37f0faa85e7b81da71a0434bc5ae4acb0fe9",
+    "estimate": "ea2f58ddf54a3978239b1834bf2cd65cfe8241c076f113e0ce2799b257f6c284",
+    "compare": "a37bf1baf2953ee4581ec2c866cf1a89e069ff2b8a57c05943f1b16895135223",
+    "sweep-deadtime": "a04fec841acdc2accd12e98c715b35ae0f792a1f198ed243f620707c3c5526d9",
+    "fit": "5aa4e91ca62c01b7ecba98f6b2b380ff6e51a66e6a343b706f51508f76c7e697",
+}
+SCHEMA_GOLDEN = "07aa11505c28606304df5dd96dd545083dd352c0efcfb88888c19f30258cda83"
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="argparse's help layout changes between Python minor versions; "
+    "the digests are those of Python 3.11, which CI and the benchmark use",
+)
+@pytest.mark.parametrize("command", sorted(HELP_GOLDEN))
+def test_help_bytes_unchanged(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = run(*command.split(), "--help")
+    assert (code, sha(out)) == (0, HELP_GOLDEN[command])
+
+
+def test_config_schema_unchanged():
+    assert sha(repr(cli._SCHEMA)) == SCHEMA_GOLDEN

@@ -17,13 +17,7 @@ from afterpulse.estimators import (
     estimate_custom,
     estimate_yuan,
 )
-from afterpulse.histio import SweepHistogram, merge_bins
-from afterpulse.models import (
-    ModelParams,
-    first_order_forward,
-    second_order_forward,
-    simple_forward,
-)
+from afterpulse.histio import SweepHistogram
 from afterpulse.simulator import (
     DeadTimeScheme,
     SchemeKind,
@@ -31,6 +25,13 @@ from afterpulse.simulator import (
     build_sweep_histogram,
     fold_gate_histogram,
     run_simulation,
+)
+from paper_models import (
+    ModelParams,
+    first_order_forward,
+    merge_bins,
+    second_order_forward,
+    simple_forward,
 )
 
 F_G = 312.5e6

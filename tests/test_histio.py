@@ -20,10 +20,10 @@ from afterpulse.histio import (
     GateHistogram,
     HistogramFormatError,
     SweepHistogram,
-    merge_bins,
     read_histogram,
     write_histogram,
 )
+from paper_models import merge_bins
 
 
 def make_hist(bins, bin_width=10e-9, c0=100, **meta):

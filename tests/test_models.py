@@ -15,21 +15,23 @@ import pytest
 from afterpulse.models import (
     DomainError,
     ExperimentalAfterpulse,
-    ModelParams,
     NoRootError,
+    invert_first,
+    invert_second,
+    p_s_from_rate,
+    universal_p_ap,
+)
+from paper_models import (
+    ModelParams,
     ascending_branch_limit,
     exact_forward,
     first_order_forward,
     geometric_sums,
-    invert_first,
-    invert_second,
     invert_simple,
     monotone_p0_limit,
     p0_from_observed,
-    p_s_from_rate,
     second_order_forward,
     simple_forward,
-    universal_p_ap,
 )
 
 

@@ -14,11 +14,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from afterpulse.models import (
+from afterpulse.models import NoRootError, invert_second
+from paper_models import (
     ModelParams,
-    NoRootError,
     ascending_branch_limit,
-    invert_second,
     monotone_p0_limit,
     p0_from_observed,
     second_order_forward,
