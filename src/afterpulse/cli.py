@@ -32,6 +32,7 @@ from .histio import (
     GateHistogram,
     HistogramFormatError,
     SweepHistogram,
+    _meta_float,
     read_histogram,
     write_histogram,
 )
@@ -257,23 +258,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _meta_float(
-    hist: SweepHistogram | GateHistogram, key: str, path, default: float | None = None
-) -> float:
-    """A number from the histogram metadata; ``default`` when the key is absent."""
-    if default is not None and key not in hist.meta:
-        return default
-    try:
-        value = float(hist.meta[key])
-    except ValueError as exc:
-        raise DegenerateDataError(
-            f"{path}: metadata {key} = {hist.meta[key]!r} is not a number"
-        ) from exc
-    if not math.isfinite(value):
-        raise DegenerateDataError(f"{path}: metadata {key} = {value!r} is not finite")
-    return value
-
-
 def cmd_estimate(args) -> int:
     for option, value in (
         ("--tau-s", args.tau_s),
@@ -292,20 +276,18 @@ def cmd_estimate(args) -> int:
                 f"{args.hist}: the custom method needs a sweep histogram, "
                 "not a gate histogram"
             )
-        tau_s = args.tau_s
-        if tau_s is None:
-            if "tau_s_ns" not in hist.meta:
-                raise DegenerateDataError(
-                    "custom method needs --tau-s or tau_s_ns metadata"
-                )
-            tau_s = _meta_float(hist, "tau_s_ns", args.hist) * 1e-9
-        rate = args.rate
-        if rate is None:
-            if "rate_hz" not in hist.meta:
-                raise DegenerateDataError(
-                    "custom method needs --rate or rate_hz metadata"
-                )
-            rate = _meta_float(hist, "rate_hz", args.hist)
+        inputs = []
+        for option, key, value, scale in (
+            ("--tau-s", "tau_s_ns", args.tau_s, 1e-9), ("--rate", "rate_hz", args.rate, 1.0)
+        ):
+            if value is None:
+                if key not in hist.meta:
+                    raise DegenerateDataError(
+                        f"{args.hist}: custom method needs {option} or {key} metadata"
+                    )
+                value = _meta_float(hist.meta, key, args.hist) * scale
+            inputs.append(value)
+        tau_s, rate = inputs
         window = (args.window_start, args.window_end)
         measured, full = _custom_estimate(hist, rate, tau_s, window)
         print("method,p_exp,p_s,p1,p2,P_ap")
@@ -319,17 +301,13 @@ def cmd_estimate(args) -> int:
         return EXIT_OK
     lit = _gate_histogram(hist, args.hist)
     dark = _gate_histogram(read_histogram(args.dark), args.dark)
-    f_g = _meta_float(lit, "f_g_hz", args.hist, lit.f_g)
-    f_l = _meta_float(lit, "f_l_hz", args.hist, f_g / lit.gates_per_period)
-    value = _folded_estimate(args.method, lit, dark, f_g, f_l, args.ni_gate)
+    value = _folded_estimate(args.method, lit, dark, args.ni_gate)
     print("method,P_ap")
     print(f"{args.method},{value!r}")
     return EXIT_OK
 
 
-def _folded_estimate(
-    method: str, lit: GateHistogram, dark: GateHistogram, f_g: float, f_l: float, gate: int
-) -> float:
+def _folded_estimate(method: str, lit: GateHistogram, dark: GateHistogram, gate: int) -> float:
     """``P_ap`` of one folded-gate method; ``gate`` is Yuan's gate index.
 
     The estimators are looked up by name at each call, so that a wrapper
@@ -338,18 +316,19 @@ def _folded_estimate(
     if method == "bethune":
         return estimate_bethune(lit, dark)
     if method == "yuan":
-        return estimate_yuan(lit, dark, f_g, f_l, ni_gate_index=gate)
-    return estimate_coincidence(lit, dark, f_g, f_l)
+        return estimate_yuan(lit, dark, ni_gate_index=gate)
+    return estimate_coincidence(lit, dark)
 
 
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
     base = cfg.sim_config(seed=args.seed)
-    mus = args.mu
+    if not args.mu:
+        raise ConfigError("--mu must list at least one pulse energy")
     yuan_gate = cfg[("estimation", "yuan_gate_index")]
     lines = ["method,mu,p_exp,p_s,p1,p2,P_ap"]
     for method in METHODS:
-        for i, mu in enumerate(mus):
+        for i, mu in enumerate(args.mu):
             seed = stream(base.seed, method, i)
             if method == "custom":
                 trace = run_simulation(replace(base, mu=mu, seed=seed))
@@ -361,7 +340,7 @@ def cmd_compare(args) -> int:
                 fold_gate_histogram(run_simulation(replace(base, f_l=f_l, mu=m, seed=s)))
                 for m, s in ((mu, seed), (0.0, stream(seed, "dark", 0)))
             )
-            value = _folded_estimate(method, lit, dark, base.f_g, f_l, yuan_gate)
+            value = _folded_estimate(method, lit, dark, yuan_gate)
             lines.append(f"{method},{mu!r},,,,,{value!r}")
     table = "\n".join(lines) + "\n"
     Path(args.out).write_text(table, encoding="utf-8")

@@ -7,7 +7,7 @@ collected with and without illumination:
                  non-illuminated gate of each pair,
 * Yuan        -- laser at an integer sub-multiple of the gate rate;
                  afterpulse rate read from one designated gate after the
-                 illuminated one, scaled by the gate-to-laser ratio,
+                 illuminated one, scaled by the gates per laser period,
 * coincidence -- same setup, but the whole non-coincident count over a laser
                  period is used.
 
@@ -17,7 +17,8 @@ into the lumped, first-order and second-order internal afterpulse
 probabilities with the inversions of ``models``.
 
 Every method reads histograms only: ``simulator`` builds both kinds from a
-click train and ``histio`` reads them from files.
+click train and ``histio`` reads them from files.  A folded method takes its
+gate-to-laser ratio ``f_g/f_l`` from the fold's gates per period.
 """
 
 from __future__ import annotations
@@ -67,21 +68,6 @@ def _matched(lit: GateHistogram, dark: GateHistogram) -> None:
         )
 
 
-def _period_ratio(lit: GateHistogram, f_g: float, f_l: float) -> float:
-    """f_g/f_l, checked to be the histogram's whole gates per laser period."""
-    ratio = f_g / f_l
-    if abs(ratio - round(ratio)) > 1e-6:
-        raise DegenerateDataError(
-            f"f_g must be an integer multiple of f_l (f_g/f_l = {ratio!r})"
-        )
-    if lit.gates_per_period != round(ratio):
-        raise DegenerateDataError(
-            f"histogram has {lit.gates_per_period} gates per period, "
-            f"f_g/f_l = {round(ratio)}"
-        )
-    return ratio
-
-
 def estimate_bethune(lit: GateHistogram, dark: GateHistogram) -> float:
     """Afterpulse probability from a half-rate-laser two-gate histogram.
 
@@ -104,21 +90,14 @@ def estimate_bethune(lit: GateHistogram, dark: GateHistogram) -> float:
     return float((r_ni - r_dark) / r_de)
 
 
-def estimate_yuan(
-    lit: GateHistogram,
-    dark: GateHistogram,
-    f_g: float,
-    f_l: float,
-    ni_gate_index: int = 1,
-) -> float:
+def estimate_yuan(lit: GateHistogram, dark: GateHistogram, ni_gate_index: int = 1) -> float:
     """Afterpulse probability from one designated post-trigger gate.
 
-    (R_ni - R_dark) / (R_c_de - R_ni) * f_g / f_l, with R_ni the rate in the
-    gate ``ni_gate_index`` places after the illuminated gate.  Later gates
-    give smaller estimates because the afterpulse density decays with gate
-    number.
+    (R_ni - R_dark) / (R_c_de - R_ni) * m, with m = f_g/f_l the gates per
+    laser period and R_ni the rate in the gate ``ni_gate_index`` places
+    after the illuminated gate.  Later gates give smaller estimates because
+    the afterpulse density decays with gate number.
     """
-    ratio = _period_ratio(lit, f_g, f_l)
     _matched(lit, dark)
     m = lit.gates_per_period
     if not 1 <= ni_gate_index < m:
@@ -135,18 +114,16 @@ def estimate_yuan(
         raise DegenerateDataError(
             "coincident rate does not exceed the designated gate rate"
         )
-    return float((r_ni - r_dark) / (r_cde - r_ni) * ratio)
+    return float((r_ni - r_dark) / (r_cde - r_ni) * m)
 
 
-def estimate_coincidence(
-    lit: GateHistogram, dark: GateHistogram, f_g: float, f_l: float
-) -> float:
+def estimate_coincidence(lit: GateHistogram, dark: GateHistogram) -> float:
     """Afterpulse probability from all non-coincident counts per laser period.
 
-    (R_de - R_c_de - (1 - f_l/f_g) * R_dark) / R_c_de, with R_de the total
-    rate over the period and R_dark the total dark rate.
+    (R_de - R_c_de - (1 - 1/m) * R_dark) / R_c_de, with m = f_g/f_l the gates
+    per laser period, R_de the total rate over the period and R_dark the
+    total dark rate.
     """
-    _period_ratio(lit, f_g, f_l)
     _matched(lit, dark)
     ill = lit.illuminated_gate()
     r_de = lit.total_counts / lit.live_time
@@ -154,7 +131,7 @@ def estimate_coincidence(
     r_dark = dark.total_counts / dark.live_time
     if r_cde <= 0.0:
         raise DegenerateDataError("no coincident counts")
-    return float((r_de - r_cde - (1.0 - f_l / f_g) * r_dark) / r_cde)
+    return float((r_de - r_cde - (1.0 - 1.0 / lit.gates_per_period) * r_dark) / r_cde)
 
 
 def _window_bins(h: SweepHistogram, window: tuple[float, float]) -> np.ndarray:

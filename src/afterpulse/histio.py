@@ -6,17 +6,20 @@ oscilloscope exports: ``# key = value`` metadata lines (mandatory keys
 per line, fields read with ``int()``; blank lines are skipped, ``#`` lines may
 appear anywhere, and the first bad line is named.  Writing then reading is a
 bit-exact identity on the counts; the writer's own form is read in a few
-whole-file array passes, any other file line by line, with the same result.
+whole-file array passes, any other file in one pass over its lines.
 
 Gate-folded histograms share the format: ``kind = gate`` marks them, the
 period takes the place of the sweep, ``c0`` is 0, and ``gates_per_period``,
-``acquisition_gates`` and ``tau_s_ns`` carry the period structure.
+``acquisition_gates`` (integers >= 1) and ``tau_s_ns`` (>= 0, default 0) carry
+the period structure.  Optional ``f_g_hz`` and ``f_l_hz`` must give a whole
+``f_g/f_l`` equal to ``gates_per_period``; each defaults to agree with it.
+The reader checks every one of these keys, naming the file and the key.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -194,21 +197,6 @@ def _line_fault(text: str) -> str | None:
     return None
 
 
-def _records(rows: list[str]) -> np.ndarray | None:
-    """The records as ``(start, count)`` int64 pairs, or None if one is malformed."""
-    values = np.empty((len(rows), 2), dtype=np.int64)
-    for i in range(0, len(rows), _BLOCK):
-        block = rows[i : i + _BLOCK]
-        if list(map(str.count, block, repeat(","))).count(1) != len(block):
-            return None
-        fields = ",".join(block).split(",")
-        try:
-            values[i : i + _BLOCK] = np.array(fields, dtype=np.int64).reshape(-1, 2)
-        except (ValueError, OverflowError):
-            return None
-    return None if np.any(values[:, 1] < 0) else values
-
-
 def _writer_form(data: bytes) -> tuple[list[str], np.ndarray] | None:
     """Notes and records of a file in the writer's own form, else None.
 
@@ -256,15 +244,62 @@ def _line_by_line(data: bytes, path: str | Path) -> tuple[list[str], np.ndarray]
         lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise HistogramFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    stripped = list(map(str.strip, lines))
-    rows = [text for text in stripped if text and text[0] != "#"]
-    notes = [text for text in stripped if text[:1] == "#"]
-    values = _records(rows)
-    if values is None or any(map(_line_fault, notes)):
-        i = next(i for i, text in enumerate(stripped) if text and _line_fault(text))
-        fault = _line_fault(stripped[i]).format(raw=lines[i])
-        raise HistogramFormatError(f"{path}:{i + 1}: {fault}")
-    return notes, values
+    notes, rows = [], []
+    for i, raw in enumerate(lines):
+        text = raw.strip()
+        if not text:
+            continue
+        fault = _line_fault(text)
+        if fault:
+            raise HistogramFormatError(f"{path}:{i + 1}: {fault.format(raw=raw)}")
+        (notes if text[0] == "#" else rows).append(text)
+    fields = ",".join(rows).split(",") if rows else []
+    return notes, np.array(fields, dtype=np.int64).reshape(-1, 2)
+
+
+def _meta_float(meta: dict[str, str], key: str, path: str | Path) -> float:
+    """A finite number from the metadata; raises naming the file and the key."""
+    try:
+        value = float(meta[key])
+    except ValueError as exc:
+        raise DegenerateDataError(
+            f"{path}: metadata {key} = {meta[key]!r} is not a number"
+        ) from exc
+    if not math.isfinite(value):
+        raise DegenerateDataError(f"{path}: metadata {key} = {value!r} is not finite")
+    return value
+
+
+def _as_gate(hist: SweepHistogram, meta: dict[str, str], path: str | Path) -> GateHistogram:
+    """The gate histogram of a ``kind = gate`` file, its gate keys checked."""
+    counts = []
+    for key in ("gates_per_period", "acquisition_gates"):
+        if key not in meta:
+            raise DegenerateDataError(f"{path}: incomplete gate metadata: {key!r}")
+        text = meta.pop(key)
+        counts.append(int(text) if text.isdecimal() else 0)
+        if counts[-1] < 1:
+            raise DegenerateDataError(f"{path}: {key} = {text!r} is not an integer >= 1")
+    gates, acq = counts
+    tau_ns = _meta_float(meta, "tau_s_ns", path) if "tau_s_ns" in meta else 0.0
+    if tau_ns < 0.0:
+        raise DegenerateDataError(f"{path}: metadata tau_s_ns = {tau_ns!r} is negative")
+    meta.pop("tau_s_ns", None)
+    f_g = _meta_float(meta, "f_g_hz", path) if "f_g_hz" in meta else gates / hist.sweep
+    f_l = _meta_float(meta, "f_l_hz", path) if "f_l_hz" in meta else f_g / gates
+    ratio = f_g / f_l if f_l else math.inf
+    if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-6:
+        raise DegenerateDataError(
+            f"{path}: f_g must be an integer multiple of f_l (f_g/f_l = {ratio!r})"
+        )
+    if gates != round(ratio):
+        raise DegenerateDataError(
+            f"{path}: histogram has {gates} gates per period, f_g/f_l = {round(ratio)}"
+        )
+    return GateHistogram(
+        bins=hist.bins, bin_width=hist.bin_width, period=hist.sweep, gates_per_period=gates,
+        acquisition_gates=acq, tau_s=tau_ns * 1e-9, meta=meta,
+    )
 
 
 def read_histogram(path: str | Path) -> SweepHistogram | GateHistogram:
@@ -308,13 +343,4 @@ def read_histogram(path: str | Path) -> SweepHistogram | GateHistogram:
     if extra.get("kind") != "gate":
         return hist
     del extra["kind"]
-    try:
-        gates = int(extra.pop("gates_per_period"))
-        acq = int(extra.pop("acquisition_gates"))
-        tau_s = float(extra.pop("tau_s_ns", "0")) * 1e-9
-    except (KeyError, ValueError) as exc:
-        raise DegenerateDataError(f"{path}: incomplete gate metadata: {exc}") from exc
-    return GateHistogram(
-        bins=hist.bins, bin_width=hist.bin_width, period=sweep, gates_per_period=gates,
-        acquisition_gates=acq, tau_s=tau_s, meta=extra,
-    )
+    return _as_gate(hist, extra, path)

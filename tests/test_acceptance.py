@@ -89,9 +89,9 @@ def classical_pipeline(method, mu, n_gates, seed, q=0.10, scheme=HOLD_OFF):
     if method == "bethune":
         value = estimate_bethune(lit, dark)
     elif method == "yuan":
-        value = estimate_yuan(lit, dark, F_G, f_l)
+        value = estimate_yuan(lit, dark)
     else:
-        value = estimate_coincidence(lit, dark, F_G, f_l)
+        value = estimate_coincidence(lit, dark)
     return value, lit_trace
 
 

@@ -311,7 +311,7 @@ class TestEstimate:
         code, out, err = run_cli(capsys, "estimate", "--method", "custom", "--hist", path)
         assert code == EXIT_NUMERIC
         assert out == ""
-        assert err == f"afterpulse: custom method needs {option} or {key} metadata\n"
+        assert err == f"afterpulse: {path}: custom method needs {option} or {key} metadata\n"
 
 
 class TestCompare:
@@ -444,6 +444,20 @@ class TestCompare:
         )
         assert code == EXIT_OK, err
         assert calls == dict.fromkeys(calls, 1)
+
+
+    def test_empty_mu_list_rejected(self, tmp_path, capsys, monkeypatch):
+        runs = []
+        monkeypatch.setattr(cli, "run_simulation", runs.append)
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(BASE_CONFIG)
+        out = tmp_path / "cmp.csv"
+        code, stdout, err = run_cli(capsys, "compare", "--config", cfg, "--mu", ",", "--out", out)
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert "--mu" in err
+        assert runs == []
+        assert not out.exists()
 
 
 class TestSweepDeadtime:
@@ -670,6 +684,44 @@ class TestMalformedNumbers:
         assert "Traceback" not in err
 
 
+class TestGateMetadata:
+    """A gate key out of its range is refused on reading, by file and key."""
+
+    @pytest.mark.parametrize("method", ["bethune", "yuan", "coincidence"])
+    @pytest.mark.parametrize("bad_file", ["lit", "dark"])
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("tau_s_ns", "nan"), ("tau_s_ns", "inf"), ("tau_s_ns", "-200"),
+            ("acquisition_gates", "0"), ("gates_per_period", "0"),
+        ],
+    )
+    def test_names_file_and_key(self, tmp_path, capsys, method, bad_file, key, value):
+        bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+        bad.write_text(gate_file(**{key: value}))
+        good.write_text(gate_file())
+        lit, dark = (bad, good) if bad_file == "lit" else (good, bad)
+        code, out, err = run_cli(
+            capsys, "estimate", "--method", method, "--hist", lit, "--dark", dark
+        )
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert err.startswith(f"afterpulse: {bad}: ")
+        assert key in err
+
+    def test_bethune_refuses_a_laser_rate_that_contradicts_the_fold(self, tmp_path, capsys):
+        # a two-gate fold whose metadata puts 50 gates in a laser period
+        lit, dark = tmp_path / "lit.csv", tmp_path / "dark.csv"
+        lit.write_text(gate_file(f_g_hz="100000000.0", f_l_hz="2000000.0"))
+        dark.write_text(gate_file())
+        code, out, err = run_cli(
+            capsys, "estimate", "--method", "bethune", "--hist", lit, "--dark", dark
+        )
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert err == f"afterpulse: {lit}: histogram has 2 gates per period, f_g/f_l = 50\n"
+
+
 class TestNonUtf8Input:
     """A file that is not UTF-8 text is a named error, never a traceback."""
 
@@ -817,6 +869,33 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+    def test_runs_on_numpy_alone(self, tmp_path, subprocess_env):
+        # numpy is the one runtime dependency: with the test and [fast]
+        # extras blocked, every module imports and simulate and estimate run
+        import subprocess
+        import sys
+
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(SHORT_SWEEP)
+        hist = tmp_path / "h.csv"
+        script = f"""
+import importlib, pkgutil, sys
+for name in ("scipy", "hypothesis", "numba"):
+    sys.modules[name] = None
+import afterpulse
+from afterpulse.cli import main
+for info in pkgutil.iter_modules(afterpulse.__path__):
+    importlib.import_module("afterpulse." + info.name)
+assert main(["simulate", "--config", {str(cfg)!r}, "--out", {str(hist)!r}]) == 0
+assert main(["estimate", "--method", "custom", "--hist", {str(hist)!r},
+             "--window-start", "13e-6", "--window-end", "18e-6"]) == 0
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=subprocess_env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-2] == "method,p_exp,p_s,p1,p2,P_ap"
 
     def test_usage_error_exits_one(self, subprocess_env):
         import subprocess

@@ -200,6 +200,31 @@ class TestGateFiles:
         with pytest.raises(DegenerateDataError, match="incomplete gate metadata"):
             read_histogram(path)
 
+    def fifty_gate_file(self, tmp_path, f_l_hz):
+        """A 50-gate fold of the 312.5 MHz gate grid with the given laser rate."""
+        path = tmp_path / "gate.csv"
+        meta = {"f_g_hz": repr(312.5e6), "f_l_hz": repr(f_l_hz)}
+        write_histogram(GateHistogram(
+            bins=np.arange(500), bin_width=0.32e-9, period=160e-9, gates_per_period=50,
+            acquisition_gates=10**6, tau_s=0.2e-6, meta=meta,
+        ), path)
+        return path
+
+    def test_non_integer_ratio_rejected(self, tmp_path):
+        path = self.fifty_gate_file(tmp_path, 312.5e6 / 49.5)
+        with pytest.raises(DegenerateDataError, match="integer multiple") as info:
+            read_histogram(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_laser_rate_must_match_the_folded_period(self, tmp_path):
+        # a 50-gate fold with f_l = f_g/2 in its metadata is refused rather
+        # than scaled by the wrong period
+        path = self.fifty_gate_file(tmp_path, 312.5e6 / 2)
+        with pytest.raises(DegenerateDataError, match="gates per period") as info:
+            read_histogram(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert read_histogram(self.fifty_gate_file(tmp_path, 312.5e6 / 50)).gates_per_period == 50
+
 
 # ---------------------------------------------------------------------------
 # Differential checks against line-by-line reference implementations
@@ -433,10 +458,10 @@ def test_near_writer_form_matches_reference(tmp_path, text, fast):
 
 
 def test_writer_output_takes_the_whole_file_path(tmp_path, monkeypatch):
-    def no_line_by_line(rows):
-        raise AssertionError("the line-by-line record parser ran")
+    def no_line_by_line(data, path):
+        raise AssertionError("the line-by-line parser ran")
 
-    monkeypatch.setattr(histio, "_records", no_line_by_line)
+    monkeypatch.setattr(histio, "_line_by_line", no_line_by_line)
     rng = np.random.default_rng(5)
     bins = rng.integers(0, 10**6, 25_000)
     bins[-1] = 10**18 - 1
