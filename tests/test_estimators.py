@@ -17,7 +17,7 @@ from afterpulse.estimators import (
     estimate_custom,
     estimate_yuan,
 )
-from afterpulse.histio import SweepHistogram
+from afterpulse.histio import SweepHistogram, read_histogram, write_histogram
 from afterpulse.simulator import (
     DeadTimeScheme,
     SchemeKind,
@@ -156,6 +156,27 @@ class TestCoincidence:
         ]
         spread = (max(values) - min(values)) / np.mean(values)
         assert spread > 0.25
+
+
+@pytest.mark.parametrize("estimate", [estimate_yuan, estimate_coincidence])
+def test_laser_rate_must_match_the_folded_period(estimate, tmp_path):
+    # a 50-gate fold stored with f_l = f_g/2, as a wrong f_l_hz metadata entry
+    # would give it, is refused where it is read, so no estimator scales it by
+    # the wrong period; with the matching rate the read-back fold estimates
+    # exactly as the one in memory
+    lit, dark = gate_pair(F_G / 50, 1.0, 2, 5_000_000)
+    paths = []
+    for name, hist in (("lit", lit), ("dark", dark)):
+        for f_l in (F_G / 2, F_G / 50):
+            path = tmp_path / f"{name}_{round(F_G / f_l)}.csv"
+            meta = {"f_g_hz": repr(F_G), "f_l_hz": repr(f_l)}
+            write_histogram(replace(hist, meta=meta), path)
+            paths.append(path)
+    for path in paths[0::2]:
+        with pytest.raises(DegenerateDataError, match="gates per period"):
+            read_histogram(path)
+    read_lit, read_dark = (read_histogram(path) for path in paths[1::2])
+    assert estimate(read_lit, read_dark) == estimate(lit, dark)
 
 
 def make_sweep(bins, bin_width=10e-9, c0=1000):
