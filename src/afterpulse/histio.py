@@ -5,8 +5,9 @@ oscilloscope exports: ``# key = value`` metadata lines (mandatory keys
 ``bin_width_ns``, ``sweep_ns``, ``c0``) and one ``bin_start_ns,count`` record
 per line, fields read with ``int()``; blank lines are skipped, ``#`` lines may
 appear anywhere, and the first bad line is named.  Writing then reading is a
-bit-exact identity on the counts; the writer's own form is read in a few
-whole-file array passes, any other file in one pass over its lines.
+bit-exact identity on the counts.  The writer formats the records in a few
+array passes over the bins and always ends lines in ``\n``; that form is read
+in a few whole-file array passes, any other file in one pass over its lines.
 
 Gate-folded histograms share the format: ``kind = gate`` marks them, the
 period takes the place of the sweep, ``c0`` is 0, and ``gates_per_period``,
@@ -34,7 +35,6 @@ __all__ = [
 ]
 
 _MANDATORY_KEYS = ("bin_width_ns", "sweep_ns", "c0")
-_BLOCK = 512  # records formatted or parsed at once, bounding the strings held
 
 
 class HistogramFormatError(ValueError):
@@ -103,6 +103,12 @@ class GateHistogram:
         self.bins = np.asarray(self.bins, dtype=np.int64)
         if self.gates_per_period < 1:
             raise DegenerateDataError("gates_per_period must be >= 1")
+        if self.acquisition_gates < 1:
+            raise DegenerateDataError("acquisition_gates must be >= 1")
+        if not 0.0 <= self.tau_s < math.inf:
+            raise DegenerateDataError(f"tau_s must be finite and >= 0, got {self.tau_s!r}")
+        if np.any(self.bins < 0):
+            raise DegenerateDataError("negative bin count")
         if len(self.bins) % self.gates_per_period != 0:
             raise DegenerateDataError(
                 f"{len(self.bins)} bins do not resolve "
@@ -170,12 +176,34 @@ def write_histogram(h: SweepHistogram | GateHistogram, path: str | Path) -> None
         f"# c0 = {c0}",
     ]
     lines += [f"# {key} = {meta[key]}" for key in sorted(meta) if key not in _MANDATORY_KEYS]
+    if h.bins.min(initial=0) < 0:  # bins is a mutable array: checked where written
+        raise HistogramFormatError(f"negative count {h.bins.min()} in the bins")
     # rint rounds half to even, as round() does, on the same IEEE product
     starts = np.rint(np.arange(len(h.bins)) * (h.bin_width * 1e9)).astype(np.int64)
-    pairs = np.column_stack((starts, h.bins))
-    blocks = (pairs[i : i + _BLOCK] for i in range(0, len(pairs), _BLOCK))
-    records = "".join("%d,%d\n" * len(b) % tuple(b.ravel().tolist()) for b in blocks)
-    Path(path).write_text("\n".join(lines) + "\n" + records, encoding="utf-8")
+    head = "\n".join(lines) + "\n"
+    Path(path).write_bytes(head.encode("utf-8") + _format_records(starts, h.bins))
+
+
+def _format_records(starts: np.ndarray, counts: np.ndarray) -> bytes:
+    """``start,count\\n`` lines of two non-negative integer columns: a byte matrix
+    of zero-padded digits, ``,`` and ``\\n``, its leading zeros masked out."""
+    fields = []
+    for col in (starts, counts):
+        top = int(col.max(initial=0))
+        fields.append((col.astype(np.uint32) if top < 2**32 else col, len(str(top))))
+    rows = np.empty((len(starts), sum(width for _, width in fields) + 2), dtype=np.uint8)
+    keep = np.ones(rows.shape, dtype=bool)
+    last = -2  # the column of a field's last digit, right before its separator
+    for (col, width), sep in zip(reversed(fields), "\n,"):
+        rows[:, last + 1] = ord(sep)
+        for j in range(last, last - width, -1):
+            quotient = col // 10
+            rows[:, j] = col - quotient * 10 + ord("0")
+            if j != last:
+                keep[:, j] = col > 0  # a digit of the value, not a leading zero
+            col = quotient
+        last -= width + 1
+    return rows[keep].tobytes()
 
 
 def _line_fault(text: str) -> str | None:

@@ -51,6 +51,45 @@ class TestContainer:
         assert np.allclose(h.bin_starts, [0, 10e-9, 20e-9, 30e-9])
 
 
+def make_gate(bins=(3, 5), **fields):
+    """A two-gate fold; ``fields`` override its constructor arguments."""
+    args = dict(bins=bins, bin_width=1e-9, period=2e-9, gates_per_period=2,
+                acquisition_gates=1000, tau_s=0.2e-6)
+    return GateHistogram(**{**args, **fields})
+
+
+class TestGateContainer:
+    """The fold refuses what the reader refuses in a gate file."""
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"bins": [-3, 5]}, "negative bin count"),
+        ({"acquisition_gates": 0}, "acquisition_gates must be >= 1"),
+        ({"acquisition_gates": -5}, "acquisition_gates must be >= 1"),
+        ({"tau_s": float("nan")}, "tau_s must be finite and >= 0, got nan"),
+        ({"tau_s": float("inf")}, "tau_s must be finite and >= 0, got inf"),
+        ({"tau_s": -2e-7}, "tau_s must be finite and >= 0, got -2e-07"),
+        ({"bins": [-3, 5], "acquisition_gates": 0, "tau_s": float("nan")}, None),
+    ])
+    def test_refuses(self, fields, message):
+        with pytest.raises(DegenerateDataError) as info:
+            make_gate(**fields)
+        assert message is None or str(info.value) == message
+
+    def test_accepts_zero_dead_time_and_one_gate(self):
+        h = make_gate(tau_s=0.0, acquisition_gates=1, bins=[0, 0])
+        assert (h.tau_s, h.acquisition_gates, h.total_counts) == (0.0, 1, 0)
+
+
+@pytest.mark.parametrize("make", [make_hist, make_gate], ids=["sweep", "gate"])
+def test_writer_refuses_a_negative_count_set_after_construction(tmp_path, make):
+    h = make([3, 5])
+    h.bins[1] = -3
+    path = tmp_path / "neg.csv"
+    with pytest.raises(HistogramFormatError, match="^negative count -3 in the bins$"):
+        write_histogram(h, path)
+    assert not path.exists()
+
+
 class TestMergeBins:
     def test_identity(self):
         h = make_hist(np.arange(10))
@@ -497,12 +536,10 @@ def test_missing_key_matches_reference(tmp_path, missing):
     assert got == outcome(reference_read, path)
 
 
-@pytest.mark.parametrize("width_ns", [1.0, 10.0, 0.32, 1 / 30])
-@pytest.mark.parametrize("n_bins", [1, 511, 512, 513, 2500])
-def test_writer_matches_reference_formatter(tmp_path, width_ns, n_bins):
-    rng = np.random.default_rng(n_bins)
-    bins = rng.integers(0, 10**6, n_bins)
-    bins[0] = 2**63 - 1
+def writer_matches_reference(tmp_path, bins, width_ns):
+    """Write ``bins`` as a sweep and as a two-gate fold with the writer and the
+    reference formatter, and check the two files of each are byte-identical."""
+    n_bins = len(bins)
     width = width_ns * 1e-9
     sweep = SweepHistogram(bin_width=width, sweep=width * n_bins, bins=bins, c0=9, meta={"seed": "3"})
     gate = GateHistogram(
@@ -518,3 +555,53 @@ def test_writer_matches_reference_formatter(tmp_path, width_ns, n_bins):
         write_histogram(h, tmp_path / "new.csv")
         reference_write(h, tmp_path / "ref.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("width_ns", [1.0, 10.0, 0.32, 1 / 30])
+@pytest.mark.parametrize("n_bins", [1, 511, 512, 513, 2500])
+def test_writer_matches_reference_formatter(tmp_path, width_ns, n_bins):
+    rng = np.random.default_rng(n_bins)
+    bins = rng.integers(0, 10**6, n_bins)
+    bins[0] = 2**63 - 1
+    writer_matches_reference(tmp_path, bins, width_ns)
+
+
+# each count is the widest in its file, so it sets its column's digit width,
+# and the uint32 narrowing is taken or not on either side of 2**32
+EDGE_COUNTS = [9, 10, 2**32 - 1, 2**32, 10**18 - 1, 10**18, 2**63 - 1]
+EDGE_BINS = {
+    "all zero": np.zeros(300, dtype=np.int64),
+    "single zero bin": [0],
+    "single bin": [7],
+    **{f"count {c} at bin 2": [3, 0, c, 1, 0] for c in EDGE_COUNTS},
+    "every edge count": np.repeat([0] + EDGE_COUNTS, 3),
+}
+
+
+@pytest.mark.parametrize("width_ns", [1.0, 0.32])
+@pytest.mark.parametrize("bins", EDGE_BINS.values(), ids=EDGE_BINS.keys())
+def test_writer_matches_reference_formatter_at_digit_edges(tmp_path, bins, width_ns):
+    writer_matches_reference(tmp_path, np.asarray(bins, dtype=np.int64), width_ns)
+
+
+def test_writer_matches_reference_where_starts_gain_a_digit(tmp_path):
+    # 0.5 ns bins put ties at 9.5, 99.5 and 999.5 ns, where the start gains a digit
+    bins = np.arange(2002) % 11
+    writer_matches_reference(tmp_path, bins, 0.5)
+    lines = (tmp_path / "new.csv").read_text().splitlines()
+    assert {len(ln.split(",")[0]) for ln in lines if ln[0] != "#"} == {1, 2, 3, 4}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    counts=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=600),
+    width_ns=st.sampled_from([1.0, 10.0, 0.32, 1 / 30]),
+)
+def test_writer_property(tmp_path, counts, width_ns):
+    bins = np.array(counts, dtype=np.int64)
+    writer_matches_reference(tmp_path, bins, width_ns)
+    h = make_hist(bins, bin_width=width_ns * 1e-9, c0=11)
+    write_histogram(h, tmp_path / "back.csv")
+    back = read_histogram(tmp_path / "back.csv")
+    assert np.array_equal(back.bins, bins) and back.c0 == 11
