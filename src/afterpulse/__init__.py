@@ -7,7 +7,6 @@ fits), ``histio`` (sweep and gate histogram containers and their file
 format) and ``cli`` (command-line front end).
 """
 
-from ._kernels import USING_NUMBA
 from .estimators import (
     EstimateBundle,
     GateHistogram,
@@ -30,6 +29,9 @@ from .simulator import (
 )
 
 __version__ = "0.1.0"
+
+# the kernels are plain Python; perfbench records this as the run's backend
+USING_NUMBA = False
 
 __all__ = [
     "USING_NUMBA",

@@ -1,4 +1,4 @@
-"""Hot Monte Carlo kernels, numba-compiled when numba imports.
+"""Hot Monte Carlo kernels, in plain Python over numpy.
 
 The gate loop walks a sine-gated detector over ``n_gates`` gates without
 visiting every gate: stretches of gates with identical per-gate click
@@ -25,18 +25,14 @@ trap marks of successive avalanches are kept as a geometric count of
 unmarked avalanches before the next marked one: an avalanche costs a
 decrement, a trap fill one draw.
 
-Randomness comes from one xorshift64* stream, seeded by splitmix64.  The
-kernels draw it through ``_draw_uniform`` (a float in [0, 1) for the
-recovery-efficiency and other Bernoulli draws) and ``_draw_log_uniform``
-(``scale * log u`` with u in (0, 1) for the geometric gaps and the
-exponential detrap delay), from the draw state ``_draw_start`` makes of the
-seeded state.  Compiled, these are the scalar steps ``_uniform`` and
-``_log_uniform`` on the state itself.  In plain Python a scalar step costs
-several numpy scalar operations, so there the state is an iterator over
-the stream computed in numpy blocks: the shift-xor step is linear over
-GF(2)^64, and byte tables of its powers advance a whole block of states at
-once.  Each draw still takes its own ``math.log``, and both paths give the
-same numbers, so a seed's click train does not depend on the backend.
+Randomness comes from one xorshift64* stream, seeded by splitmix64 on
+Python ints masked to 64 bits.  ``_draws`` turns the seeded state into an
+iterator over the stream, computed in numpy blocks: the shift-xor step is
+linear over GF(2)^64, and byte tables of its powers advance a whole block
+of states at once.  The kernels draw from it through ``_uniform`` (a float
+in [0, 1) for the recovery-efficiency and other Bernoulli draws) and
+``_log_uniform`` (``scale * log u`` with u in (0, 1) for the geometric gaps
+and the exponential detrap delay); each draw takes its own ``math.log``.
 
 Pending trap releases sit in a min-heap (the priority queue of Gibson &
 Bruck's next-reaction method, 2000): a ``heapq`` list that always holds the
@@ -44,12 +40,6 @@ sentinel ``_FAR``, so its smallest entry is the next release, or ``_FAR``.
 Every release due at a gate is popped there at once, as one avalanche.
 The registered clicks go into an ``int64`` buffer that doubles when full,
 so no carrier or click is ever dropped.
-
-The helpers are ``register_jitable`` and the kernels ``njit`` when numba
-imports; otherwise the same source runs as plain Python.  ``gate_loop`` and
-``sweep_scan`` are bound once at import; ``gate_loop_python``,
-``gate_loop_jit`` and ``_sweep_scan_impl`` stay addressable for the
-equivalence tests.
 """
 
 from __future__ import annotations
@@ -61,73 +51,27 @@ import math
 
 import numpy as np
 
-try:
-    from numba import njit as _njit
-    from numba.extending import register_jitable as _jitable
+__all__ = ["gate_loop", "sweep_scan"]
 
-    USING_NUMBA = True
-except ImportError:  # pragma: no cover - numba is the optional [fast] extra
-    USING_NUMBA = False
-
-    def _jitable(fn):
-        return fn
-
-
-__all__ = [
-    "USING_NUMBA",
-    "gate_loop",
-    "gate_loop_python",
-    "gate_loop_jit",
-    "sweep_scan",
-]
-
-# xorshift64* / splitmix64 constants; np.uint64 because the state's
-# wraparound is the algorithm, under numba and as numpy scalars alike
-_U12 = np.uint64(12)
-_U25 = np.uint64(25)
-_U27 = np.uint64(27)
-_U30 = np.uint64(30)
-_U31 = np.uint64(31)
-_U11 = np.uint64(11)
-_UZERO = np.uint64(0)
-_MULT = np.uint64(0x2545F4914F6CDD1D)
-_SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_SM_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_SM_M2 = np.uint64(0x94D049BB133111EB)
+# xorshift64* / splitmix64 constants
+_MASK64 = (1 << 64) - 1
+_MULT = 0x2545F4914F6CDD1D
+_SM_GAMMA = 0x9E3779B97F4A7C15
+_SM_M1 = 0xBF58476D1CE4E5B9
+_SM_M2 = 0x94D049BB133111EB
 _TWO53INV = 1.0 / 9007199254740992.0  # 2**-53
-_TWO52INV = 1.0 / 4503599627370496.0  # 2**-52
 
 _FAR = 1 << 62  # gate index sentinel: no further event of this kind
 
 
-@_jitable
-def _uniform(s):
-    """One xorshift64* step: the new state and u in [0, 1) (53 bits)."""
-    s ^= s >> _U12
-    s ^= s << _U25
-    s ^= s >> _U27
-    return s, float((s * _MULT) >> _U11) * _TWO53INV
-
-
-@_jitable
-def _log_uniform(s, scale):
-    """One xorshift64* step: the new state and ``scale * log u``, u in (0, 1)."""
-    s ^= s >> _U12
-    s ^= s << _U25
-    s ^= s >> _U27
-    return s, scale * math.log((float((s * _MULT) >> _U12) + 0.5) * _TWO52INV)
-
-
-@_jitable
 def _splitmix64(x):
-    """The splitmix64 output for state ``x`` (a ``np.uint64``)."""
-    z = x + _SM_GAMMA
-    z = (z ^ (z >> _U30)) * _SM_M1
-    z = (z ^ (z >> _U27)) * _SM_M2
-    return z ^ (z >> _U31)
+    """The splitmix64 output for state ``x``, an integer below 2**64."""
+    z = (int(x) + _SM_GAMMA) & _MASK64
+    z = ((z ^ (z >> 30)) * _SM_M1) & _MASK64
+    z = ((z ^ (z >> 27)) * _SM_M2) & _MASK64
+    return z ^ (z >> 31)
 
 
-@_jitable
 def _grown(buf):
     """A buffer twice the size of ``buf`` that starts with its entries."""
     bigger = np.empty(2 * buf.shape[0], np.int64)
@@ -135,12 +79,12 @@ def _grown(buf):
     return bigger
 
 
-# The python path draws the same stream in numpy blocks.  The xorshift step
-# T is linear over GF(2)^64 (Marsaglia, 2003), so T^(2^i) advances a whole
-# block of states by 2^i steps at once, as the XOR of 8 byte-table lookups
-# per state (jump ahead, Haramoto et al., 2008).  Blocks double from 2
-# states up to 2**_BLOCK_LEVELS, so a run that draws a few numbers
-# computes a few.
+# The stream is drawn in numpy blocks.  The xorshift step T is linear over
+# GF(2)^64 (Marsaglia, 2003), so T^(2^i) advances a whole block of states
+# by 2^i steps at once, as the XOR of 8 byte-table lookups per state (jump
+# ahead, Haramoto et al., 2008).  Blocks double from 2 states up to
+# 2**_BLOCK_LEVELS, so a run that draws a few numbers computes a few.
+# uint64 arrays wrap around silently, which is the algorithm.
 _BLOCK_LEVELS = 12
 
 
@@ -169,9 +113,9 @@ def _jump(tab, states):
 def _jump_tables():
     """Byte tables of T^(2^i) for i = 0 .. _BLOCK_LEVELS, built on first use."""
     images = np.uint64(1) << np.arange(64, dtype=np.uint64)
-    images ^= images >> _U12
-    images ^= images << _U25
-    images ^= images >> _U27
+    images ^= images >> 12
+    images ^= images << 25
+    images ^= images >> 27
     tables = [_byte_tables(images)]
     for _ in range(_BLOCK_LEVELS):
         images = _jump(tables[-1], images)  # T^(2^(i+1)) is T^(2^i) twice
@@ -187,50 +131,30 @@ def _blocks(s):
         # the next len(states) states, then the len(states) after those
         ahead = _jump(tab, states)
         states = np.concatenate([ahead, _jump(tab, ahead)])
-        yield ((states * _MULT) >> _U11).tolist()
+        yield ((states * _MULT) >> 11).tolist()
     while True:
         states = _jump(jumps[-1], states)
-        yield ((states * _MULT) >> _U11).tolist()
+        yield ((states * _MULT) >> 11).tolist()
 
 
-def _block_start(s):
-    """The python path's draw state for generator state ``s``."""
+def _draws(s):
+    """The draws after generator state ``s``: each ``(s * MULT) >> 11``, 53 bits."""
     return itertools.chain.from_iterable(_blocks(s))
 
 
-def _block_uniform(st):
-    """``_uniform`` on the block stream: x * 2**-53 is exact, as x < 2**53."""
-    return st, next(st) * _TWO53INV
+def _uniform(draws):
+    """The next draw as u in [0, 1): x * 2**-53 is exact, as x < 2**53."""
+    return next(draws) * _TWO53INV
 
 
-def _block_log_uniform(st, scale):
-    """``_log_uniform`` on the block stream.
+def _log_uniform(draws, scale):
+    """``scale * log u`` for the next draw, with u = (x | 1) * 2**-53 in (0, 1).
 
-    ``((s * MULT) >> 12) + 0.5`` over 2**52 is ``(x | 1)`` over 2**53,
-    exactly, for x the block stream's ``(s * MULT) >> 11``.
+    That is ``((s * MULT) >> 12) + 0.5`` over 2**52, exactly.
     """
-    return st, scale * math.log((next(st) | 1) * _TWO53INV)
+    return scale * math.log((next(draws) | 1) * _TWO53INV)
 
 
-@_jitable
-def _same_state(s):
-    """The compiled path's draw state is the generator state itself."""
-    return s
-
-
-# the draws the kernels make: the scalar steps when compiled, the blocks
-# otherwise; both give the same numbers
-if USING_NUMBA:
-    _draw_start, _draw_uniform, _draw_log_uniform = _same_state, _uniform, _log_uniform
-else:
-    _draw_start, _draw_uniform, _draw_log_uniform = (
-        _block_start,
-        _block_uniform,
-        _block_log_uniform,
-    )
-
-
-@_jitable
 def _inv_log1m(p):
     """``1 / log(1 - p)``, the scale of geometric gaps; 0 unless 0 < p < 1."""
     if 0.0 < p < 1.0:
@@ -238,17 +162,16 @@ def _inv_log1m(p):
     return 0.0
 
 
-@_jitable
-def _binomial(s, n, p):
+def _binomial(draws, n, p):
     """One Binomial(n, p) draw, by inversion searching outwards from the mode.
 
     The mode's probability comes from ``lgamma``, so the probabilities are
     exact up to a relative rounding error of about 1e-16 * n * log(n).
     """
     if n <= 0 or p <= 0.0:
-        return s, 0
+        return 0
     if p >= 1.0:
-        return s, n
+        return n
     m = int((n + 1) * p)
     if m > n:
         m = n
@@ -257,8 +180,7 @@ def _binomial(s, n, p):
         + m * math.log(p) + (n - m) * math.log1p(-p)
     )
     odds = p / (1.0 - p)
-    s, u = _draw_uniform(s)
-    u -= f_mode
+    u = _uniform(draws) - f_mode
     lo, f_lo, hi, f_hi = m, f_mode, m, f_mode
     while u >= 0.0:
         moved = False
@@ -267,21 +189,21 @@ def _binomial(s, n, p):
             hi += 1
             u -= f_hi
             if u < 0.0:
-                return s, hi
+                return hi
             moved = True
         if lo > 0 and f_lo > 0.0:
             f_lo *= lo / ((n - lo + 1.0) * odds)
             lo -= 1
             u -= f_lo
             if u < 0.0:
-                return s, lo
+                return lo
             moved = True
         if not moved:
             break  # the pmf sum fell short of u by rounding
-    return s, m
+    return m
 
 
-def _gate_loop_impl(
+def gate_loop(
     n_gates,
     gates_per_pulse,
     p_photon,
@@ -311,10 +233,8 @@ def _gate_loop_impl(
 
     Returns (click_gates int64 array, hidden_avalanches).
     """
-    s = _splitmix64(seed)
-    if s == _UZERO:
-        s = _SM_GAMMA
-    s = _draw_start(s)
+    # xorshift's fixed point 0 gives way to the splitmix64 increment
+    draws = _draws(_splitmix64(seed) or _SM_GAMMA)
 
     n_pulses = (n_gates + gates_per_pulse - 1) // gates_per_pulse
     inv_lp_ph = _inv_log1m(p_photon)
@@ -329,7 +249,7 @@ def _gate_loop_impl(
     if q_ap >= 1.0:
         to_trap = 0
     elif q_ap > 0.0:
-        s, gap = _draw_log_uniform(s, inv_lp_q)
+        gap = _log_uniform(draws, inv_lp_q)
         to_trap = int(gap) if gap < 4.0e18 else _FAR
     # In a latch window the photon stream is thinned to its marked fires
     # (Lewis & Shedler) from the click, or from its first fire there; a
@@ -351,14 +271,14 @@ def _gate_loop_impl(
     if p_photon >= 1.0:
         next_phot = 0
     elif p_photon > 0.0:
-        s, gap = _draw_log_uniform(s, inv_lp_ph)
+        gap = _log_uniform(draws, inv_lp_ph)
         if gap < n_pulses:
             next_phot = int(gap) * gates_per_pulse
     next_dark = _FAR
     if p_dark >= 1.0:
         next_dark = 0
     elif p_dark > 0.0:
-        s, gap = _draw_log_uniform(s, inv_lp_dk)
+        gap = _log_uniform(draws, inv_lp_dk)
         if gap < n_gates:
             next_dark = int(gap)
 
@@ -408,8 +328,7 @@ def _gate_loop_impl(
                     else:
                         # a dark fire, unless an unmarked photon fire the
                         # thinned stream skipped decides the trap
-                        s, u = _draw_uniform(s)
-                        own = u >= miss_ph
+                        own = _uniform(draws) >= miss_ph
             elif phot_f:
                 # the photon stream's first fire in a window its click did
                 # not thin: thin it for the rest of the window
@@ -423,8 +342,7 @@ def _gate_loop_impl(
                 effv = 0.0
                 if tf > ramp_start:
                     effv = (tf - ramp_start) / ramp_len
-                s, u = _draw_uniform(s)
-                own = u < effv
+                own = _uniform(draws) < effv
             if own:
                 if n_clicks == clicks.shape[0]:
                     clicks = _grown(clicks)
@@ -448,7 +366,7 @@ def _gate_loop_impl(
             else:
                 trap = True
                 if q_ap < 1.0:
-                    s, gap = _draw_log_uniform(s, inv_lp_q)
+                    gap = _log_uniform(draws, inv_lp_q)
                     to_trap = int(gap) if gap < 4.0e18 else _FAR
 
         if next_rel < start:
@@ -460,35 +378,34 @@ def _gate_loop_impl(
             gap = 0.0  # to the next fire, in laser pulses
             if k < ph_stop:
                 # latch window: only the marked fires up to ph_stop
-                s, gap = _draw_log_uniform(s, inv_lp_th_ph)
+                gap = _log_uniform(draws, inv_lp_th_ph)
                 if gap >= ph_stop - k:
                     gap = (gap - (ph_stop - k)) * ratio_ph
                     k = ph_stop
             elif p_photon < 1.0:
-                s, gap = _draw_log_uniform(s, inv_lp_ph)
+                gap = _log_uniform(draws, inv_lp_ph)
             k = k + int(gap) if gap < 4.0e18 else n_pulses
             next_phot = k * gates_per_pulse if k < n_pulses else _FAR
         if dark_f:
             next_dark = start
             if p_dark < 1.0:
-                s, gap = _draw_log_uniform(s, inv_lp_dk)
+                gap = _log_uniform(draws, inv_lp_dk)
                 next_dark = start + int(gap) if gap < 4.0e18 else _FAR
             if next_dark >= n_gates:
                 next_dark = _FAR
         if trap:
-            s, delay = _draw_log_uniform(s, -detrap_gates)
+            delay = _log_uniform(draws, -detrap_gates)
             rg = e + max(1, math.ceil(delay))
             if start <= rg < n_gates:
                 heapq.heappush(rel, rg)
                 if rg < next_rel:
                     next_rel = rg
 
-    s, k = _binomial(s, skip_ph, miss_ph)
-    hidden += k
+    hidden += _binomial(draws, skip_ph, miss_ph)
     return clicks[:n_clicks].copy(), hidden
 
 
-def _sweep_scan_impl(click_gates, gates_per_pulse, sweep_gates, binw_gates, n_bins):
+def sweep_scan(click_gates, gates_per_pulse, sweep_gates, binw_gates, n_bins):
     """Emulate oscilloscope sweeps over a click train.
 
     A laser-coincident click outside any open window opens a sweep and
@@ -514,19 +431,3 @@ def _sweep_scan_impl(click_gates, gates_per_pulse, sweep_gates, binw_gates, n_bi
                 open_w = True
                 c0 += 1
     return bins, c0
-
-
-def gate_loop_python(*args):
-    """Plain-Python path; bit-identical to the jitted path."""
-    with np.errstate(over="ignore"):
-        return _gate_loop_impl(*args)
-
-
-if USING_NUMBA:
-    gate_loop_jit = _njit(cache=True)(_gate_loop_impl)
-    gate_loop = gate_loop_jit
-    sweep_scan = _njit(cache=True)(_sweep_scan_impl)
-else:
-    gate_loop_jit = None
-    gate_loop = gate_loop_python
-    sweep_scan = _sweep_scan_impl

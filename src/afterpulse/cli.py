@@ -213,10 +213,20 @@ def _gate_histogram(hist: SweepHistogram | GateHistogram, path) -> GateHistogram
 
 def _custom_estimate(
     hist: SweepHistogram, rate: float, tau_s: float, window: tuple[float, float]
-) -> tuple[EstimateBundle, EstimateBundle]:
-    """The sweep-histogram estimate and its model conversions."""
+) -> EstimateBundle:
+    """The model conversions of the sweep-histogram estimate.
+
+    Every command's custom row passes here, so a flagged estimate warns on
+    stderr whichever command prints it.
+    """
     measured = estimate_custom(hist, tau_s=tau_s, window=window)
-    return measured, derive_all(measured.p_exp, rate=rate, tau_s=tau_s)
+    if measured.negative_ap_warning:
+        print(
+            "warning: afterpulse counts negative beyond 3 sigma; "
+            "check tau_s and the baseline window",
+            file=sys.stderr,
+        )
+    return derive_all(measured.p_exp, rate=rate, tau_s=tau_s)
 
 
 def _sweep_histogram(cfg: RunConfig, trace: ClickTrace) -> SweepHistogram:
@@ -230,8 +240,7 @@ def _sweep_histogram(cfg: RunConfig, trace: ClickTrace) -> SweepHistogram:
 def _simulated_custom(cfg: RunConfig, trace: ClickTrace) -> EstimateBundle:
     """The model conversions of a finished run's configured sweep histogram."""
     hist = _sweep_histogram(cfg, trace)
-    _, full = _custom_estimate(hist, trace.rate, trace.config.scheme.tau_s, cfg.dcr_window())
-    return full
+    return _custom_estimate(hist, trace.rate, trace.config.scheme.tau_s, cfg.dcr_window())
 
 
 def _bundle_fields(bundle: EstimateBundle) -> str:
@@ -288,16 +297,9 @@ def cmd_estimate(args) -> int:
                 value = _meta_float(hist.meta, key, args.hist) * scale
             inputs.append(value)
         tau_s, rate = inputs
-        window = (args.window_start, args.window_end)
-        measured, full = _custom_estimate(hist, rate, tau_s, window)
+        full = _custom_estimate(hist, rate, tau_s, (args.window_start, args.window_end))
         print("method,p_exp,p_s,p1,p2,P_ap")
         print("custom," + _bundle_fields(full))
-        if measured.negative_ap_warning:
-            print(
-                "warning: afterpulse counts negative beyond 3 sigma; "
-                "check tau_s and the baseline window",
-                file=sys.stderr,
-            )
         return EXIT_OK
     lit = _gate_histogram(hist, args.hist)
     dark = _gate_histogram(read_histogram(args.dark), args.dark)

@@ -61,8 +61,11 @@ class SweepHistogram:
 
     def __post_init__(self) -> None:
         self.bins = np.asarray(self.bins, dtype=np.int64)
-        if self.bin_width <= 0 or self.sweep <= 0:
-            raise HistogramFormatError("bin_width and sweep must be positive")
+        if not (0.0 < self.bin_width < math.inf and 0.0 < self.sweep < math.inf):
+            raise HistogramFormatError(
+                f"bin_width and sweep must be finite and positive, "
+                f"got {self.bin_width!r} and {self.sweep!r}"
+            )
         if self.bins.ndim != 1 or len(self.bins) == 0:
             raise HistogramFormatError("bins must be a non-empty 1-d array")
         if abs(len(self.bins) * self.bin_width - self.sweep) > self.bin_width:
@@ -107,6 +110,11 @@ class GateHistogram:
             raise DegenerateDataError("acquisition_gates must be >= 1")
         if not 0.0 <= self.tau_s < math.inf:
             raise DegenerateDataError(f"tau_s must be finite and >= 0, got {self.tau_s!r}")
+        if not (0.0 < self.bin_width < math.inf and 0.0 < self.period < math.inf):
+            raise DegenerateDataError(
+                f"bin_width and period must be finite and positive, "
+                f"got {self.bin_width!r} and {self.period!r}"
+            )
         if np.any(self.bins < 0):
             raise DegenerateDataError("negative bin count")
         if len(self.bins) % self.gates_per_period != 0:

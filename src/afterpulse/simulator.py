@@ -15,7 +15,8 @@ detector, producing afterpulses.  Two dead-time circuits are modelled:
   ``tau_er`` after the bias is restored, optionally as a linear ramp.
 
 Events are resolved on the gate grid; trap-release instants are continuous
-but take effect at the next gate.  The kernel (``_kernels``) skips the gates
+but take effect at the next gate.  The one kernel (``_kernels``, plain
+Python drawing one xorshift64* stream in numpy blocks) skips the gates
 where nothing can change, and skips dead windows exactly: an active-reset
 hold-off is jumped over, with the carriers released inside it lost, and a
 latch window visits only the photon fires that fill a trap, the dark fires
@@ -214,11 +215,8 @@ def stream(seed: int, purpose: str, index: int) -> int:
     al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11).
     """
     digest = hashlib.blake2b(purpose.encode("utf-8"), digest_size=8).digest()
-    key = np.uint64(int.from_bytes(digest, "little"))
-    with np.errstate(over="ignore"):
-        x = _kernels._splitmix64(np.uint64(seed) ^ key)
-        x = _kernels._splitmix64(x ^ np.uint64(index))
-    return int(x >> np.uint64(1))
+    x = _kernels._splitmix64(seed ^ int.from_bytes(digest, "little"))
+    return _kernels._splitmix64(x ^ index) >> 1
 
 
 def _span_gates(span: float, f_g: float) -> int:
@@ -243,7 +241,7 @@ def gate_loop_args(cfg: SimConfig) -> tuple:
         _span_gates(scheme.tau_s, cfg.f_g),
         scheme.tau_c * cfg.f_g,
         scheme.tau_er * cfg.f_g if ramped else 0.0,
-        np.uint64(cfg.seed),
+        cfg.seed,
     )
 
 

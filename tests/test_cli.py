@@ -844,6 +844,54 @@ class TestNonFiniteEstimationInput:
         assert err == f"afterpulse: {path}: metadata {key} = nan is not finite\n"
 
 
+NEGATIVE_AP_WARNING = (
+    "warning: afterpulse counts negative beyond 3 sigma; check tau_s and the baseline window\n"
+)
+
+
+class TestNegativeAfterpulseWarning:
+    """A flagged custom estimate warns on stderr under every command that prints one."""
+
+    def test_estimate(self, tmp_path, capsys):
+        # a baseline window of 100 counts a bin after 20 empty bins: the
+        # dark-subtracted afterpulse sum is far below zero
+        path = tmp_path / "in.csv"
+        bins = "".join(f"{10 * i},{100 if i >= 20 else 0}\n" for i in range(30))
+        path.write_text(sweep_file(sweep_ns="300").replace("0,1\n10,2\n20,0\n", bins))
+        code, out, err = run_cli(
+            capsys, "estimate", "--method", "custom", "--hist", path,
+            "--window-start", "200e-9", "--window-end", "300e-9",
+        )
+        assert code == EXIT_OK
+        assert out.startswith("method,p_exp,p_s,p1,p2,P_ap\ncustom,")
+        assert err == NEGATIVE_AP_WARNING
+
+    @pytest.mark.parametrize("argv,rows", [
+        (["compare", "--mu", "0.5,1"], 2),
+        (["sweep-deadtime", "--tau", "0.5e-6,1e-6,2e-6", "--scheme", "lt-ar"], 3),
+    ], ids=["compare", "sweep-deadtime"])
+    def test_flagged_rows_warn_and_print_the_same(self, tmp_path, capsys, monkeypatch,
+                                                  argv, rows):
+        cfg = tmp_path / "small.ini"
+        cfg.write_text(BASE_CONFIG.replace("n_gates = 50000000", "n_gates = 10000000"))
+        out = tmp_path / "out.csv"
+        command = [*argv, "--config", cfg, "--out", out]
+        code, plain_out, plain_err = run_cli(capsys, *command)
+        assert code == EXIT_OK, plain_err
+        plain_file = out.read_bytes()
+
+        estimate = cli.estimate_custom
+        monkeypatch.setattr(
+            cli, "estimate_custom",
+            lambda *a, **kw: replace(estimate(*a, **kw), negative_ap_warning=True),
+        )
+        code, flagged_out, flagged_err = run_cli(capsys, *command)
+        assert code == EXIT_OK
+        assert (flagged_out, out.read_bytes()) == (plain_out, plain_file)
+        assert flagged_err.count(NEGATIVE_AP_WARNING) == rows
+        assert flagged_err.replace(NEGATIVE_AP_WARNING, "") == plain_err
+
+
 class TestEntryPoint:
     def test_console_script_runs_without_numba(self, tmp_path, subprocess_env):
         import subprocess
@@ -871,17 +919,24 @@ class TestEntryPoint:
         assert out.exists()
 
     def test_runs_on_numpy_alone(self, tmp_path, subprocess_env):
-        # numpy is the one runtime dependency: with the test and [fast]
-        # extras blocked, every module imports and simulate and estimate run
+        # numpy is the one runtime dependency: with the test extras blocked
+        # and a numba whose import fails, every module imports and simulate
+        # and estimate run
         import subprocess
         import sys
 
         cfg = tmp_path / "run.ini"
         cfg.write_text(SHORT_SWEEP)
         hist = tmp_path / "h.csv"
+        stubs = tmp_path / "stubs"
+        (stubs / "numba").mkdir(parents=True)
+        (stubs / "numba" / "__init__.py").write_text(
+            'raise RuntimeError("numba was imported")\n'
+        )
         script = f"""
 import importlib, pkgutil, sys
-for name in ("scipy", "hypothesis", "numba"):
+sys.path.insert(0, {str(stubs)!r})
+for name in ("scipy", "hypothesis"):
     sys.modules[name] = None
 import afterpulse
 from afterpulse.cli import main

@@ -1,11 +1,10 @@
 """Byte-identity guard for the command-line interface.
 
 Small seeded runs of every command, with each command's stdout, its
-``--out`` file and its exit code pinned by sha256.  The digests were
-recorded on the pure-numpy kernel path; the numba path consumes the same
-random stream, so they hold there too.  A refactor that keeps behaviour
-keeps every digest; a deliberate change of the random stream (such as a
-new gate-loop algorithm) re-records them on purpose.
+``--out`` file and its exit code pinned by sha256, on the one plain-Python
+kernel.  A refactor that keeps behaviour keeps every digest; a deliberate
+change of the random stream (such as a new gate-loop algorithm) re-records
+them on purpose.
 
 The four entries that print ``p2`` (``estimate-custom``, ``compare-lt``,
 ``compare-lt-ar`` and ``sweep-deadtime``) were re-recorded when the

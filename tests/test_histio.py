@@ -26,6 +26,9 @@ from afterpulse.histio import (
 from paper_models import merge_bins
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 def make_hist(bins, bin_width=10e-9, c0=100, **meta):
     bins = np.asarray(bins, dtype=np.int64)
     return SweepHistogram(
@@ -49,6 +52,17 @@ class TestContainer:
     def test_bin_starts(self):
         h = make_hist([0, 0, 0, 0])
         assert np.allclose(h.bin_starts, [0, 10e-9, 20e-9, 30e-9])
+
+    @pytest.mark.parametrize("bin_width,sweep", [
+        (NAN, NAN), (NAN, 1e-9), (1e-9, NAN), (INF, INF), (INF, 1e-9), (0.0, 1e-9),
+    ])
+    def test_refuses_a_width_or_sweep_that_is_not_finite_and_positive(self, bin_width, sweep):
+        with pytest.raises(HistogramFormatError) as info:
+            SweepHistogram(bin_width=bin_width, sweep=sweep, bins=[1], c0=0)
+        assert str(info.value) == (
+            f"bin_width and sweep must be finite and positive, "
+            f"got {bin_width!r} and {sweep!r}"
+        )
 
 
 def make_gate(bins=(3, 5), **fields):
@@ -74,6 +88,17 @@ class TestGateContainer:
         with pytest.raises(DegenerateDataError) as info:
             make_gate(**fields)
         assert message is None or str(info.value) == message
+
+    @pytest.mark.parametrize("bin_width,period", [
+        (NAN, NAN), (NAN, 2e-9), (1e-9, NAN), (INF, 2e-9), (INF, INF), (-1e-9, 2e-9),
+    ])
+    def test_refuses_a_width_or_period_that_is_not_finite_and_positive(self, bin_width, period):
+        with pytest.raises(DegenerateDataError) as info:
+            make_gate(bin_width=bin_width, period=period)
+        assert str(info.value) == (
+            f"bin_width and period must be finite and positive, "
+            f"got {bin_width!r} and {period!r}"
+        )
 
     def test_accepts_zero_dead_time_and_one_gate(self):
         h = make_gate(tau_s=0.0, acquisition_gates=1, bins=[0, 0])

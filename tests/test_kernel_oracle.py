@@ -1,7 +1,7 @@
 """The gate-loop kernel against a brute-force reference simulator.
 
 ``reference_gate_loop`` walks every gate of the grid and applies the
-per-gate semantics of ``_kernels._gate_loop_impl`` literally, drawing from
+per-gate semantics of ``_kernels.gate_loop`` literally, drawing from
 ``numpy.random.Generator``: at each gate the laser-aligned photon source,
 the dark source and any trap releases due there make at most one
 avalanche.  An armed gate (at least ``dead_gates`` after the last click)

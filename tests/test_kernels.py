@@ -1,8 +1,9 @@
-"""Kernel tests: pinned click trains, the jitted and plain-Python paths agree,
-and the helpers hold."""
+"""Kernel tests: pinned click trains, the block stream against a scalar
+reference, and the helpers."""
 
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -10,8 +11,6 @@ from scipy import stats
 
 from afterpulse import _kernels
 from afterpulse.simulator import DeadTimeScheme, SchemeKind, SimConfig, gate_loop_args
-
-needs_numba = pytest.mark.skipif(not _kernels.USING_NUMBA, reason="numba unavailable")
 
 
 CONFIGS = [
@@ -106,31 +105,10 @@ DIGESTS = {
 }
 
 
-@needs_numba
-@pytest.mark.parametrize("cfg", CONFIGS, ids=IDS)
-def test_jit_and_python_paths_bit_identical(cfg):
-    args = gate_loop_args(cfg)
-    clicks_j, hidden_j = _kernels.gate_loop_jit(*args)
-    clicks_p, hidden_p = _kernels.gate_loop_python(*args)
-    assert np.array_equal(clicks_j, clicks_p)
-    assert hidden_j == hidden_p
-
-
-@needs_numba
-def test_sweep_scan_paths_agree():
-    cfg = CONFIGS[0]
-    clicks, _ = _kernels.gate_loop(*gate_loop_args(cfg))
-    args = (clicks, cfg.gates_per_pulse, 25e-6 * cfg.f_g, 10e-9 * cfg.f_g, 2500)
-    bins_j, c0_j = _kernels.sweep_scan(*args)
-    bins_p, c0_p = _kernels._sweep_scan_impl(*args)
-    assert np.array_equal(bins_j, bins_p)
-    assert c0_j == c0_p
-
-
 def test_python_path_deterministic():
     args = gate_loop_args(CONFIGS[0])
-    out1 = _kernels.gate_loop_python(*args)
-    out2 = _kernels.gate_loop_python(*args)
+    out1 = _kernels.gate_loop(*args)
+    out2 = _kernels.gate_loop(*args)
     assert np.array_equal(out1[0], out2[0])
 
 
@@ -149,7 +127,7 @@ def test_releases_on_one_gate_make_one_avalanche():
         p_ap_internal=1.0,
         tau_detrap=2 / 312.5e6,
     )
-    clicks, hidden = _kernels.gate_loop_python(*gate_loop_args(cfg))
+    clicks, hidden = _kernels.gate_loop(*gate_loop_args(cfg))
     assert hidden == 0
     assert np.all(np.diff(clicks) > 0)
     # every laser gate clicks, and so does about every other gate
@@ -159,12 +137,8 @@ def test_releases_on_one_gate_make_one_avalanche():
 
 @pytest.mark.parametrize("n,p", [(7, 0.5), (100_000, 0.3), (10**9, 3e-7)])
 def test_binomial_draws_follow_the_binomial(n, p):
-    draws = []
-    with np.errstate(over="ignore"):  # the generator's state wraps around
-        s = _kernels._draw_start(_kernels._splitmix64(np.uint64(7)))
-        for _ in range(2000):
-            s, x = _kernels._binomial(s, n, p)
-            draws.append(x)
+    stream = _kernels._draws(_kernels._splitmix64(7))
+    draws = [_kernels._binomial(stream, n, p) for _ in range(2000)]
     # classes at the binomial's own quantiles
     edges = np.unique(stats.binom.ppf(np.linspace(0.05, 0.95, 10), n, p))
     observed = np.bincount(np.searchsorted(edges, draws), minlength=edges.size + 1)
@@ -181,38 +155,52 @@ def _digest(clicks, hidden):
 def test_pinned_configs_cover_the_edge_cases():
     assert PINNED["p-photon-1"].p_photon == 1.0
     assert PINNED["laser-every-gate"].gates_per_pulse == 1
-    with np.errstate(over="ignore"):
-        assert _kernels._splitmix64(np.uint64(ZERO_STATE_SEED)) == 0
+    assert _kernels._splitmix64(ZERO_STATE_SEED) == 0
 
 
 @pytest.mark.parametrize("name", list(PINNED))
 def test_gate_loop_output_is_pinned(name):
-    # the bound kernel, so that each backend is held to the same streams
     clicks, hidden = _kernels.gate_loop(*gate_loop_args(PINNED[name]))
     assert clicks.dtype == np.int64
     assert _digest(clicks, hidden) == DIGESTS[name]
 
 
 def test_block_stream_draws_the_scalar_stream():
-    # the doubling start-up (blocks of 2, 4, ... states) and then three
-    # full blocks and a few draws of a fourth, so three full-block edges
+    # the scalar xorshift64* steps, on Python ints, against the block
+    # stream: the doubling start-up (blocks of 2, 4, ... states) and then
+    # three full blocks and a few draws of a fourth, so three full-block edges
+    mask = (1 << 64) - 1
+
+    def step(s):
+        s ^= s >> 12
+        s = (s ^ (s << 25)) & mask
+        s ^= s >> 27
+        return s, (s * 0x2545F4914F6CDD1D) & mask
+
+    def uniform(s):
+        s, x = step(s)
+        return s, float(x >> 11) * 2.0**-53
+
+    def log_uniform(s, scale):
+        s, x = step(s)
+        return s, scale * math.log((float(x >> 12) + 0.5) * 2.0**-52)
+
     cap = 2**_kernels._BLOCK_LEVELS
     n_draws = (2 * cap - 2) + 3 * cap + 5
     scales = (-1.0, -3.7e3)
     scalar, block = [], []
-    with np.errstate(over="ignore"):  # the generator's state wraps around
-        s = _kernels._splitmix64(np.uint64(2024))
-        st = _kernels._block_start(s)
-        for k in range(n_draws):
-            kind = k % 3
-            if kind == 0:
-                s, a = _kernels._uniform(s)
-                st, b = _kernels._block_uniform(st)
-            else:
-                s, a = _kernels._log_uniform(s, scales[kind - 1])
-                st, b = _kernels._block_log_uniform(st, scales[kind - 1])
-            scalar.append(a)
-            block.append(b)
+    s = _kernels._splitmix64(2024)
+    draws = _kernels._draws(s)
+    for k in range(n_draws):
+        kind = k % 3
+        if kind == 0:
+            s, a = uniform(s)
+            b = _kernels._uniform(draws)
+        else:
+            s, a = log_uniform(s, scales[kind - 1])
+            b = _kernels._log_uniform(draws, scales[kind - 1])
+        scalar.append(a)
+        block.append(b)
     scalar, block = np.array(scalar), np.array(block)
     assert np.array_equal(scalar, block)
     assert np.all((scalar[0::3] >= 0.0) & (scalar[0::3] < 1.0))
