@@ -10,7 +10,14 @@ import pytest
 from scipy import stats
 
 from afterpulse import _kernels
-from afterpulse.simulator import DeadTimeScheme, SchemeKind, SimConfig, gate_loop_args
+from afterpulse.simulator import (
+    DeadTimeScheme,
+    SchemeKind,
+    SimConfig,
+    build_sweep_histogram,
+    gate_loop_args,
+    run_simulation,
+)
 
 
 CONFIGS = [
@@ -89,6 +96,18 @@ PINNED = {
     ),
     "no-dark": dataclasses.replace(CONFIGS[2], dcr_per_gate=0.0),
     "zero-state-seed": dataclasses.replace(CONFIGS[3], seed=ZERO_STATE_SEED),
+    # deadtime-sweep's regime: a 10 kHz laser under active reset, with laser
+    # clicks a period apart, four sweeps
+    "lt-ar-10khz": SimConfig(
+        scheme=DeadTimeScheme(SchemeKind.LT_AR, tau_l=0.5e-6, tau_c=0.5e-6),
+        n_gates=250_000_000,
+        seed=16,
+        f_l=1e4,
+        mu=2.0,
+        dcr_per_gate=3.2e-7,
+        p_ap_internal=0.1,
+        tau_detrap=1e-6,
+    ),
 }
 DIGESTS = {
     "lt": "df2d9066313dff3c6647aa61c28b0bb72e83dd2fc823c883112440b98f89a3d9",
@@ -102,7 +121,11 @@ DIGESTS = {
     "laser-every-gate": "3cb98a4be3a5f45854b5849805de110a6e59b3e59e4308c52667c185d85bcf5e",
     "no-dark": "8fed771ace66b87b07a7f55c2c20f9ebe92c9731c1698a8c630477ff5cac9744",
     "zero-state-seed": "8af42702b47d9b3ee73c46eabdbb257dd444f322d790f205a203cf4222226f67",
+    "lt-ar-10khz": "0a0296a21df01d22b796763b1672f5a2016841d37f5381760ad6a3ec6af61174",
 }
+# the sha256 of the "lt-ar-10khz" run's sweep histogram (the CLI's 25 us
+# sweep in 10 ns bins): its bins' bytes followed by c0 in decimal
+SWEEP_DIGEST = "85be85eb864bc1296b357096cf3a59cc8900a61f87ba5182bbd5a979a8eecde5"
 
 
 def test_python_path_deterministic():
@@ -163,6 +186,12 @@ def test_gate_loop_output_is_pinned(name):
     clicks, hidden = _kernels.gate_loop(*gate_loop_args(PINNED[name]))
     assert clicks.dtype == np.int64
     assert _digest(clicks, hidden) == DIGESTS[name]
+
+
+def test_sweep_histogram_is_pinned():
+    hist = build_sweep_histogram(run_simulation(PINNED["lt-ar-10khz"]), 25e-6, 10e-9)
+    assert hist.bins.dtype == np.int64
+    assert _digest(hist.bins, hist.c0) == SWEEP_DIGEST
 
 
 def test_block_stream_draws_the_scalar_stream():
