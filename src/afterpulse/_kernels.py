@@ -29,10 +29,16 @@ Randomness comes from one xorshift64* stream, seeded by splitmix64 on
 Python ints masked to 64 bits.  ``_draws`` turns the seeded state into an
 iterator over the stream, computed in numpy blocks: the shift-xor step is
 linear over GF(2)^64, and byte tables of its powers advance a whole block
-of states at once.  The kernels draw from it through ``_uniform`` (a float
-in [0, 1) for the recovery-efficiency and other Bernoulli draws) and
-``_log_uniform`` (``scale * log u`` with u in (0, 1) for the geometric gaps
-and the exponential detrap delay); each draw takes its own ``math.log``.
+of states at once.  Each draw comes as a pair: a float u in [0, 1) for the
+recovery-efficiency and other Bernoulli draws (``_uniform``), and the log
+of a u' in (0, 1) for the geometric gaps and the exponential detrap delay
+(``_log_uniform`` scales it).  The u and u' of a block are computed in
+numpy, and the logs are libm's ``math.log`` mapped over the block, so they
+do not depend on numpy's vectorised log.
+
+``sweep_scan`` folds a click train into oscilloscope sweeps in numpy: the
+triggers are found as a chain by pointer doubling, and every click is
+binned against its trigger at once.
 
 Pending trap releases sit in a min-heap (the priority queue of Gibson &
 Bruck's next-reaction method, 2000): a ``heapq`` list that always holds the
@@ -123,36 +129,49 @@ def _jump_tables():
     return tables
 
 
+def _draw_pairs(states):
+    """The draws of a block of states, as ``(u, log u')`` pairs.
+
+    Each draw x = (s * MULT) >> 11 has 53 bits, so u = x * 2**-53 in [0, 1)
+    and u' = (x | 1) * 2**-53 in (0, 1) are exact.  The logs are libm's, one
+    per pair as it is drawn.
+    """
+    x = (states * _MULT) >> 11
+    u = x * _TWO53INV
+    x |= 1
+    return zip(u.tolist(), map(math.log, (x * _TWO53INV).tolist()))
+
+
 def _blocks(s):
-    """The stream after state ``s`` in blocks: lists of ``(s * MULT) >> 11``."""
+    """The stream after state ``s`` in blocks of ``(u, log u')`` pairs."""
     jumps = _jump_tables()
     states = np.array([s], np.uint64)
     for tab in jumps[:-1]:
         # the next len(states) states, then the len(states) after those
         ahead = _jump(tab, states)
         states = np.concatenate([ahead, _jump(tab, ahead)])
-        yield ((states * _MULT) >> 11).tolist()
+        yield _draw_pairs(states)
     while True:
         states = _jump(jumps[-1], states)
-        yield ((states * _MULT) >> 11).tolist()
+        yield _draw_pairs(states)
 
 
 def _draws(s):
-    """The draws after generator state ``s``: each ``(s * MULT) >> 11``, 53 bits."""
+    """The draws after generator state ``s``, as ``(u, log u')`` pairs."""
     return itertools.chain.from_iterable(_blocks(s))
 
 
 def _uniform(draws):
-    """The next draw as u in [0, 1): x * 2**-53 is exact, as x < 2**53."""
-    return next(draws) * _TWO53INV
+    """The next draw's u in [0, 1)."""
+    return next(draws)[0]
 
 
 def _log_uniform(draws, scale):
-    """``scale * log u`` for the next draw, with u = (x | 1) * 2**-53 in (0, 1).
+    """``scale * log u'`` for the next draw, with u' in (0, 1).
 
-    That is ``((s * MULT) >> 12) + 0.5`` over 2**52, exactly.
+    u' = (x | 1) * 2**-53 is ``((s * MULT) >> 12) + 0.5`` over 2**52, exactly.
     """
-    return scale * math.log((next(draws) | 1) * _TWO53INV)
+    return scale * next(draws)[1]
 
 
 def _inv_log1m(p):
@@ -297,6 +316,8 @@ def gate_loop(
     skip_ph = 0  # laser gates of latch windows the thinned stream skipped
     hidden = 0
 
+    # the loop takes its draws inline, a call fewer each: next(draws)[0] is
+    # _uniform(draws), and scale * next(draws)[1] is _log_uniform(draws, scale)
     while True:
         e = next_phot
         if next_dark < e:
@@ -328,7 +349,7 @@ def gate_loop(
                     else:
                         # a dark fire, unless an unmarked photon fire the
                         # thinned stream skipped decides the trap
-                        own = _uniform(draws) >= miss_ph
+                        own = next(draws)[0] >= miss_ph
             elif phot_f:
                 # the photon stream's first fire in a window its click did
                 # not thin: thin it for the rest of the window
@@ -342,7 +363,7 @@ def gate_loop(
                 effv = 0.0
                 if tf > ramp_start:
                     effv = (tf - ramp_start) / ramp_len
-                own = _uniform(draws) < effv
+                own = next(draws)[0] < effv
             if own:
                 if n_clicks == clicks.shape[0]:
                     clicks = _grown(clicks)
@@ -366,7 +387,7 @@ def gate_loop(
             else:
                 trap = True
                 if q_ap < 1.0:
-                    gap = _log_uniform(draws, inv_lp_q)
+                    gap = inv_lp_q * next(draws)[1]
                     to_trap = int(gap) if gap < 4.0e18 else _FAR
 
         if next_rel < start:
@@ -378,23 +399,23 @@ def gate_loop(
             gap = 0.0  # to the next fire, in laser pulses
             if k < ph_stop:
                 # latch window: only the marked fires up to ph_stop
-                gap = _log_uniform(draws, inv_lp_th_ph)
+                gap = inv_lp_th_ph * next(draws)[1]
                 if gap >= ph_stop - k:
                     gap = (gap - (ph_stop - k)) * ratio_ph
                     k = ph_stop
             elif p_photon < 1.0:
-                gap = _log_uniform(draws, inv_lp_ph)
+                gap = inv_lp_ph * next(draws)[1]
             k = k + int(gap) if gap < 4.0e18 else n_pulses
             next_phot = k * gates_per_pulse if k < n_pulses else _FAR
         if dark_f:
             next_dark = start
             if p_dark < 1.0:
-                gap = _log_uniform(draws, inv_lp_dk)
+                gap = inv_lp_dk * next(draws)[1]
                 next_dark = start + int(gap) if gap < 4.0e18 else _FAR
             if next_dark >= n_gates:
                 next_dark = _FAR
         if trap:
-            delay = _log_uniform(draws, -detrap_gates)
+            delay = -detrap_gates * next(draws)[1]
             rg = e + max(1, math.ceil(delay))
             if start <= rg < n_gates:
                 heapq.heappush(rel, rg)
@@ -405,29 +426,48 @@ def gate_loop(
     return clicks[:n_clicks].copy(), hidden
 
 
+def _trigger_chain(laser, sweep_gates):
+    """Indices of the trigger chain in ``laser``, a sorted array of gates.
+
+    The chain starts at the first entry, and each link is the first entry at
+    least ``sweep_gates`` after the one before.  Pointer doubling: with
+    ``ptr`` the link map applied ``len(chain)`` times, ``ptr[chain]`` is the
+    next ``len(chain)`` links, so the chain doubles in each O(n) pass.
+    """
+    m = laser.size
+    ptr = np.append(np.searchsorted(laser, laser + sweep_gates), m)  # m: no link
+    chain = np.zeros(1, np.intp)
+    while True:
+        ahead = ptr[chain]
+        if ahead[-1] == m:
+            return np.concatenate([chain, ahead[ahead < m]])
+        chain = np.concatenate([chain, ahead])
+        ptr = ptr[ptr]
+
+
 def sweep_scan(click_gates, gates_per_pulse, sweep_gates, binw_gates, n_bins):
     """Emulate oscilloscope sweeps over a click train.
 
-    A laser-coincident click outside any open window opens a sweep and
-    increments the trigger count; every later click less than
-    ``sweep_gates`` after the trigger is binned at its offset.  Windows
-    never overlap.
+    The triggers are a chain of laser-coincident clicks: the first one, then
+    each time the first one at least ``sweep_gates`` after the last trigger.
+    Every other click less than ``sweep_gates`` after the last trigger
+    before it is binned at its offset over ``binw_gates``, truncated, with
+    any overshoot in the last of ``n_bins`` bins; a click exactly
+    ``sweep_gates`` after a trigger is outside its window.  Windows never
+    overlap.
+
+    Returns (bins int64 array, trigger count).
     """
-    bins = np.zeros(n_bins, np.int64)
-    c0 = 0
-    trig = -1
-    open_w = False
-    for i in range(click_gates.shape[0]):
-        g = click_gates[i]
-        if open_w and g - trig < sweep_gates:
-            idx = int((g - trig) / binw_gates)
-            if idx >= n_bins:
-                idx = n_bins - 1
-            bins[idx] += 1
-        else:
-            open_w = False
-            if g % gates_per_pulse == 0:
-                trig = g
-                open_w = True
-                c0 += 1
-    return bins, c0
+    trig = click_gates[click_gates % gates_per_pulse == 0]
+    if trig.size == 0:
+        return np.zeros(n_bins, np.int64), 0
+    # when laser clicks are a sweep apart, as at a slow laser, each triggers
+    if trig.size > 1 and np.diff(trig).min() < sweep_gates:
+        trig = trig[_trigger_chain(trig, sweep_gates)]
+    # each click's offset from the last trigger at or before it; a click
+    # before the first trigger meets the last one (index -1), behind it
+    off = click_gates - trig[np.searchsorted(trig, click_gates, "right") - 1]
+    off = off[(off > 0) & (off < sweep_gates)]
+    idx = (off / binw_gates).astype(np.int64)
+    np.minimum(idx, n_bins - 1, out=idx)
+    return np.bincount(idx, minlength=n_bins).astype(np.int64, copy=False), trig.size

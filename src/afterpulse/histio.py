@@ -357,13 +357,15 @@ def read_histogram(path: str | Path) -> SweepHistogram | GateHistogram:
 
     try:
         width_ns = float(meta["bin_width_ns"])
-        sweep = float(meta["sweep_ns"]) * 1e-9
+        sweep_ns = float(meta["sweep_ns"])
         c0 = int(meta["c0"])
     except ValueError as exc:
         raise HistogramFormatError(f"{path}: malformed mandatory metadata: {exc}") from exc
-    for key, value in (("bin_width_ns", width_ns), ("sweep_ns", sweep)):
+    for key, value in (("bin_width_ns", width_ns), ("sweep_ns", sweep_ns)):
         if not np.isfinite(value):
             raise HistogramFormatError(f"{path}: {key} = {meta[key]} is not a finite number")
+        if not value > 0.0:
+            raise HistogramFormatError(f"{path}: {key} = {meta[key]} is not positive")
     starts = values[:, 0]
     off_grid = np.flatnonzero(np.abs(starts - np.arange(len(starts)) * width_ns) > 0.5)
     if off_grid.size:
@@ -374,7 +376,8 @@ def read_histogram(path: str | Path) -> SweepHistogram | GateHistogram:
     extra = {k: v for k, v in meta.items() if k not in _MANDATORY_KEYS}
     # the sweep container's layout checks apply to gate files as well
     hist = SweepHistogram(
-        bin_width=width_ns * 1e-9, sweep=sweep, bins=values[:, 1].copy(), c0=c0, meta=extra
+        bin_width=width_ns * 1e-9, sweep=sweep_ns * 1e-9, bins=values[:, 1].copy(), c0=c0,
+        meta=extra,
     )
     if extra.get("kind") != "gate":
         return hist

@@ -29,7 +29,8 @@ its one seed.
 
 ``build_sweep_histogram`` and ``fold_gate_histogram`` turn a run's
 ``ClickTrace`` into the two histogram kinds, reading the gate grid from the
-``SimConfig`` the trace keeps.
+``SimConfig`` the trace keeps.  The sweeps are scanned in numpy
+(``_kernels.sweep_scan``), with no loop over the clicks.
 """
 
 from __future__ import annotations
@@ -260,8 +261,9 @@ def build_sweep_histogram(
 
     Each laser-coincident click outside an open window triggers a sweep of
     length ``sweep``; later clicks in the window are histogrammed at their
-    offset with ``bin_width`` resolution.  The trigger itself is counted in
-    ``c0`` only.
+    offset with ``bin_width`` resolution, and a click a whole sweep after
+    the trigger is outside it.  The trigger itself is counted in ``c0``
+    only.
     """
     if not sweep > bin_width > 0.0:
         raise SimulationConfigError(

@@ -220,6 +220,24 @@ class TestFileRoundTrip:
         assert code == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"afterpulse: {message}\n"
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("bin_width_ns", "0"), ("bin_width_ns", "-10"), ("sweep_ns", "-5"), ("sweep_ns", "-0")],
+    )
+    def test_non_positive_mandatory_metadata_is_named(self, tmp_path, capsys, key, value):
+        # one bin at 0 is on the grid of any width
+        meta = {"bin_width_ns": "10", "sweep_ns": "10", "c0": "5", key: value}
+        path = tmp_path / "nonpositive.csv"
+        path.write_text("".join(f"# {k} = {v}\n" for k, v in meta.items()) + "0,1\n")
+        message = f"{path}: {key} = {value} is not positive"
+        with pytest.raises(HistogramFormatError) as info:
+            read_histogram(path)
+        assert str(info.value) == message
+        assert outcome(reference_read, path) == ("error", message)
+        code = cli.main(["estimate", "--hist", str(path), "--method", "custom"])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"afterpulse: {message}\n"
+
 
 class TestGateFiles:
     def make_gate(self, **meta):
@@ -369,6 +387,8 @@ def reference_read(path):
     for key, value in (("bin_width_ns", width_ns), ("sweep_ns", sweep_ns)):
         if not np.isfinite(value):
             raise HistogramFormatError(f"{path}: {key} = {raw[key]} is not a finite number")
+        if value <= 0.0:
+            raise HistogramFormatError(f"{path}: {key} = {raw[key]} is not positive")
     for i, start in enumerate(starts):
         if abs(start - i * width_ns) > 0.5:
             raise HistogramFormatError(

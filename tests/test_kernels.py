@@ -179,6 +179,8 @@ def test_pinned_configs_cover_the_edge_cases():
     assert PINNED["p-photon-1"].p_photon == 1.0
     assert PINNED["laser-every-gate"].gates_per_pulse == 1
     assert _kernels._splitmix64(ZERO_STATE_SEED) == 0
+    # the laser period outlasts the 25 us sweep, so every laser click triggers
+    assert 1.0 / PINNED["lt-ar-10khz"].f_l > 25e-6
 
 
 @pytest.mark.parametrize("name", list(PINNED))
