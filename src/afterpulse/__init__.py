@@ -8,8 +8,9 @@ format) and ``cli`` (command-line front end).
 """
 
 from .estimators import (
-    EstimateBundle,
     GateHistogram,
+    ModelEstimate,
+    SweepCounts,
     derive_all,
     estimate_bethune,
     estimate_coincidence,
@@ -43,7 +44,8 @@ __all__ = [
     "build_sweep_histogram",
     "SweepHistogram",
     "GateHistogram",
-    "EstimateBundle",
+    "SweepCounts",
+    "ModelEstimate",
     "read_histogram",
     "write_histogram",
     "estimate_custom",

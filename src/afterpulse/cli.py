@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import (
-    EstimateBundle,
+    ModelEstimate,
     derive_all,
     estimate_bethune,
     estimate_coincidence,
@@ -212,21 +212,21 @@ def _gate_histogram(hist: SweepHistogram | GateHistogram, path) -> GateHistogram
 
 
 def _custom_estimate(
-    hist: SweepHistogram, rate: float, tau_s: float, window: tuple[float, float]
-) -> EstimateBundle:
+    hist: SweepHistogram, rate: float, tau_s: float, window: tuple[float, float], row: str = ""
+) -> ModelEstimate:
     """The model conversions of the sweep-histogram estimate.
 
     Every command's custom row passes here, so a flagged estimate warns on
-    stderr whichever command prints it.
+    stderr whichever command prints it; ``row`` names the row it flags.
     """
-    measured = estimate_custom(hist, tau_s=tau_s, window=window)
-    if measured.negative_ap_warning:
+    counts = estimate_custom(hist, tau_s=tau_s, window=window)
+    if counts.negative_ap_warning:
         print(
-            "warning: afterpulse counts negative beyond 3 sigma; "
-            "check tau_s and the baseline window",
+            f"warning: {row + ': ' if row else ''}afterpulse counts negative "
+            "beyond 3 sigma; check tau_s and the baseline window",
             file=sys.stderr,
         )
-    return derive_all(measured.p_exp, rate=rate, tau_s=tau_s)
+    return derive_all(counts.p_exp, rate=rate, tau_s=tau_s)
 
 
 def _sweep_histogram(cfg: RunConfig, trace: ClickTrace) -> SweepHistogram:
@@ -237,17 +237,14 @@ def _sweep_histogram(cfg: RunConfig, trace: ClickTrace) -> SweepHistogram:
     )
 
 
-def _simulated_custom(cfg: RunConfig, trace: ClickTrace) -> EstimateBundle:
+def _simulated_custom(cfg: RunConfig, trace: ClickTrace, row: str) -> ModelEstimate:
     """The model conversions of a finished run's configured sweep histogram."""
     hist = _sweep_histogram(cfg, trace)
-    return _custom_estimate(hist, trace.rate, trace.config.scheme.tau_s, cfg.dcr_window())
+    return _custom_estimate(hist, trace.rate, trace.config.scheme.tau_s, cfg.dcr_window(), row)
 
 
-def _bundle_fields(bundle: EstimateBundle) -> str:
-    return ",".join(
-        repr(v)
-        for v in (bundle.p_exp, bundle.p_s, bundle.p1, bundle.p2, bundle.p_universal)
-    )
+def _model_fields(est: ModelEstimate) -> str:
+    return ",".join(repr(v) for v in (est.p_exp, est.p_s, est.p1, est.p2, est.p_universal))
 
 
 def cmd_simulate(args) -> int:
@@ -299,7 +296,7 @@ def cmd_estimate(args) -> int:
         tau_s, rate = inputs
         full = _custom_estimate(hist, rate, tau_s, (args.window_start, args.window_end))
         print("method,p_exp,p_s,p1,p2,P_ap")
-        print("custom," + _bundle_fields(full))
+        print("custom," + _model_fields(full))
         return EXIT_OK
     lit = _gate_histogram(hist, args.hist)
     dark = _gate_histogram(read_histogram(args.dark), args.dark)
@@ -334,8 +331,8 @@ def cmd_compare(args) -> int:
             seed = stream(base.seed, method, i)
             if method == "custom":
                 trace = run_simulation(replace(base, mu=mu, seed=seed))
-                bundle = _simulated_custom(cfg, trace)
-                lines.append(f"{method},{mu!r}," + _bundle_fields(bundle))
+                est = _simulated_custom(cfg, trace, f"custom, mu = {mu!r}")
+                lines.append(f"{method},{mu!r}," + _model_fields(est))
                 continue
             f_l = base.f_g / _FOLDED[method]
             lit, dark = (
@@ -420,7 +417,7 @@ def cmd_sweep_deadtime(args) -> int:
                 target_rate = trace.rate
             else:
                 mu, trace = _calibrate_mu(row, target_rate)
-            full = _simulated_custom(cfg, trace)
+            full = _simulated_custom(cfg, trace, f"{kind.value}, tau_s = {tau!r}")
             lines.append(
                 f"{kind.value},{tau!r},{mu!r},{trace.rate!r},"
                 f"{full.p_exp!r},{full.p_s!r},{full.p2!r}"

@@ -11,10 +11,11 @@ collected with and without illumination:
 * coincidence -- same setup, but the whole non-coincident count over a laser
                  period is used.
 
-The sweep-histogram method measures the ratio of afterpulse counts (above
-the dark baseline) to trigger counts, ``p_exp = C_ap / C0``, and converts it
-into the lumped, first-order and second-order internal afterpulse
-probabilities with the inversions of ``models``.
+The sweep-histogram method counts the triggers and the afterpulses above
+the dark baseline (``estimate_custom`` returns ``SweepCounts``).  Their ratio
+``p_exp = C_ap / C0`` becomes the lumped, first-order and second-order
+internal afterpulse probabilities with the inversions of ``models``
+(``derive_all`` returns ``ModelEstimate``).
 
 Every method reads histograms only: ``simulator`` builds both kinds from a
 click train and ``histio`` reads them from files.  A folded method takes its
@@ -24,7 +25,7 @@ gate-to-laser ratio ``f_g/f_l`` from the fold's gates per period.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +35,8 @@ from .histio import DegenerateDataError, GateHistogram, SweepHistogram
 __all__ = [
     "DegenerateDataError",
     "GateHistogram",
-    "EstimateBundle",
+    "SweepCounts",
+    "ModelEstimate",
     "estimate_bethune",
     "estimate_yuan",
     "estimate_coincidence",
@@ -45,19 +47,44 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class EstimateBundle:
-    """Sweep-histogram estimate and its model conversions."""
+class SweepCounts:
+    """The counts of a sweep histogram that the custom method rests on.
+
+    ``c0`` is the trigger count and ``c_ap`` the dark-subtracted sum of the
+    ``n_ap`` bins from the dead time to the end of the sweep.  ``c_dcr`` is
+    the mean count of the ``n_dcr`` bins of the baseline window.
+    """
+
+    c0: int
+    c_ap: float
+    c_dcr: float
+    n_ap: int
+    n_dcr: int
+
+    @property
+    def p_exp(self) -> float:
+        """The afterpulse-to-trigger ratio C_ap / C0."""
+        return self.c_ap / self.c0
+
+    @property
+    def negative_ap_warning(self) -> bool:
+        """Whether C_ap lies below zero by more than 3 sigma of the dark counts."""
+        var = self.n_ap * self.c_dcr * (1.0 + self.n_ap / self.n_dcr)
+        return bool(self.c_ap < -3.0 * math.sqrt(var)) if var > 0.0 else bool(self.c_ap < 0.0)
+
+
+@dataclass(frozen=True)
+class ModelEstimate:
+    """A ratio ``p_exp`` with its busy fraction ``p_n``, base click probability
+    ``p0`` and the parameters of each model that ``derive_all`` fills in."""
 
     p_exp: float
-    c0: int = 0
-    c_ap: float = 0.0
-    c_dcr: float = 0.0
-    p_s: float | None = None
-    p1: float | None = None
-    p2: float | None = None
-    p_universal: float | None = None
-    negative_ap_warning: bool = False
-    meta: dict[str, float] = field(default_factory=dict)
+    p0: float
+    p_n: float
+    p_s: float
+    p1: float
+    p2: float
+    p_universal: float
 
 
 def _matched(lit: GateHistogram, dark: GateHistogram) -> None:
@@ -157,15 +184,14 @@ def estimate_custom(
     h: SweepHistogram,
     tau_s: float,
     window: tuple[float, float] = (20e-6, 25e-6),
-) -> EstimateBundle:
-    """Afterpulse-to-trigger ratio from a sweep histogram.
+) -> SweepCounts:
+    """The trigger, afterpulse and baseline counts of a sweep histogram.
 
     Sums the dark-subtracted counts of every bin from the end of the dead
-    time to the end of the sweep and divides by the trigger count:
-    p_exp = sum(C_i - C_dcr) / C0.  Bins inside (0, tau_s) are excluded, and
-    ``tau_s`` must end before the baseline window starts.
-    Per-bin differences are summed unclamped; a warning flag is set when
-    the total is negative beyond 3 sigma of the dark-count noise.
+    time to the end of the sweep, C_ap = sum(C_i - C_dcr), for the ratio
+    p_exp = C_ap / C0.  Bins inside (0, tau_s) are excluded, and ``tau_s``
+    must end before the baseline window starts.  Per-bin differences are
+    summed unclamped.
     """
     if h.c0 <= 0:
         raise DegenerateDataError("histogram has no trigger counts")
@@ -182,43 +208,27 @@ def estimate_custom(
     ap_mask = h.bin_starts >= tau_s - 1e-15
     n_ap = int(ap_mask.sum())
     c_ap = float(h.bins[ap_mask].sum() - n_ap * c_dcr)
-    p_exp = c_ap / h.c0
-
     n_dcr = int(_window_bins(h, window).sum())
-    var = n_ap * c_dcr * (1.0 + n_ap / n_dcr)
-    warn = bool(c_ap < -3.0 * math.sqrt(var)) if var > 0.0 else bool(c_ap < 0.0)
-    return EstimateBundle(
-        p_exp=p_exp,
-        c0=h.c0,
-        c_ap=c_ap,
-        c_dcr=c_dcr,
-        negative_ap_warning=warn,
-    )
+    return SweepCounts(c0=h.c0, c_ap=c_ap, c_dcr=c_dcr, n_ap=n_ap, n_dcr=n_dcr)
 
 
-def derive_all(p_exp: float, rate: float, tau_s: float) -> EstimateBundle:
+def derive_all(p_exp: float, rate: float, tau_s: float) -> ModelEstimate:
     """Convert a measured ratio into every model's afterpulse parameter.
 
-    The busy fraction R*tau gives the total click probability per dead-time
-    window, from which the base probability is p0 = R*tau / (1 + p_exp).
-    Fills the lumped (p_s), first-order (p1), second-order (p2, closed-form
-    cubic root) parameters and the model-independent afterpulse click
-    probability.  A dark-dominated histogram can give a slightly negative
-    ratio: the model parameters are computed at the physical floor of zero
-    while ``p_exp`` is reported as measured.
+    The busy fraction p_n = R*tau gives the total click probability per
+    dead-time window, from which the base probability is
+    p0 = p_n / (1 + p_exp); ``models.p_s_from_rate`` refuses a busy fraction
+    that would put p0 at 1 or above.  Fills the lumped (p_s), first-order
+    (p1), second-order (p2, closed-form cubic root) parameters and the
+    model-independent afterpulse click probability.  A dark-dominated
+    histogram can give a slightly negative ratio: the model parameters are
+    computed at the physical floor of zero while ``p_exp`` is kept.
     """
     floored = max(p_exp, 0.0)
-    exp = models.ExperimentalAfterpulse(p_exp=floored, rate=rate, tau_s=tau_s)
+    p_s = models.p_s_from_rate(floored, rate, tau_s)
     p_n = rate * tau_s
     p0 = p_n / (1.0 + floored)
-    if p0 >= 1.0:
-        raise DegenerateDataError(f"busy fraction gives p0 = {p0!r} >= 1")
-    p_s = models.p_s_from_rate(exp)
-    return EstimateBundle(
-        p_exp=p_exp,
-        p_s=p_s,
-        p1=models.invert_first(floored),
-        p2=models.invert_second(floored, p0),
-        p_universal=models.universal_p_ap(floored, p0),
-        meta={"p0": p0, "p_n": p_n, "rate": rate, "tau_s": tau_s},
+    return ModelEstimate(
+        p_exp=p_exp, p0=p0, p_n=p_n, p_s=p_s, p1=models.invert_first(floored),
+        p2=models.invert_second(floored, p0), p_universal=models.universal_p_ap(floored, p0),
     )

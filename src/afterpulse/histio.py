@@ -173,7 +173,7 @@ def write_histogram(h: SweepHistogram | GateHistogram, path: str | Path) -> None
             "kind": "gate",
             "gates_per_period": str(h.gates_per_period),
             "acquisition_gates": str(h.acquisition_gates),
-            "tau_s_ns": f"{h.tau_s * 1e9:.6g}",
+            "tau_s_ns": _format_ns(h.tau_s),
             **h.meta,
         }
     else:

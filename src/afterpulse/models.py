@@ -9,7 +9,8 @@ s2 = p / ((1 - p)^2 (1 + p)), is P = p0 s1 - p0^2 s2.
 
 This module holds the inversions that ``estimators.derive_all`` uses to
 recover model parameters from a measured histogram ratio (``p_exp``), the
-count rate and the dead time.  Each is in closed form: inverting the
+count rate and the dead time.  Each takes floats, refuses an input outside
+its domain with ``DomainError`` and is in closed form: inverting the
 second-order model for ``p_ap`` is the smallest root in [0, 1) of a cubic
 (trigonometric Cardano).  The forward models themselves are the tests'
 oracle, in ``tests/paper_models.py``.
@@ -20,12 +21,10 @@ All functions are pure and thread-safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
     "DomainError",
     "NoRootError",
-    "ExperimentalAfterpulse",
     "invert_first",
     "invert_second",
     "p_s_from_rate",
@@ -80,34 +79,6 @@ def _check_unit(name: str, value: float, *, open_top: bool = False) -> None:
         raise DomainError(f"{name} must be in [0, {top}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class ExperimentalAfterpulse:
-    """Measured afterpulse ratio together with the rate/dead-time context.
-
-    ``p_exp`` is the afterpulse-to-trigger count ratio from a sweep
-    histogram, ``rate`` the total registered click rate and ``tau_s`` the
-    statistical dead time.  ``rate * tau_s`` is the busy fraction used to
-    reconstruct the base click probability.
-    """
-
-    p_exp: float
-    rate: float
-    tau_s: float
-
-    def __post_init__(self) -> None:
-        if self.p_exp < 0.0:
-            raise DomainError(f"p_exp must be >= 0, got {self.p_exp!r}")
-        if self.rate < 0.0:
-            raise DomainError(f"rate must be >= 0, got {self.rate!r}")
-        if self.tau_s <= 0.0:
-            raise DomainError(f"tau_s must be > 0, got {self.tau_s!r}")
-        if self.rate * self.tau_s >= 1.0 + self.p_exp:
-            raise DomainError(
-                "rate * tau_s must be below 1 + p_exp "
-                f"(got {self.rate * self.tau_s!r} vs {1.0 + self.p_exp!r})"
-            )
-
-
 def invert_first(p_exp: float) -> float:
     """First-order afterpulse parameter: p_exp / (1 + p_exp)."""
     if p_exp < 0.0:
@@ -145,16 +116,25 @@ def invert_second(p_exp: float, p0: float) -> float:
     return root
 
 
-def p_s_from_rate(exp: ExperimentalAfterpulse) -> float:
+def p_s_from_rate(p_exp: float, rate: float, tau_s: float) -> float:
     """Lumped afterpulse parameter direct from rate and dead time.
 
     p_s = p_exp (1 + p_exp) / (1 + p_exp - R tau); reduces to p_exp as
-    R tau -> 0.
+    R tau -> 0.  The busy fraction R tau must stay below 1 + p_exp, so that
+    the base click probability R tau / (1 + p_exp) stays below 1.
     """
-    busy = exp.rate * exp.tau_s
+    if p_exp < 0.0:
+        raise DomainError(f"p_exp must be >= 0, got {p_exp!r}")
+    if rate < 0.0:
+        raise DomainError(f"rate must be >= 0, got {rate!r}")
+    if tau_s <= 0.0:
+        raise DomainError(f"tau_s must be > 0, got {tau_s!r}")
+    busy = rate * tau_s
+    if busy >= 1.0 + p_exp:
+        raise DomainError(f"rate * tau_s must be below 1 + p_exp (got {busy!r} vs {1.0 + p_exp!r})")
     if busy == 0.0:
-        return exp.p_exp
-    return exp.p_exp * (1.0 + exp.p_exp) / (1.0 + exp.p_exp - busy)
+        return p_exp
+    return p_exp * (1.0 + p_exp) / (1.0 + p_exp - busy)
 
 
 def universal_p_ap(p_exp: float, p0: float) -> float:

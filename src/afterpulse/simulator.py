@@ -43,7 +43,7 @@ from enum import Enum
 import numpy as np
 
 from . import _kernels
-from .histio import GateHistogram, SweepHistogram
+from .histio import GateHistogram, SweepHistogram, _format_ns
 
 __all__ = [
     "SchemeKind",
@@ -281,7 +281,7 @@ def build_sweep_histogram(
     )
     meta = {
         "source": "simulator",
-        "tau_s_ns": f"{cfg.scheme.tau_s * 1e9:.6g}",
+        "tau_s_ns": _format_ns(cfg.scheme.tau_s),
         "rate_hz": repr(trace.rate),
         "hidden_avalanches": str(trace.hidden_avalanches),
         "total_gates": str(cfg.n_gates),

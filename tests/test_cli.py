@@ -19,6 +19,7 @@ from afterpulse.cli import (
     load_config,
     main,
 )
+from afterpulse.estimators import SweepCounts
 from afterpulse.simulator import DeadTimeScheme, SchemeKind, SimConfig, stream
 
 BASE_CONFIG = """\
@@ -312,6 +313,17 @@ class TestEstimate:
         assert code == EXIT_NUMERIC
         assert out == ""
         assert err == f"afterpulse: {path}: custom method needs {option} or {key} metadata\n"
+
+    def test_negative_rate_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "in.csv"
+        path.write_text(sweep_file())
+        code, out, err = run_cli(
+            capsys, "estimate", "--method", "custom", "--hist", path, "--rate", "-5",
+            "--window-start", "20e-9", "--window-end", "30e-9",
+        )
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert err == "afterpulse: rate must be >= 0, got -5.0\n"
 
 
 class TestCompare:
@@ -867,8 +879,9 @@ class TestNegativeAfterpulseWarning:
         assert err == NEGATIVE_AP_WARNING
 
     @pytest.mark.parametrize("argv,rows", [
-        (["compare", "--mu", "0.5,1"], 2),
-        (["sweep-deadtime", "--tau", "0.5e-6,1e-6,2e-6", "--scheme", "lt-ar"], 3),
+        (["compare", "--mu", "0.5,1"], ["custom, mu = 0.5", "custom, mu = 1.0"]),
+        (["sweep-deadtime", "--tau", "0.5e-6,1e-6,2e-6", "--scheme", "lt-ar"],
+         ["lt-ar, tau_s = 5e-07", "lt-ar, tau_s = 1e-06", "lt-ar, tau_s = 2e-06"]),
     ], ids=["compare", "sweep-deadtime"])
     def test_flagged_rows_warn_and_print_the_same(self, tmp_path, capsys, monkeypatch,
                                                   argv, rows):
@@ -880,16 +893,16 @@ class TestNegativeAfterpulseWarning:
         assert code == EXIT_OK, plain_err
         plain_file = out.read_bytes()
 
-        estimate = cli.estimate_custom
-        monkeypatch.setattr(
-            cli, "estimate_custom",
-            lambda *a, **kw: replace(estimate(*a, **kw), negative_ap_warning=True),
-        )
+        monkeypatch.setattr(SweepCounts, "negative_ap_warning", property(lambda self: True))
         code, flagged_out, flagged_err = run_cli(capsys, *command)
         assert code == EXIT_OK
         assert (flagged_out, out.read_bytes()) == (plain_out, plain_file)
-        assert flagged_err.count(NEGATIVE_AP_WARNING) == rows
-        assert flagged_err.replace(NEGATIVE_AP_WARNING, "") == plain_err
+        # each row's warning names the row, once
+        for row in rows:
+            warning = NEGATIVE_AP_WARNING.replace("warning: ", f"warning: {row}: ")
+            assert flagged_err.count(warning) == 1
+            flagged_err = flagged_err.replace(warning, "")
+        assert flagged_err == plain_err
 
 
 class TestEntryPoint:

@@ -1,4 +1,4 @@
-"""Tests for the four afterpulse estimators and the model-conversion bundle."""
+"""Tests for the four afterpulse estimators and the model conversions."""
 
 import math
 from dataclasses import replace
@@ -8,7 +8,6 @@ import pytest
 
 from afterpulse.estimators import (
     DegenerateDataError,
-    EstimateBundle,
     GateHistogram,
     dcr_baseline,
     derive_all,
@@ -18,6 +17,7 @@ from afterpulse.estimators import (
     estimate_yuan,
 )
 from afterpulse.histio import SweepHistogram, read_histogram, write_histogram
+from afterpulse.models import DomainError
 from afterpulse.simulator import (
     DeadTimeScheme,
     SchemeKind,
@@ -300,7 +300,20 @@ class TestDeriveAll:
             zero.p2,
             zero.p_universal,
         )
-        assert bundle.meta == zero.meta
+        assert (bundle.p0, bundle.p_n) == (zero.p0, zero.p_n)
+
+    @pytest.mark.parametrize("p_exp,rate,tau_s,message", [
+        (0.5, 3.0, 0.5, "rate * tau_s must be below 1 + p_exp (got 1.5 vs 1.5)"),
+        (-0.01, 4.0, 0.25, "rate * tau_s must be below 1 + p_exp (got 1.0 vs 1.0)"),
+        (0.1, -1.0, 1e-6, "rate must be >= 0, got -1.0"),
+        (0.1, 1e5, 0.0, "tau_s must be > 0, got 0.0"),
+        (0.1, 1e5, -1e-6, "tau_s must be > 0, got -1e-06"),
+    ], ids=["busy-at-1+p_exp", "busy-at-1-floored", "negative-rate", "zero-tau", "negative-tau"])
+    def test_refuses_a_busy_fraction_outside_its_domain(self, p_exp, rate, tau_s, message):
+        # these refusals keep p0 = R*tau / (1 + p_exp) below 1
+        with pytest.raises(DomainError) as info:
+            derive_all(p_exp, rate=rate, tau_s=tau_s)
+        assert str(info.value) == message
 
     def test_bundle_is_immutable(self):
         bundle = derive_all(0.1, rate=1e5, tau_s=1e-6)
@@ -315,8 +328,8 @@ class TestDeriveAll:
 
     def test_bundle_round_trip_consistency(self):
         bundle = derive_all(0.15, rate=2e5, tau_s=1e-6)  # busy = 0.2
-        p0 = bundle.meta["p0"]
-        p_n = bundle.meta["p_n"]
+        p0 = bundle.p0
+        p_n = bundle.p_n
         assert simple_forward(p0, bundle.p_s) == pytest.approx(p_n, abs=1e-9)
         assert first_order_forward(p0, ModelParams(bundle.p1)) == pytest.approx(
             p_n, abs=1e-9

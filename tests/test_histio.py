@@ -7,6 +7,7 @@ files), on one hand-written file per malformed kind, and on files one step
 off the writer's own form, which the reader takes in whole-file array passes.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -266,6 +267,13 @@ class TestGateFiles:
         assert back.tau_s == pytest.approx(h.tau_s)
         assert back.meta == h.meta
 
+    def test_dead_time_keeps_every_digit(self, tmp_path):
+        # six significant digits would write 123.457
+        h = replace(self.make_gate(), tau_s=123.4567891e-9)
+        path = tmp_path / "gate.csv"
+        write_histogram(h, path)
+        assert read_histogram(path).tau_s == pytest.approx(h.tau_s, rel=1e-15, abs=0.0)
+
     def test_sorted_metadata_with_structure_keys(self, tmp_path):
         path = tmp_path / "gate.csv"
         write_histogram(self.make_gate(source="simulator"), path)
@@ -314,21 +322,22 @@ class TestGateFiles:
 
 def reference_write(h, path):
     """One formatted record per bin, as the format defines them."""
+
+    def ns(value_s):
+        value = value_s * 1e9
+        return str(int(round(value))) if abs(value - round(value)) < 1e-6 else repr(value)
+
     if isinstance(h, GateHistogram):
         span, c0 = h.period, 0
         meta = {
             "kind": "gate",
             "gates_per_period": str(h.gates_per_period),
             "acquisition_gates": str(h.acquisition_gates),
-            "tau_s_ns": f"{h.tau_s * 1e9:.6g}",
+            "tau_s_ns": ns(h.tau_s),
             **h.meta,
         }
     else:
         span, c0, meta = h.sweep, h.c0, h.meta
-
-    def ns(value_s):
-        value = value_s * 1e9
-        return str(int(round(value))) if abs(value - round(value)) < 1e-6 else repr(value)
 
     lines = [f"# bin_width_ns = {ns(h.bin_width)}", f"# sweep_ns = {ns(span)}", f"# c0 = {c0}"]
     for key in sorted(meta):

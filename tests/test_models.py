@@ -14,7 +14,6 @@ import pytest
 
 from afterpulse.models import (
     DomainError,
-    ExperimentalAfterpulse,
     NoRootError,
     invert_first,
     invert_second,
@@ -276,27 +275,25 @@ class TestInversions:
 
 class TestRateRelations:
     def test_p_s_from_rate_zero_busy(self):
-        exp = ExperimentalAfterpulse(p_exp=0.1, rate=0.0, tau_s=1e-6)
-        assert p_s_from_rate(exp) == pytest.approx(0.1, abs=1e-15)
+        assert p_s_from_rate(0.1, 0.0, 1e-6) == pytest.approx(0.1, abs=1e-15)
 
     def test_p_s_from_rate_direct_value(self):
-        exp = ExperimentalAfterpulse(p_exp=0.1, rate=5e5, tau_s=1e-6)  # R tau = 0.5
-        assert p_s_from_rate(exp) == pytest.approx(0.18333, abs=1e-5)
+        # R tau = 0.5
+        assert p_s_from_rate(0.1, 5e5, 1e-6) == pytest.approx(0.18333, abs=1e-5)
 
     def test_p_s_from_rate_equals_invert_simple_identity(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
             p_exp = rng.uniform(0.0, 0.5)
             busy = rng.uniform(0.0, 0.9 * (1.0 + p_exp))
-            exp = ExperimentalAfterpulse(p_exp=p_exp, rate=busy / 1e-6, tau_s=1e-6)
             p0 = busy / (1.0 + p_exp)
-            assert p_s_from_rate(exp) == pytest.approx(
+            assert p_s_from_rate(p_exp, busy / 1e-6, 1e-6) == pytest.approx(
                 invert_simple(p_exp, p0), abs=1e-12
             )
 
     def test_invariant_rejects_saturated_rate(self):
         with pytest.raises(DomainError):
-            ExperimentalAfterpulse(p_exp=0.1, rate=1.2e6, tau_s=1e-6)
+            p_s_from_rate(0.1, 1.2e6, 1e-6)
 
     def test_universal_p_ap(self):
         assert universal_p_ap(0.1, 0.0) == 0.0
@@ -353,8 +350,9 @@ class TestP0FromObserved:
 
 class TestTypeInvariants:
     def test_experimental_afterpulse_validation(self):
-        ExperimentalAfterpulse(0.1, 1e3, 1e-6)
+        # a measured ratio with its rate and dead time, as p_s_from_rate takes them
+        p_s_from_rate(0.1, 1e3, 1e-6)
         with pytest.raises(DomainError):
-            ExperimentalAfterpulse(-0.1, 1e3, 1e-6)
+            p_s_from_rate(-0.1, 1e3, 1e-6)
         with pytest.raises(DomainError):
-            ExperimentalAfterpulse(0.1, 1e3, 0.0)
+            p_s_from_rate(0.1, 1e3, 0.0)

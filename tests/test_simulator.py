@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from afterpulse.estimators import estimate_custom
+from afterpulse.histio import read_histogram, write_histogram
 from afterpulse.simulator import (
     ClickTrace,
     DeadTimeScheme,
@@ -296,6 +297,16 @@ class TestEffectiveEfficiency:
 
 
 class TestSweepHistogram:
+    def test_dead_time_metadata_keeps_every_digit(self, tmp_path):
+        # six significant digits would write 123.457
+        tau_ns = 123.4567891
+        trace = hand_made_trace([31250], scheme=DeadTimeScheme(SchemeKind.LT, tau_l=tau_ns * 1e-9))
+        hist = build_sweep_histogram(trace, 25e-6, 10e-9)
+        assert float(hist.meta["tau_s_ns"]) == pytest.approx(tau_ns, rel=1e-15)
+        write_histogram(hist, tmp_path / "sweep.csv")
+        back = read_histogram(tmp_path / "sweep.csv")
+        assert back.meta["tau_s_ns"] == hist.meta["tau_s_ns"]
+
     def test_single_click_trace(self):
         trace = hand_made_trace([31250])
         hist = build_sweep_histogram(trace, 25e-6, 10e-9)
