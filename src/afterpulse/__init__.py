@@ -8,7 +8,6 @@ format) and ``cli`` (command-line front end).
 """
 
 from .estimators import (
-    GateHistogram,
     ModelEstimate,
     SweepCounts,
     derive_all,
@@ -18,7 +17,7 @@ from .estimators import (
     estimate_yuan,
 )
 from .fitting import FitLaw, FitResult, fit_curve
-from .histio import SweepHistogram, read_histogram, write_histogram
+from .histio import GateHistogram, SweepHistogram, read_histogram, write_histogram
 from .simulator import (
     ClickTrace,
     DeadTimeScheme,

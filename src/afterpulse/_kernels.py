@@ -30,9 +30,9 @@ Python ints masked to 64 bits.  ``_draws`` turns the seeded state into an
 iterator over the stream, computed in numpy blocks: the shift-xor step is
 linear over GF(2)^64, and byte tables of its powers advance a whole block
 of states at once.  Each draw comes as a pair: a float u in [0, 1) for the
-recovery-efficiency and other Bernoulli draws (``_uniform``), and the log
-of a u' in (0, 1) for the geometric gaps and the exponential detrap delay
-(``_log_uniform`` scales it).  The u and u' of a block are computed in
+recovery-efficiency and other Bernoulli draws (``next(draws)[0]``), and the
+log of a u' in (0, 1) for the geometric gaps and the exponential detrap
+delay (``scale * next(draws)[1]``).  The u and u' of a block are computed in
 numpy, and the logs are libm's ``math.log`` mapped over the block, so they
 do not depend on numpy's vectorised log.
 
@@ -133,8 +133,9 @@ def _draw_pairs(states):
     """The draws of a block of states, as ``(u, log u')`` pairs.
 
     Each draw x = (s * MULT) >> 11 has 53 bits, so u = x * 2**-53 in [0, 1)
-    and u' = (x | 1) * 2**-53 in (0, 1) are exact.  The logs are libm's, one
-    per pair as it is drawn.
+    and u' = (x | 1) * 2**-53 in (0, 1) are exact; u' is
+    ``((s * MULT) >> 12) + 0.5`` over 2**52.  The logs are libm's, one per
+    pair as it is drawn.
     """
     x = (states * _MULT) >> 11
     u = x * _TWO53INV
@@ -159,19 +160,6 @@ def _blocks(s):
 def _draws(s):
     """The draws after generator state ``s``, as ``(u, log u')`` pairs."""
     return itertools.chain.from_iterable(_blocks(s))
-
-
-def _uniform(draws):
-    """The next draw's u in [0, 1)."""
-    return next(draws)[0]
-
-
-def _log_uniform(draws, scale):
-    """``scale * log u'`` for the next draw, with u' in (0, 1).
-
-    u' = (x | 1) * 2**-53 is ``((s * MULT) >> 12) + 0.5`` over 2**52, exactly.
-    """
-    return scale * next(draws)[1]
 
 
 def _inv_log1m(p):
@@ -199,7 +187,7 @@ def _binomial(draws, n, p):
         + m * math.log(p) + (n - m) * math.log1p(-p)
     )
     odds = p / (1.0 - p)
-    u = _uniform(draws) - f_mode
+    u = next(draws)[0] - f_mode
     lo, f_lo, hi, f_hi = m, f_mode, m, f_mode
     while u >= 0.0:
         moved = False
@@ -268,7 +256,7 @@ def gate_loop(
     if q_ap >= 1.0:
         to_trap = 0
     elif q_ap > 0.0:
-        gap = _log_uniform(draws, inv_lp_q)
+        gap = inv_lp_q * next(draws)[1]
         to_trap = int(gap) if gap < 4.0e18 else _FAR
     # In a latch window the photon stream is thinned to its marked fires
     # (Lewis & Shedler) from the click, or from its first fire there; a
@@ -290,14 +278,14 @@ def gate_loop(
     if p_photon >= 1.0:
         next_phot = 0
     elif p_photon > 0.0:
-        gap = _log_uniform(draws, inv_lp_ph)
+        gap = inv_lp_ph * next(draws)[1]
         if gap < n_pulses:
             next_phot = int(gap) * gates_per_pulse
     next_dark = _FAR
     if p_dark >= 1.0:
         next_dark = 0
     elif p_dark > 0.0:
-        gap = _log_uniform(draws, inv_lp_dk)
+        gap = inv_lp_dk * next(draws)[1]
         if gap < n_gates:
             next_dark = int(gap)
 
@@ -316,8 +304,6 @@ def gate_loop(
     skip_ph = 0  # laser gates of latch windows the thinned stream skipped
     hidden = 0
 
-    # the loop takes its draws inline, a call fewer each: next(draws)[0] is
-    # _uniform(draws), and scale * next(draws)[1] is _log_uniform(draws, scale)
     while True:
         e = next_phot
         if next_dark < e:

@@ -13,7 +13,7 @@ import argparse
 import configparser
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -112,51 +112,48 @@ _FINITE_KEYS = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated contents of a config file, with defaults applied."""
-
-    values: dict[str, dict[str, object]]
-
-    def __getitem__(self, addr: tuple[str, str]):
-        section, key = addr
-        return self.values[section][key]
-
-    def scheme(self) -> DeadTimeScheme:
-        kind = SchemeKind(str(self[("deadtime", "scheme")]))
-        return DeadTimeScheme(
-            kind=kind,
-            tau_l=self[("deadtime", "latch_time_s")],
-            tau_c=self[("deadtime", "hold_time_s")] if kind == SchemeKind.LT_AR else 0.0,
-            tau_er=self[("deadtime", "recovery_time_s")]
-            if kind == SchemeKind.LT_AR
-            else 0.0,
-            ramp=str(self[("deadtime", "ramp")]),
-        )
-
-    def sim_config(self, seed: int | None = None) -> SimConfig:
-        f_g = self[("detector", "gate_frequency_hz")]
-        return SimConfig(
-            scheme=self.scheme(),
-            n_gates=self[("run", "n_gates")],
-            seed=self[("run", "seed")] if seed is None else seed,
-            f_g=f_g,
-            f_l=self[("source", "laser_frequency_hz")],
-            mu=self[("source", "mean_photons")],
-            pde=self[("detector", "pde")],
-            dcr_per_gate=self[("detector", "dcr_hz")] / f_g,
-            p_ap_internal=self[("detector", "afterpulse_probability")],
-            tau_detrap=self[("detector", "detrap_time_s")],
-        )
-
-    def dcr_window(self) -> tuple[float, float]:
-        return (
-            self[("estimation", "dcr_window_start_s")],
-            self[("estimation", "dcr_window_end_s")],
-        )
+# a loaded config: every schema key, by (section, key), with defaults applied
+Config = dict[tuple[str, str], object]
 
 
-def load_config(path: str | Path) -> RunConfig:
+def _scheme(cfg: Config, kind: SchemeKind, latch: float, hold: float) -> DeadTimeScheme:
+    """A ``kind`` circuit latched ``latch`` and held off ``hold`` s; recovery and ramp as set."""
+    ar = kind == SchemeKind.LT_AR
+    return DeadTimeScheme(
+        kind,
+        tau_l=latch,
+        tau_c=hold if ar else 0.0,
+        tau_er=cfg[("deadtime", "recovery_time_s")] if ar else 0.0,
+        ramp=str(cfg[("deadtime", "ramp")]),
+    )
+
+
+def sim_config(cfg: Config, seed: int | None = None) -> SimConfig:
+    f_g = cfg[("detector", "gate_frequency_hz")]
+    return SimConfig(
+        scheme=_scheme(
+            cfg,
+            SchemeKind(str(cfg[("deadtime", "scheme")])),
+            cfg[("deadtime", "latch_time_s")],
+            cfg[("deadtime", "hold_time_s")],
+        ),
+        n_gates=cfg[("run", "n_gates")],
+        seed=cfg[("run", "seed")] if seed is None else seed,
+        f_g=f_g,
+        f_l=cfg[("source", "laser_frequency_hz")],
+        mu=cfg[("source", "mean_photons")],
+        pde=cfg[("detector", "pde")],
+        dcr_per_gate=cfg[("detector", "dcr_hz")] / f_g,
+        p_ap_internal=cfg[("detector", "afterpulse_probability")],
+        tau_detrap=cfg[("detector", "detrap_time_s")],
+    )
+
+
+def dcr_window(cfg: Config) -> tuple[float, float]:
+    return cfg[("estimation", "dcr_window_start_s")], cfg[("estimation", "dcr_window_end_s")]
+
+
+def load_config(path: str | Path) -> Config:
     """Parse and validate a config file against the schema."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -166,41 +163,40 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"{path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    values: dict[str, dict[str, object]] = {}
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"{path}: unknown section [{section}]")
         for key in parser[section]:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"{path}: unknown key '{key}' in [{section}]")
+    cfg: Config = {}
     for section, keys in _SCHEMA.items():
-        values[section] = {}
         for key, (cast, default) in keys.items():
-            if parser.has_option(section, key):
-                raw = parser.get(section, key)
-                try:
-                    value = float(raw) if cast is int else cast(raw)
-                except ValueError as exc:
+            if not parser.has_option(section, key):
+                cfg[section, key] = default
+                continue
+            raw = parser.get(section, key)
+            try:
+                value = float(raw) if cast is int else cast(raw)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"{path}: key '{key}' in [{section}]: cannot parse {raw!r}"
+                ) from exc
+            if cast is int:
+                if not value.is_integer():
                     raise ConfigError(
-                        f"{path}: key '{key}' in [{section}]: cannot parse {raw!r}"
-                    ) from exc
-                if cast is int:
-                    if not value.is_integer():
-                        raise ConfigError(
-                            f"{path}: key '{key}' in [{section}]: "
-                            f"{raw!r} is not an integer"
-                        )
-                    value = int(value)
-                values[section][key] = value
-            else:
-                values[section][key] = default
+                        f"{path}: key '{key}' in [{section}]: "
+                        f"{raw!r} is not an integer"
+                    )
+                value = int(value)
+            cfg[section, key] = value
     for section, key in _FINITE_KEYS:
-        value = values[section][key]
+        value = cfg[section, key]
         if not math.isfinite(value):
             raise ConfigError(
                 f"{path}: key '{key}' in [{section}]: must be a finite number, got {value!r}"
             )
-    return RunConfig(values=values)
+    return cfg
 
 
 def _gate_histogram(hist: SweepHistogram | GateHistogram, path) -> GateHistogram:
@@ -229,7 +225,7 @@ def _custom_estimate(
     return derive_all(counts.p_exp, rate=rate, tau_s=tau_s)
 
 
-def _sweep_histogram(cfg: RunConfig, trace: ClickTrace) -> SweepHistogram:
+def _sweep_histogram(cfg: Config, trace: ClickTrace) -> SweepHistogram:
     return build_sweep_histogram(
         trace,
         sweep=cfg[("histogram", "sweep_s")],
@@ -237,10 +233,10 @@ def _sweep_histogram(cfg: RunConfig, trace: ClickTrace) -> SweepHistogram:
     )
 
 
-def _simulated_custom(cfg: RunConfig, trace: ClickTrace, row: str) -> ModelEstimate:
+def _simulated_custom(cfg: Config, trace: ClickTrace, row: str) -> ModelEstimate:
     """The model conversions of a finished run's configured sweep histogram."""
     hist = _sweep_histogram(cfg, trace)
-    return _custom_estimate(hist, trace.rate, trace.config.scheme.tau_s, cfg.dcr_window(), row)
+    return _custom_estimate(hist, trace.rate, trace.config.scheme.tau_s, dcr_window(cfg), row)
 
 
 def _model_fields(est: ModelEstimate) -> str:
@@ -249,7 +245,7 @@ def _model_fields(est: ModelEstimate) -> str:
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    sim = cfg.sim_config(seed=args.seed)
+    sim = sim_config(cfg, seed=args.seed)
     trace = run_simulation(sim)
     if args.kind == "sweep":
         hist = _sweep_histogram(cfg, trace)
@@ -321,7 +317,7 @@ def _folded_estimate(method: str, lit: GateHistogram, dark: GateHistogram, gate:
 
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
-    base = cfg.sim_config(seed=args.seed)
+    base = sim_config(cfg, seed=args.seed)
     if not args.mu:
         raise ConfigError("--mu must list at least one pulse energy")
     yuan_gate = cfg[("estimation", "yuan_gate_index")]
@@ -378,7 +374,7 @@ def _calibrate_mu(base: SimConfig, target_rate: float) -> tuple[float, ClickTrac
 
 def cmd_sweep_deadtime(args) -> int:
     cfg = load_config(args.config)
-    base = cfg.sim_config(seed=args.seed)
+    base = sim_config(cfg, seed=args.seed)
     taus = args.tau
     if not taus or any(b <= a for a, b in zip(taus, taus[1:])):
         raise ConfigError("--tau must be a strictly increasing list of seconds")
@@ -387,7 +383,7 @@ def cmd_sweep_deadtime(args) -> int:
         raise ConfigError(
             f"largest tau {taus[-1]!r} must stay below the sweep {sweep_len!r}"
         )
-    window_start = cfg.dcr_window()[0]
+    window_start = dcr_window(cfg)[0]
     if taus[-1] >= window_start:
         raise ConfigError(
             f"largest tau {taus[-1]!r} must stay below the baseline window "
@@ -408,7 +404,7 @@ def cmd_sweep_deadtime(args) -> int:
         for j, tau in enumerate(taus):
             row = replace(
                 base,
-                scheme=_scheme_for(kind, tau, cfg),
+                scheme=_scheme(cfg, kind, tau, tau),
                 mu=mu,
                 seed=stream(base.seed, "sweep", j),
             )
@@ -443,18 +439,6 @@ def _fit_row(fit: FitResult) -> str:
     return (
         f"{fit.law.value},{fit.a!r},{fit.b!r},{fit.c!r},{fit.rss!r},"
         f"{fit.iterations},{fit.converged}"
-    )
-
-
-def _scheme_for(kind: SchemeKind, tau: float, cfg: RunConfig) -> DeadTimeScheme:
-    if kind == SchemeKind.LT:
-        return DeadTimeScheme(SchemeKind.LT, tau_l=tau)
-    return DeadTimeScheme(
-        SchemeKind.LT_AR,
-        tau_l=tau,
-        tau_c=tau,
-        tau_er=cfg[("deadtime", "recovery_time_s")],
-        ramp=str(cfg[("deadtime", "ramp")]),
     )
 
 
@@ -521,9 +505,12 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--dark", help="dark histogram (folded-gate methods)")
     est.add_argument("--tau-s", dest="tau_s", type=float, default=None)
     est.add_argument("--rate", type=float, default=None)
-    est.add_argument("--window-start", type=float, default=20e-6)
-    est.add_argument("--window-end", type=float, default=25e-6)
-    est.add_argument("--ni-gate", dest="ni_gate", type=int, default=1)
+    estimation = _SCHEMA["estimation"]
+    est.add_argument("--window-start", type=float, default=estimation["dcr_window_start_s"][1])
+    est.add_argument("--window-end", type=float, default=estimation["dcr_window_end_s"][1])
+    est.add_argument(
+        "--ni-gate", dest="ni_gate", type=int, default=estimation["yuan_gate_index"][1]
+    )
     est.set_defaults(func=cmd_estimate)
 
     cmp_ = sub.add_parser("compare", help="compare methods across pulse energies")

@@ -33,8 +33,6 @@ from . import models
 from .histio import DegenerateDataError, GateHistogram, SweepHistogram
 
 __all__ = [
-    "DegenerateDataError",
-    "GateHistogram",
     "SweepCounts",
     "ModelEstimate",
     "estimate_bethune",
@@ -204,11 +202,12 @@ def estimate_custom(
             f"tau_s = {tau_s!r} must be below the baseline window start "
             f"{window[0]!r}; the afterpulse region would be the window itself"
         )
-    c_dcr = dcr_baseline(h, window)
+    dcr_mask = _window_bins(h, window)
+    c_dcr = float(h.bins[dcr_mask].mean())
     ap_mask = h.bin_starts >= tau_s - 1e-15
     n_ap = int(ap_mask.sum())
     c_ap = float(h.bins[ap_mask].sum() - n_ap * c_dcr)
-    n_dcr = int(_window_bins(h, window).sum())
+    n_dcr = int(dcr_mask.sum())
     return SweepCounts(c0=h.c0, c_ap=c_ap, c_dcr=c_dcr, n_ap=n_ap, n_dcr=n_dcr)
 
 

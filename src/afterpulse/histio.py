@@ -45,6 +45,23 @@ class DegenerateDataError(RuntimeError):
     """The histogram cannot support the requested estimate."""
 
 
+def _layout(bins, width: float, span: float, name: str, error: type[Exception]) -> np.ndarray:
+    """``bins`` as int64 counts, checked to be bins of ``width`` s that cover
+    the ``span`` s of a ``name``; raises ``error`` at the first fault."""
+    bins = np.asarray(bins, dtype=np.int64)
+    if not (0.0 < width < math.inf and 0.0 < span < math.inf):
+        raise error(
+            f"bin_width and {name} must be finite and positive, got {width!r} and {span!r}"
+        )
+    if bins.ndim != 1 or len(bins) == 0:
+        raise error("bins must be a non-empty 1-d array")
+    if abs(len(bins) * width - span) > width:
+        raise error(f"{len(bins)} bins of {width} s do not cover a {span} s {name}")
+    if np.any(bins < 0):
+        raise error("negative bin count")
+    return bins
+
+
 @dataclass
 class SweepHistogram:
     """Binned click counts relative to a trigger click.
@@ -60,21 +77,7 @@ class SweepHistogram:
     meta: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.bins = np.asarray(self.bins, dtype=np.int64)
-        if not (0.0 < self.bin_width < math.inf and 0.0 < self.sweep < math.inf):
-            raise HistogramFormatError(
-                f"bin_width and sweep must be finite and positive, "
-                f"got {self.bin_width!r} and {self.sweep!r}"
-            )
-        if self.bins.ndim != 1 or len(self.bins) == 0:
-            raise HistogramFormatError("bins must be a non-empty 1-d array")
-        if abs(len(self.bins) * self.bin_width - self.sweep) > self.bin_width:
-            raise HistogramFormatError(
-                f"{len(self.bins)} bins of {self.bin_width} s do not cover "
-                f"a {self.sweep} s sweep"
-            )
-        if np.any(self.bins < 0):
-            raise HistogramFormatError("negative bin count")
+        self.bins = _layout(self.bins, self.bin_width, self.sweep, "sweep", HistogramFormatError)
         if self.c0 < 0:
             raise HistogramFormatError("c0 must be >= 0")
 
@@ -103,27 +106,18 @@ class GateHistogram:
     meta: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.bins = np.asarray(self.bins, dtype=np.int64)
         if self.gates_per_period < 1:
             raise DegenerateDataError("gates_per_period must be >= 1")
         if self.acquisition_gates < 1:
             raise DegenerateDataError("acquisition_gates must be >= 1")
         if not 0.0 <= self.tau_s < math.inf:
             raise DegenerateDataError(f"tau_s must be finite and >= 0, got {self.tau_s!r}")
-        if not (0.0 < self.bin_width < math.inf and 0.0 < self.period < math.inf):
-            raise DegenerateDataError(
-                f"bin_width and period must be finite and positive, "
-                f"got {self.bin_width!r} and {self.period!r}"
-            )
-        if np.any(self.bins < 0):
-            raise DegenerateDataError("negative bin count")
+        self.bins = _layout(self.bins, self.bin_width, self.period, "period", DegenerateDataError)
         if len(self.bins) % self.gates_per_period != 0:
             raise DegenerateDataError(
                 f"{len(self.bins)} bins do not resolve "
                 f"{self.gates_per_period} gates"
             )
-        if abs(len(self.bins) * self.bin_width - self.period) > self.bin_width:
-            raise DegenerateDataError("bins * bin_width must equal the period")
 
     @property
     def bins_per_gate(self) -> int:

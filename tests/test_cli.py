@@ -82,7 +82,7 @@ class TestConfigLoading:
         path.write_text("[run]\nn_gates = 1000\nseed = 3\n")
         cfg = load_config(path)
         assert cfg[("detector", "gate_frequency_hz")] == 312.5e6
-        assert cfg.sim_config().n_gates == 1000
+        assert cli.sim_config(cfg).n_gates == 1000
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -571,6 +571,44 @@ class TestSweepDeadtime:
         err = capsys.readouterr().err
         assert f"missed the target {target_hz!r} Hz" in err
         assert "reached" in err
+
+    @pytest.mark.parametrize("ramp", ["linear", "step"])
+    @pytest.mark.parametrize("kind", ["lt", "lt-ar"])
+    def test_rows_run_the_circuit_simulate_builds(self, tmp_path, capsys, monkeypatch, kind, ramp):
+        # each row's first run has the scheme that simulate builds from the
+        # same file with the latch and the hold-off both set to the row's tau
+        runs = []
+        real = cli.run_simulation
+        monkeypatch.setattr(cli, "run_simulation", lambda sim: runs.append(sim) or real(sim))
+        deadtime = (
+            "scheme = lt-ar\nlatch_time_s = 0.2e-6\nhold_time_s = 0.2e-6\n"
+            "recovery_time_s = 0.0\n"
+        )
+        assert deadtime in SHORT_SWEEP
+
+        def config(tau):
+            return SHORT_SWEEP.replace(
+                deadtime,
+                f"scheme = {kind}\nlatch_time_s = {tau!r}\nhold_time_s = {tau!r}\n"
+                f"recovery_time_s = 0.1e-6\nramp = {ramp}\n",
+            )
+
+        path = tmp_path / "sweep.ini"
+        path.write_text(config(0.2e-6))
+        taus = (0.5e-6, 1e-6)
+        code, _, err = run_cli(
+            capsys, "sweep-deadtime", "--config", path, "--tau", ",".join(map(repr, taus)),
+            "--scheme", kind, "--out", tmp_path / "sweep.csv",
+        )
+        assert code == EXIT_OK, err
+        first = {}
+        for sim in runs:
+            first.setdefault(sim.seed, sim)
+        seed = load_config(path)[("run", "seed")]
+        for j, tau in enumerate(taus):
+            path.write_text(config(tau))
+            expected = cli.sim_config(load_config(path)).scheme
+            assert first[stream(seed, "sweep", j)].scheme == expected
 
     def test_tau_inside_baseline_window_rejected(self, tmp_path, capsys):
         # with the default 20-25 us window the afterpulse region at 20 us

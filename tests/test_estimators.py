@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from afterpulse.estimators import (
-    DegenerateDataError,
-    GateHistogram,
     dcr_baseline,
     derive_all,
     estimate_bethune,
@@ -16,7 +14,13 @@ from afterpulse.estimators import (
     estimate_custom,
     estimate_yuan,
 )
-from afterpulse.histio import SweepHistogram, read_histogram, write_histogram
+from afterpulse.histio import (
+    DegenerateDataError,
+    GateHistogram,
+    SweepHistogram,
+    read_histogram,
+    write_histogram,
+)
 from afterpulse.models import DomainError
 from afterpulse.simulator import (
     DeadTimeScheme,

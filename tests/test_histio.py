@@ -101,6 +101,12 @@ class TestGateContainer:
             f"got {bin_width!r} and {period!r}"
         )
 
+    @pytest.mark.parametrize("bins", [[[3], [5]], []], ids=["2-d", "empty"])
+    def test_refuses_bins_that_are_not_a_non_empty_1d_array(self, bins):
+        with pytest.raises(DegenerateDataError) as info:
+            make_gate(bins=bins)
+        assert str(info.value) == "bins must be a non-empty 1-d array"
+
     def test_accepts_zero_dead_time_and_one_gate(self):
         h = make_gate(tau_s=0.0, acquisition_gates=1, bins=[0, 0])
         assert (h.tau_s, h.acquisition_gates, h.total_counts) == (0.0, 1, 0)
@@ -261,10 +267,11 @@ class TestGateFiles:
         back = read_histogram(path)
         assert isinstance(back, GateHistogram)
         assert np.array_equal(back.bins, h.bins)
-        assert back.bin_width == pytest.approx(h.bin_width)
-        assert back.period == pytest.approx(h.period)
+        # the default absolute tolerance, 1e-12, would hide a six-digit writer
+        assert back.bin_width == pytest.approx(h.bin_width, rel=1e-15, abs=0.0)
+        assert back.period == pytest.approx(h.period, rel=1e-15, abs=0.0)
         assert (back.gates_per_period, back.acquisition_gates) == (2, 1_000_000)
-        assert back.tau_s == pytest.approx(h.tau_s)
+        assert back.tau_s == pytest.approx(h.tau_s, rel=1e-15, abs=0.0)
         assert back.meta == h.meta
 
     def test_dead_time_keeps_every_digit(self, tmp_path):

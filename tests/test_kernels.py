@@ -226,10 +226,10 @@ def test_block_stream_draws_the_scalar_stream():
         kind = k % 3
         if kind == 0:
             s, a = uniform(s)
-            b = _kernels._uniform(draws)
+            b = next(draws)[0]
         else:
             s, a = log_uniform(s, scales[kind - 1])
-            b = _kernels._log_uniform(draws, scales[kind - 1])
+            b = scales[kind - 1] * next(draws)[1]
         scalar.append(a)
         block.append(b)
     scalar, block = np.array(scalar), np.array(block)
