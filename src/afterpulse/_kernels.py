@@ -44,12 +44,13 @@ Pending trap releases sit in a min-heap (the priority queue of Gibson &
 Bruck's next-reaction method, 2000): a ``heapq`` list that always holds the
 sentinel ``_FAR``, so its smallest entry is the next release, or ``_FAR``.
 Every release due at a gate is popped there at once, as one avalanche.
-The registered clicks go into an ``int64`` buffer that doubles when full,
-so no carrier or click is ever dropped.
+The registered clicks are appended to an ``array("q")``, which grows as
+needed, so no carrier or click is ever dropped.
 """
 
 from __future__ import annotations
 
+import array
 import functools
 import heapq
 import itertools
@@ -76,13 +77,6 @@ def _splitmix64(x):
     z = ((z ^ (z >> 30)) * _SM_M1) & _MASK64
     z = ((z ^ (z >> 27)) * _SM_M2) & _MASK64
     return z ^ (z >> 31)
-
-
-def _grown(buf):
-    """A buffer twice the size of ``buf`` that starts with its entries."""
-    bigger = np.empty(2 * buf.shape[0], np.int64)
-    bigger[: buf.shape[0]] = buf
-    return bigger
 
 
 # The stream is drawn in numpy blocks.  The xorshift step T is linear over
@@ -242,6 +236,8 @@ def gate_loop(
     """
     # xorshift's fixed point 0 gives way to the splitmix64 increment
     draws = _draws(_splitmix64(seed) or _SM_GAMMA)
+    draw = draws.__next__
+    push, pop, ceil = heapq.heappush, heapq.heappop, math.ceil
 
     n_pulses = (n_gates + gates_per_pulse - 1) // gates_per_pulse
     inv_lp_ph = _inv_log1m(p_photon)
@@ -256,7 +252,7 @@ def gate_loop(
     if q_ap >= 1.0:
         to_trap = 0
     elif q_ap > 0.0:
-        gap = inv_lp_q * next(draws)[1]
+        gap = inv_lp_q * draw()[1]
         to_trap = int(gap) if gap < 4.0e18 else _FAR
     # In a latch window the photon stream is thinned to its marked fires
     # (Lewis & Shedler) from the click, or from its first fire there; a
@@ -278,14 +274,14 @@ def gate_loop(
     if p_photon >= 1.0:
         next_phot = 0
     elif p_photon > 0.0:
-        gap = inv_lp_ph * next(draws)[1]
+        gap = inv_lp_ph * draw()[1]
         if gap < n_pulses:
             next_phot = int(gap) * gates_per_pulse
     next_dark = _FAR
     if p_dark >= 1.0:
         next_dark = 0
     elif p_dark > 0.0:
-        gap = inv_lp_dk * next(draws)[1]
+        gap = inv_lp_dk * draw()[1]
         if gap < n_gates:
             next_dark = int(gap)
 
@@ -295,8 +291,8 @@ def gate_loop(
     rel = [_FAR]  # min-heap of pending release gates, over the sentinel
     next_rel = _FAR  # rel[0]
 
-    clicks = np.empty(4096, np.int64)
-    n_clicks = 0
+    clicks = array.array("q")
+    add_click = clicks.append
 
     last_click = -_FAR
     dead_end = -_FAR  # last_click + dead_gates: the first armed gate
@@ -335,11 +331,12 @@ def gate_loop(
                     else:
                         # a dark fire, unless an unmarked photon fire the
                         # thinned stream skipped decides the trap
-                        own = next(draws)[0] >= miss_ph
+                        own = draw()[0] >= miss_ph
             elif phot_f:
                 # the photon stream's first fire in a window its click did
                 # not thin: thin it for the rest of the window
-                ph_stop = (min(dead_end, n_gates) + gates_per_pulse - 1) // gates_per_pulse
+                stop = dead_end if dead_end < n_gates else n_gates
+                ph_stop = (stop + gates_per_pulse - 1) // gates_per_pulse
                 skip_ph += ph_stop - e // gates_per_pulse - 1
         else:
             if e - last_click < ramp_end:
@@ -349,17 +346,15 @@ def gate_loop(
                 effv = 0.0
                 if tf > ramp_start:
                     effv = (tf - ramp_start) / ramp_len
-                own = next(draws)[0] < effv
+                own = draw()[0] < effv
             if own:
-                if n_clicks == clicks.shape[0]:
-                    clicks = _grown(clicks)
-                clicks[n_clicks] = e
-                n_clicks += 1
+                add_click(e)
                 last_click = e
                 dead_end = e + dead_gates
                 if phot_f and is_lt:
                     # thin the photon stream for the latch window
-                    ph_stop = (min(dead_end, n_gates) + gates_per_pulse - 1) // gates_per_pulse
+                    stop = dead_end if dead_end < n_gates else n_gates
+                    ph_stop = (stop + gates_per_pulse - 1) // gates_per_pulse
                     skip_ph += ph_stop - e // gates_per_pulse - 1
                 if not is_lt:
                     # hold-off: restart the streams at its end and lose
@@ -373,43 +368,43 @@ def gate_loop(
             else:
                 trap = True
                 if q_ap < 1.0:
-                    gap = inv_lp_q * next(draws)[1]
+                    gap = inv_lp_q * draw()[1]
                     to_trap = int(gap) if gap < 4.0e18 else _FAR
 
         if next_rel < start:
             while rel[0] < start:
-                heapq.heappop(rel)
+                pop(rel)
             next_rel = rel[0]
         if phot_f:
             k = (start + gates_per_pulse - 1) // gates_per_pulse
             gap = 0.0  # to the next fire, in laser pulses
             if k < ph_stop:
                 # latch window: only the marked fires up to ph_stop
-                gap = inv_lp_th_ph * next(draws)[1]
+                gap = inv_lp_th_ph * draw()[1]
                 if gap >= ph_stop - k:
                     gap = (gap - (ph_stop - k)) * ratio_ph
                     k = ph_stop
             elif p_photon < 1.0:
-                gap = inv_lp_ph * next(draws)[1]
+                gap = inv_lp_ph * draw()[1]
             k = k + int(gap) if gap < 4.0e18 else n_pulses
             next_phot = k * gates_per_pulse if k < n_pulses else _FAR
         if dark_f:
             next_dark = start
             if p_dark < 1.0:
-                gap = inv_lp_dk * next(draws)[1]
+                gap = inv_lp_dk * draw()[1]
                 next_dark = start + int(gap) if gap < 4.0e18 else _FAR
             if next_dark >= n_gates:
                 next_dark = _FAR
         if trap:
-            delay = -detrap_gates * next(draws)[1]
-            rg = e + max(1, math.ceil(delay))
+            delay = -detrap_gates * draw()[1]
+            rg = e + (ceil(delay) if delay > 1.0 else 1)
             if start <= rg < n_gates:
-                heapq.heappush(rel, rg)
+                push(rel, rg)
                 if rg < next_rel:
                     next_rel = rg
 
     hidden += _binomial(draws, skip_ph, miss_ph)
-    return clicks[:n_clicks].copy(), hidden
+    return np.frombuffer(clicks, np.int64).copy(), hidden
 
 
 def _trigger_chain(laser, sweep_gates):

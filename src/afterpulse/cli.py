@@ -190,6 +190,10 @@ def load_config(path: str | Path) -> Config:
                     )
                 value = int(value)
             cfg[section, key] = value
+    scheme = cfg["deadtime", "scheme"]
+    if scheme not in {kind.value for kind in SchemeKind}:
+        allowed = ", ".join(kind.value for kind in SchemeKind)
+        raise ConfigError(f"{path}: key 'scheme' in [deadtime]: {scheme!r} is not one of {allowed}")
     for section, key in _FINITE_KEYS:
         value = cfg[section, key]
         if not math.isfinite(value):

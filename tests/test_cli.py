@@ -113,6 +113,22 @@ class TestConfigLoading:
         assert code == EXIT_CONFIG
         assert "n_gates" in err
 
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("simulate", ()), ("compare", ("--mu", "1")), ("sweep-deadtime", ("--tau", "1e-6"))],
+    )
+    def test_unknown_scheme_rejected(self, tmp_path, capsys, command, extra):
+        path = tmp_path / "bogus.ini"
+        path.write_text("[deadtime]\nscheme = bogus\n")
+        code, out, err = run_cli(
+            capsys, command, "--config", path, "--out", tmp_path / "o.csv", *extra
+        )
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert str(path) in err and "[deadtime]" in err and "'scheme'" in err
+        assert all(kind.value in err for kind in SchemeKind)
+        assert "Traceback" not in err
+
 
 class TestSimulate:
     def test_end_to_end_and_determinism(self, config_path, tmp_path, capsys):

@@ -135,6 +135,18 @@ def test_python_path_deterministic():
     assert np.array_equal(out1[0], out2[0])
 
 
+def test_click_train_is_an_owned_int64_array():
+    # no photons and no dark counts: no event at all, so no click
+    silent = dataclasses.replace(CONFIGS[0], mu=0.0, dcr_per_gate=0.0)
+    clicks, hidden = _kernels.gate_loop(*gate_loop_args(silent))
+    assert clicks.dtype == np.int64 and clicks.shape == (0,)
+    assert hidden == 0
+    # a train is never a view on the kernel's click buffer
+    clicks, _ = _kernels.gate_loop(*gate_loop_args(CONFIGS[0]))
+    assert clicks.size > 0
+    assert clicks.flags.owndata and clicks.flags.writeable
+
+
 def test_releases_on_one_gate_make_one_avalanche():
     # a photon on every 4th gate, q = 1 and a 2-gate mean detrap delay:
     # every avalanche queues a release 1, 2, 3, ... gates later, and the
