@@ -283,15 +283,16 @@ def cmd_estimate(args) -> int:
                 "not a gate histogram"
             )
         inputs = []
-        for option, key, value, scale in (
-            ("--tau-s", "tau_s_ns", args.tau_s, 1e-9), ("--rate", "rate_hz", args.rate, 1.0)
+        # metadata in ns is divided by 1e9, so that 200 ns reads back as 2e-07
+        for option, key, value, per_unit in (
+            ("--tau-s", "tau_s_ns", args.tau_s, 1e9), ("--rate", "rate_hz", args.rate, 1.0)
         ):
             if value is None:
                 if key not in hist.meta:
                     raise DegenerateDataError(
                         f"{args.hist}: custom method needs {option} or {key} metadata"
                     )
-                value = _meta_float(hist.meta, key, args.hist) * scale
+                value = _meta_float(hist.meta, key, args.hist) / per_unit
             inputs.append(value)
         tau_s, rate = inputs
         full = _custom_estimate(hist, rate, tau_s, (args.window_start, args.window_end))
@@ -350,12 +351,14 @@ def cmd_compare(args) -> int:
 def _calibrate_mu(base: SimConfig, target_rate: float) -> tuple[float, ClickTrace]:
     """Rerun ``base`` with new pulse energies until its rate meets the target.
 
-    Every run uses the config's own gate count and seed, so the accepted run
-    is the measurement.  A run more than 2 % off the target scales the
-    per-pulse click probability ``1 - exp(-mu*pde)``, to which the rate is
-    close to proportional, by target/rate.  After ``CALIBRATION_RUNS`` runs,
-    or when that probability cannot change or would reach 1, the last run
-    is returned with a warning on stderr.  Returns the run and its ``mu``.
+    ``base.mu`` is the first probe; ``cmd_sweep_deadtime`` sets it with
+    ``_start_mu``.  Every run uses the config's own gate count and seed, so
+    the accepted run is the measurement.  A run more than 2 % off the
+    target scales the per-pulse click probability ``1 - exp(-mu*pde)``, to
+    which the rate is close to proportional, by target/rate.  After
+    ``CALIBRATION_RUNS`` runs, or when that probability cannot change or
+    would reach 1, the last run is returned with a warning on stderr.
+    Returns the run and its ``mu``.
     """
     sim = base
     for runs in range(1, CALIBRATION_RUNS + 1):
@@ -376,53 +379,78 @@ def _calibrate_mu(base: SimConfig, target_rate: float) -> tuple[float, ClickTrac
     return sim.mu, trace
 
 
+def _start_mu(
+    trace: ClickTrace, p_exp: float, p_exp_next: float, target_rate: float
+) -> float:
+    """The pulse energy at which the next sweep row should meet the target rate.
+
+    The rate is close to ``f_l * p * (1 + p_exp)`` with ``p = 1 - exp(-mu*pde)``
+    the per-pulse click probability, so ``trace``'s ``p`` is scaled by
+    target/rate and by ``(1 + p_exp) / (1 + p_exp_next)``: ``p_exp`` is the
+    run's own ratio and ``p_exp_next`` its sweep histogram read from the next
+    row's dead time on, both floored at 0.  Where that ``p`` is not in
+    (0, 1), the run's own ``mu`` is kept.
+    """
+    sim = trace.config
+    p = sim.p_photon * (target_rate / trace.rate)
+    p *= (1.0 + max(p_exp, 0.0)) / (1.0 + max(p_exp_next, 0.0))
+    return -math.log1p(-p) / sim.pde if 0.0 < p < 1.0 else sim.mu
+
+
 def cmd_sweep_deadtime(args) -> int:
     cfg = load_config(args.config)
     base = sim_config(cfg, seed=args.seed)
     taus = args.tau
     if not taus or any(b <= a for a, b in zip(taus, taus[1:])):
         raise ConfigError("--tau must be a strictly increasing list of seconds")
-    sweep_len = cfg[("histogram", "sweep_s")]
-    if taus[-1] >= sweep_len:
-        raise ConfigError(
-            f"largest tau {taus[-1]!r} must stay below the sweep {sweep_len!r}"
-        )
-    window_start = dcr_window(cfg)[0]
-    if taus[-1] >= window_start:
-        raise ConfigError(
-            f"largest tau {taus[-1]!r} must stay below the baseline window "
-            f"start {window_start!r}"
-        )
     schemes = (
         [SchemeKind.LT, SchemeKind.LT_AR]
         if args.scheme == "both"
         else [SchemeKind(args.scheme)]
     )
+    # every row's circuit is checked before any run; a step ramp's dead time
+    # is tau plus the recovery time
+    window = dcr_window(cfg)
+    circuits = {kind: [_scheme(cfg, kind, tau, tau) for tau in taus] for kind in schemes}
+    for kind in schemes:
+        for tau, circuit in zip(taus, circuits[kind]):
+            for limit, name in ((cfg[("histogram", "sweep_s")], "sweep"),
+                                (window[0], "baseline window start")):
+                if circuit.tau_s >= limit:
+                    raise ConfigError(
+                        f"row {kind.value}, tau = {tau!r}: dead time tau_s = "
+                        f"{circuit.tau_s!r} must stay below the {name} {limit!r}"
+                    )
 
     # fixed-rate sweep: the first row's rate is the target, and every later
-    # row is calibrated to it, starting from the previous row's pulse energy
+    # row is calibrated to it.  A scheme's first row starts from the first
+    # row's pulse energy, as it has the same dead time; each later row
+    # starts where the previous row's sweep histogram, read from the new
+    # dead time on, puts the target (``_start_mu``)
     lines = ["scheme,tau_s,mu,rate_hz,p_exp,p_s,p2"]
     series: dict[SchemeKind, list[tuple[float, float]]] = {k: [] for k in schemes}
-    mu, target_rate = base.mu, None
+    target_rate = None
     for kind in schemes:
-        for j, tau in enumerate(taus):
-            row = replace(
-                base,
-                scheme=_scheme(cfg, kind, tau, tau),
-                mu=mu,
-                seed=stream(base.seed, "sweep", j),
-            )
+        mu = base.mu
+        for j, (tau, circuit) in enumerate(zip(taus, circuits[kind])):
+            row = replace(base, scheme=circuit, mu=mu, seed=stream(base.seed, "sweep", j))
             if target_rate is None:
                 trace = run_simulation(row)
                 target_rate = trace.rate
             else:
                 mu, trace = _calibrate_mu(row, target_rate)
-            full = _simulated_custom(cfg, trace, f"{kind.value}, tau_s = {tau!r}")
+            hist = _sweep_histogram(cfg, trace)
+            full = _custom_estimate(
+                hist, trace.rate, circuit.tau_s, window, f"{kind.value}, tau_s = {tau!r}"
+            )
             lines.append(
                 f"{kind.value},{tau!r},{mu!r},{trace.rate!r},"
                 f"{full.p_exp!r},{full.p_s!r},{full.p2!r}"
             )
             series[kind].append((tau, full.p2))
+            if j + 1 < len(taus):
+                ahead = estimate_custom(hist, tau_s=circuits[kind][j + 1].tau_s, window=window)
+                mu = _start_mu(trace, full.p_exp, ahead.p_exp, target_rate)
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     print("scheme,law,a,b,c,rss,iterations,converged")

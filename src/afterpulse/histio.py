@@ -328,7 +328,7 @@ def _as_gate(hist: SweepHistogram, meta: dict[str, str], path: str | Path) -> Ga
         )
     return GateHistogram(
         bins=hist.bins, bin_width=hist.bin_width, period=hist.sweep, gates_per_period=gates,
-        acquisition_gates=acq, tau_s=tau_ns * 1e-9, meta=meta,
+        acquisition_gates=acq, tau_s=tau_ns / 1e9, meta=meta,
     )
 
 
@@ -370,7 +370,7 @@ def read_histogram(path: str | Path) -> SweepHistogram | GateHistogram:
     extra = {k: v for k, v in meta.items() if k not in _MANDATORY_KEYS}
     # the sweep container's layout checks apply to gate files as well
     hist = SweepHistogram(
-        bin_width=width_ns * 1e-9, sweep=sweep_ns * 1e-9, bins=values[:, 1].copy(), c0=c0,
+        bin_width=width_ns / 1e9, sweep=sweep_ns / 1e9, bins=values[:, 1].copy(), c0=c0,
         meta=extra,
     )
     if extra.get("kind") != "gate":

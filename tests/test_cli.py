@@ -195,6 +195,22 @@ class TestEstimate:
         values = [float(x) for x in fields[1:]]
         assert all(np.isfinite(values))
 
+    def test_custom_reads_the_dead_time_metadata_exactly(
+        self, config_path, tmp_path, capsys, monkeypatch
+    ):
+        # the 0.2 us hold-off is written as tau_s_ns = 200 and read as 2e-07
+        hist = tmp_path / "h.csv"
+        run_cli(capsys, "simulate", "--config", config_path, "--out", hist)
+        assert "# tau_s_ns = 200\n" in hist.read_text()
+        seen = []
+        real = cli.derive_all
+        monkeypatch.setattr(
+            cli, "derive_all", lambda p_exp, rate, tau_s: seen.append(tau_s) or real(p_exp, rate, tau_s)
+        )
+        code, _, err = run_cli(capsys, "estimate", "--hist", hist, "--method", "custom")
+        assert code == EXIT_OK, err
+        assert seen == [2e-07]
+
     def test_classical_method_on_gate_file(self, config_path, tmp_path, capsys):
         lit = tmp_path / "lit.csv"
         dark = tmp_path / "dark.csv"
@@ -476,7 +492,8 @@ class TestCompare:
 
     def test_empty_mu_list_rejected(self, tmp_path, capsys, monkeypatch):
         runs = []
-        monkeypatch.setattr(cli, "run_simulation", runs.append)
+        real = cli.run_simulation
+        monkeypatch.setattr(cli, "run_simulation", lambda sim: runs.append(sim) or real(sim))
         cfg = tmp_path / "c.ini"
         cfg.write_text(BASE_CONFIG)
         out = tmp_path / "cmp.csv"
@@ -571,6 +588,26 @@ class TestSweepDeadtime:
             for rate in rates:
                 assert abs(rate - rates[0]) <= 0.02 * rates[0], (seed, rates)
 
+    def test_each_row_starts_where_its_predecessor_puts_the_rate(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # at the benchmark's 2.5e9 gates the rate's counting noise is near
+        # 0.8 %, so a row whose first run lands within the 2 % tolerance
+        # needs no second run; the default 2e8 gates carry 2.7 % of noise
+        runs = []
+        real = cli.run_simulation
+        monkeypatch.setattr(cli, "run_simulation", lambda sim: runs.append(sim) or real(sim))
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text("[run]\nn_gates = 2500000000\n")
+        out = tmp_path / "sweep.csv"
+        code, _, err = run_cli(
+            capsys, "sweep-deadtime", "--config", cfg, "--tau", "0.5e-6,1e-6,2e-6,5e-6,10e-6,15e-6",
+            "--scheme", "both", "--seed", 2, "--out", out,
+        )
+        assert code == EXIT_OK, err
+        assert len(out.read_text().splitlines()) == 1 + 12
+        assert len(runs) == 12
+
     @pytest.mark.parametrize("target_hz", [1e6, 1e-3], ids=["above", "below"])
     def test_missed_calibration_is_flagged(self, target_hz, capsys):
         # a 10 kHz laser cannot reach 1 MHz, and 10 kHz of dark counts keep
@@ -644,6 +681,25 @@ class TestSweepDeadtime:
         )
         assert code == EXIT_CONFIG
         assert "baseline window" in err
+        assert not out.exists()
+
+    def test_step_ramp_dead_time_checked_before_any_run(self, tmp_path, capsys, monkeypatch):
+        # a step ramp's dead time is tau plus the recovery time: 15 + 6 us
+        # reaches into the 20-25 us baseline window
+        runs = []
+        monkeypatch.setattr(cli, "run_simulation", runs.append)
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(
+            BASE_CONFIG.replace("recovery_time_s = 0.0", "recovery_time_s = 6e-6\nramp = step")
+        )
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            capsys, "sweep-deadtime", "--config", cfg, "--tau", "1e-6,15e-6", "--out", out,
+        )
+        assert code == EXIT_CONFIG
+        assert "lt-ar, tau = 1.5e-05" in err
+        assert "baseline window start" in err
+        assert runs == []
         assert not out.exists()
 
     def test_empty_scheme_list_rejected(self, tmp_path, capsys):

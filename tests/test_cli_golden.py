@@ -33,6 +33,21 @@ seed (``+101*k``, ``+7919``, ``+1000+j``).  Every printed estimate moved
 within its Monte Carlo noise; ``fit`` and the two error entries did not
 change.
 
+``estimate-custom`` was re-recorded when the reader began to divide ns
+metadata by 1e9 instead of multiplying it by 1e-9, so that ``tau_s_ns =
+200`` reads back as 2e-07, not 2.0000000000000002e-07.  Only the last digit
+of ``P_ap`` moved (2.6252587675882362e-05 to 2.625258767588236e-05).  The
+gate-file entries read the same dead time but print the same bytes, so they
+were not re-recorded.
+
+``sweep-deadtime`` was re-recorded when each row's first run moved to the
+pulse energy that the previous row's sweep histogram predicts, read from
+the new dead time on, and each scheme's first row to the first row's
+energy.  Every ``mu`` after the first moved, and with it each row's run,
+rate and estimates; the rates now span 2146.9-2167.2 Hz (they were
+2142.2-2195.3 Hz), and the fit rows moved with the ``p2``.  No other entry
+changed.
+
 Commands run in-process through ``cli.main`` inside a temporary working
 directory and take relative paths, because ``simulate`` echoes its
 ``--out`` path and error messages name their input files.
@@ -194,7 +209,7 @@ GOLDEN = {
     "compare-lt-ar": (0, "eb6bb005f2ee96cde52d4b30698973ee4b214765f378b279d229bb6c03cf129f", "eb6bb005f2ee96cde52d4b30698973ee4b214765f378b279d229bb6c03cf129f"),
     "estimate-bethune": (0, "91a62e57e5b4ae0b940260a4bd074b50220dbbd4d2023006884403387f4b5863", None),
     "estimate-coincidence": (0, "a667e02e91871680317b86ad6b1883a5e1c69bd03348acae525eb43a8a87bb65", None),
-    "estimate-custom": (0, "01775ac7a4fb7d3e3e4504fd5c08cc2e329e151342506c890eb74719ffc9607c", None),
+    "estimate-custom": (0, "298a365d49dbf6a719d906c69f31f575df450ca8b54b1f960bce43f3b6a27f63", None),
     "estimate-incomplete-gate-metadata": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None),
     "estimate-sweep-as-dark": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None),
     "estimate-yuan": (0, "e05909f9ce384438f6746214a781d2c63aa94c36dc7dc7fa0e41cb263cb14add", None),
@@ -204,7 +219,7 @@ GOLDEN = {
     "simulate-gate-half-dark": (0, "ce161cceb3b94f074e76f1da9944315ed86ac12c36c8393404da936423bd845b", "0770b16aa42dceb1b3e1f2dff52bd7d30fecb9438c72206773950a58c75e8785"),
     "simulate-gate-half-lit": (0, "6d450b0ba9e85f083ebeaf26beb8120e5b59ba10ced686b10c80fd98ec583629", "5fccd355492f85279594fb7337f67580ba89d96721e00779922a287be2e820bf"),
     "simulate-sweep": (0, "4610f624415c938a41b41c83140714f0db6e071e0d5a6943ca2796b8738d8a7b", "25a49f9f886596dd1380d4b1ed3a5562e569ea72f4465eec4b71aa633a8936b4"),
-    "sweep-deadtime": (0, "afd8094deff7b1645ccd9191d101029eafbce956804db1db69da802e1b902627", "906c00da2658cbcf4eaec4e97905e0a160af5171980696de950f1e544c4956b7"),
+    "sweep-deadtime": (0, "be5b5491f182134b2fa5a43ac8a50c86f258ce22d7f6415e101e021e13106e95", "c73306da8fd69bc4f8bc5314ffba8aaeb6f00158cd7e13f51688c8673886b23d"),
 }
 
 

@@ -165,6 +165,15 @@ class TestFileRoundTrip:
         assert back.meta["seed"] == "42"
         assert back.meta["source"] == "simulator"
 
+    @pytest.mark.parametrize("width", [2e-7, 3e-7, 7e-7])
+    def test_whole_ns_widths_read_back_exactly(self, tmp_path, width):
+        # 200 ns times 1e-9 is 2.0000000000000002e-07; 200 ns / 1e9 is 2e-07
+        h = make_hist(np.arange(7), bin_width=width)
+        path = tmp_path / "hist.csv"
+        write_histogram(h, path)
+        back = read_histogram(path)
+        assert (back.bin_width, back.sweep) == (h.bin_width, h.sweep)
+
     def test_write_is_deterministic(self, tmp_path):
         h = make_hist([1, 2, 3], c0=7, b="2", a="1")
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -280,6 +289,13 @@ class TestGateFiles:
         path = tmp_path / "gate.csv"
         write_histogram(h, path)
         assert read_histogram(path).tau_s == pytest.approx(h.tau_s, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("tau_s", [2e-7, 3e-7, 7e-7])
+    def test_whole_ns_dead_time_reads_back_exactly(self, tmp_path, tau_s):
+        h = replace(self.make_gate(), tau_s=tau_s)
+        path = tmp_path / "gate.csv"
+        write_histogram(h, path)
+        assert read_histogram(path).tau_s == tau_s
 
     def test_sorted_metadata_with_structure_keys(self, tmp_path):
         path = tmp_path / "gate.csv"
@@ -411,7 +427,7 @@ def reference_read(path):
                 f"{path}: bin {i} starts at {start} ns, expected {i * width_ns:.0f} ns"
             )
     return SweepHistogram(
-        bin_width=width_ns * 1e-9, sweep=sweep_ns * 1e-9, bins=counts, c0=c0, meta=meta
+        bin_width=width_ns / 1e9, sweep=sweep_ns / 1e9, bins=counts, c0=c0, meta=meta
     )
 
 
