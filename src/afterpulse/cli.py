@@ -43,6 +43,7 @@ from .simulator import (
     SchemeKind,
     SimConfig,
     SimulationConfigError,
+    _span_gates,
     build_sweep_histogram,
     fold_gate_histogram,
     run_simulation,
@@ -64,9 +65,6 @@ _NUMERIC_ERRORS = (DegenerateDataError, NoRootError, DomainError, FitInputError)
 # gates per laser period of each folded-gate method's runs under ``compare``
 _FOLDED = {"bethune": 2, "yuan": 50, "coincidence": 50}
 METHODS = ("custom", *_FOLDED)
-
-# runs one sweep row may take to meet the target rate
-CALIBRATION_RUNS = 6
 
 # defaults follow the bundled detector presets: 312.5 MHz gating, 20% PDE
 # with 100 Hz dark counts, 10 kHz pulsed laser near one photon per pulse
@@ -147,6 +145,23 @@ def sim_config(cfg: Config, seed: int | None = None) -> SimConfig:
         p_ap_internal=cfg[("detector", "afterpulse_probability")],
         tau_detrap=cfg[("detector", "detrap_time_s")],
     )
+
+
+def _refuse_sweep_past_the_next_pulse(cfg: Config, sim: SimConfig) -> None:
+    """Refuse a sweep longer than the laser period, before any run.
+
+    The custom method counts every click after a trigger as an afterpulse
+    or a dark count, so the next pulse must not fall inside the sweep.  A
+    sweep of exactly one period is allowed: a click a whole sweep after the
+    trigger is not binned.
+    """
+    sweep = cfg[("histogram", "sweep_s")]
+    if _span_gates(sweep, sim.f_g) > sim.gates_per_pulse:
+        raise ConfigError(
+            f"[histogram] sweep_s = {sweep!r} outlasts the laser period of "
+            f"[source] laser_frequency_hz = {sim.f_l!r}: the next pulse's "
+            "clicks would be counted as afterpulses"
+        )
 
 
 def dcr_window(cfg: Config) -> tuple[float, float]:
@@ -250,6 +265,8 @@ def _model_fields(est: ModelEstimate) -> str:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     sim = sim_config(cfg, seed=args.seed)
+    if args.kind == "sweep":
+        _refuse_sweep_past_the_next_pulse(cfg, sim)
     trace = run_simulation(sim)
     if args.kind == "sweep":
         hist = _sweep_histogram(cfg, trace)
@@ -323,6 +340,7 @@ def _folded_estimate(method: str, lit: GateHistogram, dark: GateHistogram, gate:
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
     base = sim_config(cfg, seed=args.seed)
+    _refuse_sweep_past_the_next_pulse(cfg, base)
     if not args.mu:
         raise ConfigError("--mu must list at least one pulse energy")
     yuan_gate = cfg[("estimation", "yuan_gate_index")]
@@ -348,41 +366,10 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _calibrate_mu(base: SimConfig, target_rate: float) -> tuple[float, ClickTrace]:
-    """Rerun ``base`` with new pulse energies until its rate meets the target.
-
-    ``base.mu`` is the first probe; ``cmd_sweep_deadtime`` sets it with
-    ``_start_mu``.  Every run uses the config's own gate count and seed, so
-    the accepted run is the measurement.  A run more than 2 % off the
-    target scales the per-pulse click probability ``1 - exp(-mu*pde)``, to
-    which the rate is close to proportional, by target/rate.  After
-    ``CALIBRATION_RUNS`` runs, or when that probability cannot change or
-    would reach 1, the last run is returned with a warning on stderr.
-    Returns the run and its ``mu``.
-    """
-    sim = base
-    for runs in range(1, CALIBRATION_RUNS + 1):
-        trace = run_simulation(sim)
-        if abs(trace.rate - target_rate) <= 0.02 * target_rate:
-            return sim.mu, trace
-        # the next click probability is p * target / rate; it must stay in (0, 1)
-        scaled = sim.p_photon * target_rate
-        if runs == CALIBRATION_RUNS or scaled == 0.0 or scaled >= trace.rate:
-            break
-        sim = replace(sim, mu=-math.log1p(-scaled / trace.rate) / sim.pde)
-    print(
-        f"warning: rate calibration missed the target {target_rate!r} Hz by "
-        f"more than 2 %: the last probe, mu = {sim.mu!r}, reached "
-        f"{trace.rate!r} Hz",
-        file=sys.stderr,
-    )
-    return sim.mu, trace
-
-
 def _start_mu(
     trace: ClickTrace, p_exp: float, p_exp_next: float, target_rate: float
 ) -> float:
-    """The pulse energy at which the next sweep row should meet the target rate.
+    """The pulse energy at which the next sweep row runs, to meet the target rate.
 
     The rate is close to ``f_l * p * (1 + p_exp)`` with ``p = 1 - exp(-mu*pde)``
     the per-pulse click probability, so ``trace``'s ``p`` is scaled by
@@ -400,6 +387,7 @@ def _start_mu(
 def cmd_sweep_deadtime(args) -> int:
     cfg = load_config(args.config)
     base = sim_config(cfg, seed=args.seed)
+    _refuse_sweep_past_the_next_pulse(cfg, base)
     taus = args.tau
     if not taus or any(b <= a for a, b in zip(taus, taus[1:])):
         raise ConfigError("--tau must be a strictly increasing list of seconds")
@@ -422,11 +410,11 @@ def cmd_sweep_deadtime(args) -> int:
                         f"{circuit.tau_s!r} must stay below the {name} {limit!r}"
                     )
 
-    # fixed-rate sweep: the first row's rate is the target, and every later
-    # row is calibrated to it.  A scheme's first row starts from the first
-    # row's pulse energy, as it has the same dead time; each later row
-    # starts where the previous row's sweep histogram, read from the new
-    # dead time on, puts the target (``_start_mu``)
+    # fixed-rate sweep: the first row's rate is the target, and each row
+    # runs once.  A scheme's first row runs at the first row's pulse
+    # energy, as it has the same dead time; each later row runs where the
+    # previous row's sweep histogram, read from the new dead time on, puts
+    # the target (``_start_mu``).  Each row prints its own run's rate
     lines = ["scheme,tau_s,mu,rate_hz,p_exp,p_s,p2"]
     series: dict[SchemeKind, list[tuple[float, float]]] = {k: [] for k in schemes}
     target_rate = None
@@ -434,11 +422,9 @@ def cmd_sweep_deadtime(args) -> int:
         mu = base.mu
         for j, (tau, circuit) in enumerate(zip(taus, circuits[kind])):
             row = replace(base, scheme=circuit, mu=mu, seed=stream(base.seed, "sweep", j))
+            trace = run_simulation(row)
             if target_rate is None:
-                trace = run_simulation(row)
                 target_rate = trace.rate
-            else:
-                mu, trace = _calibrate_mu(row, target_rate)
             hist = _sweep_histogram(cfg, trace)
             full = _custom_estimate(
                 hist, trace.rate, circuit.tau_s, window, f"{kind.value}, tau_s = {tau!r}"

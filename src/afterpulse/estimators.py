@@ -38,7 +38,6 @@ __all__ = [
     "estimate_bethune",
     "estimate_yuan",
     "estimate_coincidence",
-    "dcr_baseline",
     "estimate_custom",
     "derive_all",
 ]
@@ -170,12 +169,6 @@ def _window_bins(h: SweepHistogram, window: tuple[float, float]) -> np.ndarray:
     if not mask.any():
         raise DegenerateDataError(f"window {window!r} selects no bins")
     return mask
-
-
-def dcr_baseline(h: SweepHistogram, window: tuple[float, float]) -> float:
-    """Average dark counts per bin over a late, afterpulse-free window."""
-    mask = _window_bins(h, window)
-    return float(h.bins[mask].mean())
 
 
 def estimate_custom(

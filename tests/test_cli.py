@@ -4,7 +4,7 @@ Commands run in-process through ``cli.main`` for speed; one test drives the
 console entry through a subprocess as well.
 """
 
-from dataclasses import replace
+import math
 
 import numpy as np
 import pytest
@@ -15,12 +15,11 @@ from afterpulse.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     ConfigError,
-    _calibrate_mu,
     load_config,
     main,
 )
 from afterpulse.estimators import SweepCounts
-from afterpulse.simulator import DeadTimeScheme, SchemeKind, SimConfig, stream
+from afterpulse.simulator import SchemeKind, _span_gates, stream
 
 BASE_CONFIG = """\
 [detector]
@@ -505,6 +504,27 @@ class TestCompare:
         assert not out.exists()
 
 
+def record_traces(monkeypatch):
+    """Wrap ``cli.run_simulation``; each run's trace is appended to the returned list."""
+    traces = []
+    real = cli.run_simulation
+
+    def run(sim):
+        traces.append(real(sim))
+        return traces[-1]
+
+    monkeypatch.setattr(cli, "run_simulation", run)
+    return traces
+
+
+def assert_rows_share_the_first_rows_rate(traces, seed):
+    """Every run's click count is within 4 combined Poisson errors of the first's."""
+    n0 = traces[0].n_clicks
+    for trace in traces[1:]:
+        n = trace.n_clicks
+        assert abs(n - n0) <= 4 * math.sqrt(n + n0), (seed, n0, [t.n_clicks for t in traces])
+
+
 class TestSweepDeadtime:
     def test_largest_seed_runs(self, tmp_path, capsys):
         cfg = tmp_path / "small.ini"
@@ -560,43 +580,34 @@ class TestSweepDeadtime:
             assert np.isfinite(float(fields[5]))
             assert fields[7] in ("True", "False")
 
-    def test_every_row_meets_the_first_rows_rate(self, tmp_path, capsys):
-        # the default config: the accepted calibration run is the printed
-        # row, so every row's rate is within 2 % of the first one's
+    def test_every_row_runs_once_near_the_first_rows_rate(self, tmp_path, capsys, monkeypatch):
+        # the default config: each row is one run at the pulse energy that
+        # its predecessor predicts, and prints that run's own rate.  A row's
+        # click count is within counting noise of the first row's: 4
+        # standard errors of the difference of two Poisson counts
+        traces = record_traces(monkeypatch)
         cfg = tmp_path / "default.ini"
         cfg.write_text("[run]\n")
         out = tmp_path / "sweep.csv"
         for seed in (1, 2, 3):
+            traces.clear()
             code, _, err = run_cli(
-                capsys,
-                "sweep-deadtime",
-                "--config",
-                cfg,
-                "--tau",
-                "0.5e-6,1e-6,2e-6,5e-6,10e-6,15e-6",
-                "--scheme",
-                "both",
-                "--seed",
-                seed,
-                "--out",
-                out,
+                capsys, "sweep-deadtime", "--config", cfg, "--tau", "0.5e-6,1e-6,2e-6,5e-6,10e-6,15e-6",
+                "--scheme", "both", "--seed", seed, "--out", out,
             )
-            assert code == EXIT_OK
+            assert code == EXIT_OK, err
             assert "warning" not in err
+            assert len(traces) == 12
             rates = [float(row.split(",")[3]) for row in out.read_text().splitlines()[1:]]
-            assert len(rates) == 12
-            for rate in rates:
-                assert abs(rate - rates[0]) <= 0.02 * rates[0], (seed, rates)
+            assert rates == [trace.rate for trace in traces]
+            assert_rows_share_the_first_rows_rate(traces, seed)
 
     def test_each_row_starts_where_its_predecessor_puts_the_rate(
         self, tmp_path, capsys, monkeypatch
     ):
         # at the benchmark's 2.5e9 gates the rate's counting noise is near
-        # 0.8 %, so a row whose first run lands within the 2 % tolerance
-        # needs no second run; the default 2e8 gates carry 2.7 % of noise
-        runs = []
-        real = cli.run_simulation
-        monkeypatch.setattr(cli, "run_simulation", lambda sim: runs.append(sim) or real(sim))
+        # 0.8 %, small enough to show a start rule that misses the target
+        traces = record_traces(monkeypatch)
         cfg = tmp_path / "sweep.ini"
         cfg.write_text("[run]\nn_gates = 2500000000\n")
         out = tmp_path / "sweep.csv"
@@ -606,24 +617,8 @@ class TestSweepDeadtime:
         )
         assert code == EXIT_OK, err
         assert len(out.read_text().splitlines()) == 1 + 12
-        assert len(runs) == 12
-
-    @pytest.mark.parametrize("target_hz", [1e6, 1e-3], ids=["above", "below"])
-    def test_missed_calibration_is_flagged(self, target_hz, capsys):
-        # a 10 kHz laser cannot reach 1 MHz, and 10 kHz of dark counts keep
-        # the rate far above 1 mHz however weak the pulses
-        base = SimConfig(
-            scheme=DeadTimeScheme(SchemeKind.LT, tau_l=1e-6),
-            n_gates=3_125_000,
-            seed=3,
-            dcr_per_gate=1e4 / 312.5e6,
-        )
-        mu, trace = _calibrate_mu(base, target_hz)
-        # the best-effort run is still returned, with the mu that produced it
-        assert trace.config == replace(base, mu=mu)
-        err = capsys.readouterr().err
-        assert f"missed the target {target_hz!r} Hz" in err
-        assert "reached" in err
+        assert len(traces) == 12
+        assert_rows_share_the_first_rows_rate(traces, 2)
 
     @pytest.mark.parametrize("ramp", ["linear", "step"])
     @pytest.mark.parametrize("kind", ["lt", "lt-ar"])
@@ -733,6 +728,49 @@ class TestSweepDeadtime:
             tmp_path / "x.csv",
         )
         assert code == EXIT_CONFIG
+
+
+class TestSweepPastTheNextPulse:
+    """A sweep longer than the laser period is refused before any run."""
+
+    COMMANDS = {
+        "simulate": ["simulate", "--kind", "sweep"],
+        "compare": ["compare", "--mu", "0.1,1"],
+        "sweep-deadtime": ["sweep-deadtime", "--tau", "0.5e-6,1e-6"],
+    }
+
+    @pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS.keys())
+    def test_refused(self, tmp_path, capsys, monkeypatch, argv):
+        # a 25 us sweep at a 100 kHz laser: the clicks of the pulses 10 us
+        # and 20 us after the trigger would be summed as afterpulses
+        runs = []
+        monkeypatch.setattr(cli, "run_simulation", runs.append)
+        path = tmp_path / "run.ini"
+        path.write_text(BASE_CONFIG.replace("laser_frequency_hz = 1e4", "laser_frequency_hz = 1e5"))
+        out = tmp_path / "out.csv"
+        code, stdout, err = run_cli(capsys, *argv, "--config", path, "--out", out)
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert err.startswith("afterpulse: ")
+        assert "[histogram] sweep_s" in err and "[source] laser_frequency_hz" in err
+        assert runs == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS.keys())
+    def test_a_sweep_of_one_laser_period_runs(self, tmp_path, capsys, argv):
+        # the benchmark's dense-compare config: a 20 us sweep at a 50 kHz
+        # laser spans 6250 gates, one whole laser period
+        path = tmp_path / "run.ini"
+        path.write_text(
+            "[detector]\nafterpulse_probability = 0.2\n[source]\nlaser_frequency_hz = 5e4\n"
+            "[histogram]\nsweep_s = 20e-6\n"
+            "[estimation]\ndcr_window_start_s = 15e-6\ndcr_window_end_s = 20e-6\n"
+            "[run]\nn_gates = 2000000\n"
+        )
+        sim = cli.sim_config(load_config(path))
+        assert _span_gates(20e-6, sim.f_g) == sim.gates_per_pulse == 6250
+        code, _, err = run_cli(capsys, *argv, "--config", path, "--out", tmp_path / "out.csv")
+        assert code == EXIT_OK, err
 
 
 class TestFit:

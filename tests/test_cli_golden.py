@@ -48,6 +48,15 @@ rate and estimates; the rates now span 2146.9-2167.2 Hz (they were
 2142.2-2195.3 Hz), and the fit rows moved with the ``p2``.  No other entry
 changed.
 
+``sweep-deadtime`` was re-recorded when the rate calibration loop was
+removed: each row now runs once, at the pulse energy its predecessor
+predicts (each scheme's first row at the first row's), and prints that
+run's own rate, with no rerun to bring it within 2 % of the target.  Every
+row after the first moved, with its ``mu``, rate and estimates, and the fit
+rows moved with the ``p2``; the rates now span 2051.6-2300.0 Hz (they were
+2146.9-2167.2 Hz), within the counting noise of each run's 1,300-1,500
+clicks.  No other entry changed.
+
 Commands run in-process through ``cli.main`` inside a temporary working
 directory and take relative paths, because ``simulate`` echoes its
 ``--out`` path and error messages name their input files.
@@ -219,7 +228,7 @@ GOLDEN = {
     "simulate-gate-half-dark": (0, "ce161cceb3b94f074e76f1da9944315ed86ac12c36c8393404da936423bd845b", "0770b16aa42dceb1b3e1f2dff52bd7d30fecb9438c72206773950a58c75e8785"),
     "simulate-gate-half-lit": (0, "6d450b0ba9e85f083ebeaf26beb8120e5b59ba10ced686b10c80fd98ec583629", "5fccd355492f85279594fb7337f67580ba89d96721e00779922a287be2e820bf"),
     "simulate-sweep": (0, "4610f624415c938a41b41c83140714f0db6e071e0d5a6943ca2796b8738d8a7b", "25a49f9f886596dd1380d4b1ed3a5562e569ea72f4465eec4b71aa633a8936b4"),
-    "sweep-deadtime": (0, "be5b5491f182134b2fa5a43ac8a50c86f258ce22d7f6415e101e021e13106e95", "c73306da8fd69bc4f8bc5314ffba8aaeb6f00158cd7e13f51688c8673886b23d"),
+    "sweep-deadtime": (0, "0cea7d2ac7cfca485c63799aae24c1e432ecd424be8df623d28c5127abab8372", "90fb1b63b95965e56ec61ad359522c8596c310fe37361ce228b97e9570d16b42"),
 }
 
 

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from afterpulse.estimators import (
-    dcr_baseline,
     derive_all,
     estimate_bethune,
     estimate_coincidence,
@@ -193,21 +192,21 @@ def make_sweep(bins, bin_width=10e-9, c0=1000):
 class TestDcrBaseline:
     def test_all_zero(self):
         h = make_sweep(np.zeros(2500))
-        assert dcr_baseline(h, (20e-6, 25e-6)) == 0.0
+        assert estimate_custom(h, tau_s=0.21e-6, window=(20e-6, 25e-6)).c_dcr == 0.0
 
     def test_flat_histogram(self):
         h = make_sweep(np.full(2500, 7))
-        assert dcr_baseline(h, (20e-6, 25e-6)) == 7.0
+        assert estimate_custom(h, tau_s=0.21e-6, window=(20e-6, 25e-6)).c_dcr == 7.0
 
     def test_empty_window_error(self):
         h = make_sweep(np.zeros(2500))
         with pytest.raises(DegenerateDataError):
-            dcr_baseline(h, (30e-6, 40e-6))
+            estimate_custom(h, tau_s=0.21e-6, window=(30e-6, 40e-6))
 
     def test_simulated_tail_matches_dark_rate(self):
         trace = sim(1e4, 1.0, 31, 2_000_000_000, q=0.1, dcr=1e-5)
         h = build_sweep_histogram(trace, 25e-6, 10e-9)
-        c_dcr = dcr_baseline(h, (20e-6, 25e-6))
+        c_dcr = estimate_custom(h, tau_s=0.2e-6, window=(20e-6, 25e-6)).c_dcr
         expected = h.c0 * 1e-5 * (10e-9 * F_G)
         n_bins = 500
         sigma = math.sqrt(expected / n_bins)
@@ -277,7 +276,7 @@ class TestEstimateCustom:
         for n_gates, seed in ((800_000_000, 41), (2_400_000_000, 42)):
             trace = sim(1e4, 1.0, seed, n_gates, q=0.1, dcr=1e-5)
             h = build_sweep_histogram(trace, 25e-6, 10e-9)
-            c_dcr = dcr_baseline(h, (20e-6, 25e-6))
+            c_dcr = estimate_custom(h, tau_s=0.2e-6, window=(20e-6, 25e-6)).c_dcr
             norm = h.bins / (h.c0 - c_dcr)
             mask = h.bin_starts >= 20e-6
             mean_tail = norm[mask].mean()
