@@ -62,7 +62,8 @@ class ConfigError(ValueError):
 _CONFIG_ERRORS = (ConfigError, SimulationConfigError, HistogramFormatError, OSError)
 _NUMERIC_ERRORS = (DegenerateDataError, NoRootError, DomainError, FitInputError)
 
-# gates per laser period of each folded-gate method's runs under ``compare``
+# gates per laser period of each folded-gate method's runs under ``compare``;
+# the methods of one layout share its lit and dark runs
 _FOLDED = {"bethune": 2, "yuan": 50, "coincidence": 50}
 METHODS = ("custom", *_FOLDED)
 
@@ -299,6 +300,16 @@ def cmd_estimate(args) -> int:
                 f"{args.hist}: the custom method needs a sweep histogram, "
                 "not a gate histogram"
             )
+        # the simulator records its laser rate; an instrument export may not
+        if "f_l_hz" in hist.meta:
+            f_l = _meta_float(hist.meta, "f_l_hz", args.hist)
+            if not f_l > 0.0:
+                raise DegenerateDataError(f"{args.hist}: metadata f_l_hz = {f_l!r} is not positive")
+            if hist.sweep * f_l > 1.0 + 1e-9:  # a sweep of one whole period is allowed
+                raise DegenerateDataError(
+                    f"{args.hist}: sweep_ns = {hist.sweep * 1e9:g} outlasts the laser period "
+                    f"of f_l_hz = {f_l!r}: the next pulse's clicks would be counted as afterpulses"
+                )
         inputs = []
         # metadata in ns is divided by 1e9, so that 200 ns reads back as 2e-07
         for option, key, value, per_unit in (
@@ -345,6 +356,8 @@ def cmd_compare(args) -> int:
         raise ConfigError("--mu must list at least one pulse energy")
     yuan_gate = cfg[("estimation", "yuan_gate_index")]
     lines = ["method,mu,p_exp,p_s,p1,p2,P_ap"]
+    # (gates per period, mu index) -> lit and dark folds, on the first method's streams
+    pairs: dict[tuple[int, int], list[GateHistogram]] = {}
     for method in METHODS:
         for i, mu in enumerate(args.mu):
             seed = stream(base.seed, method, i)
@@ -353,12 +366,14 @@ def cmd_compare(args) -> int:
                 est = _simulated_custom(cfg, trace, f"custom, mu = {mu!r}")
                 lines.append(f"{method},{mu!r}," + _model_fields(est))
                 continue
-            f_l = base.f_g / _FOLDED[method]
-            lit, dark = (
-                fold_gate_histogram(run_simulation(replace(base, f_l=f_l, mu=m, seed=s)))
-                for m, s in ((mu, seed), (0.0, stream(seed, "dark", 0)))
-            )
-            value = _folded_estimate(method, lit, dark, yuan_gate)
+            layout = _FOLDED[method]
+            if (layout, i) not in pairs:
+                f_l = base.f_g / layout
+                pairs[layout, i] = [
+                    fold_gate_histogram(run_simulation(replace(base, f_l=f_l, mu=m, seed=s)))
+                    for m, s in ((mu, seed), (0.0, stream(seed, "dark", 0)))
+                ]
+            value = _folded_estimate(method, *pairs[layout, i], yuan_gate)
             lines.append(f"{method},{mu!r},,,,,{value!r}")
     table = "\n".join(lines) + "\n"
     Path(args.out).write_text(table, encoding="utf-8")

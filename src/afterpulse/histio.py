@@ -91,10 +91,12 @@ class SweepHistogram:
 class GateHistogram:
     """Click counts folded onto one analysis period of the gate grid.
 
-    ``bins`` spans ``gates_per_period * bins_per_gate`` sub-gate bins so gate
-    boundaries stay resolvable.  ``acquisition_gates`` is the total number of
-    gates observed and ``tau_s`` the statistical dead time used to convert
-    counts into live rates.
+    ``bins`` spans ``gates_per_period * bins_per_gate`` bins: the simulator's
+    fold has one per gate, and an instrument file may resolve each gate into
+    several.  The estimators read only ``gate_counts()``, the per-gate sums.
+    ``acquisition_gates`` is the total number of gates observed and
+    ``tau_s`` the statistical dead time used to convert counts into live
+    rates.
     """
 
     bins: np.ndarray

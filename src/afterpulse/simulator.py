@@ -58,8 +58,6 @@ __all__ = [
     "stream",
 ]
 
-BINS_PER_GATE = 10
-
 
 class SimulationConfigError(ValueError):
     """A simulation configuration violates an invariant."""
@@ -283,6 +281,7 @@ def build_sweep_histogram(
         "source": "simulator",
         "tau_s_ns": _format_ns(cfg.scheme.tau_s),
         "rate_hz": repr(trace.rate),
+        "f_l_hz": repr(cfg.f_l),
         "hidden_avalanches": str(trace.hidden_avalanches),
         "total_gates": str(cfg.n_gates),
         "seed": str(cfg.seed),
@@ -298,18 +297,14 @@ def build_sweep_histogram(
 
 
 def fold_gate_histogram(trace: ClickTrace) -> GateHistogram:
-    """Fold a click train onto one laser period at sub-gate resolution.
+    """Fold a click train onto one laser period, one bin per gate.
 
-    Clicks are resolved on the gate grid, so each lands in the central bin
-    of its gate, one of ``BINS_PER_GATE``.  The metadata records the gate
-    and laser rates, the click rate and the seed, as the histogram file
-    format stores them.
+    Clicks are resolved on the gate grid, so a gate is the finest bin the
+    fold has.  The metadata records the gate and laser rates, the click
+    rate and the seed, as the histogram file format stores them.
     """
     cfg = trace.config
     m = cfg.gates_per_pulse
-    gate_idx = (trace.click_gates % m).astype(np.int64)
-    bin_idx = gate_idx * BINS_PER_GATE + BINS_PER_GATE // 2
-    bins = np.bincount(bin_idx, minlength=m * BINS_PER_GATE).astype(np.int64)
     gate_time = 1.0 / cfg.f_g
     meta = {
         "source": "simulator",
@@ -319,8 +314,8 @@ def fold_gate_histogram(trace: ClickTrace) -> GateHistogram:
         "seed": str(cfg.seed),
     }
     return GateHistogram(
-        bins=bins,
-        bin_width=gate_time / BINS_PER_GATE,
+        bins=np.bincount(trace.click_gates % m, minlength=m),
+        bin_width=gate_time,
         period=m * gate_time,
         gates_per_period=m,
         acquisition_gates=cfg.n_gates,

@@ -5,6 +5,7 @@ console entry through a subprocess as well.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,14 @@ from afterpulse.cli import (
     main,
 )
 from afterpulse.estimators import SweepCounts
-from afterpulse.simulator import SchemeKind, _span_gates, stream
+from afterpulse.histio import SweepHistogram, write_histogram
+from afterpulse.simulator import (
+    SchemeKind,
+    _span_gates,
+    build_sweep_histogram,
+    run_simulation,
+    stream,
+)
 
 BASE_CONFIG = """\
 [detector]
@@ -428,12 +436,13 @@ class TestCompare:
         assert len(out.read_text().strip().splitlines()) == 1 + 4
 
     def test_folded_rows_match_estimate_on_simulated_gate_files(self, tmp_path, capsys):
-        # compare's lit run of method m at pulse energy i takes the stream
-        # (seed, m, i) and its dark run that stream's "dark" stream, at
-        # f_g / 2 for Bethune and f_g / 50 for Yuan and coincidence.  A gate
-        # file stores the dead time and the period in ns, and 200 ns reads
-        # back as 2.0000000000000002e-07 s, so a rate-normalized value may
-        # differ from compare's in-memory one in its last digit
+        # compare runs one lit/dark pair per fold layout and pulse energy i:
+        # f_g / 2 for Bethune, on the stream (seed, "bethune", i), and f_g / 50
+        # for Yuan and coincidence, on Yuan's stream (seed, "yuan", i).  The
+        # dark run takes its lit run's "dark" stream.  A gate file stores the
+        # dead time and the period in ns, and the period's ns need not read
+        # back as the same float, so a rate-normalized value may differ from
+        # compare's in-memory one in its last digit
         seed = 11
         config = SHORT_SWEEP.replace("afterpulse_probability = 0.10", "afterpulse_probability = 0.2")
         path = tmp_path / "cmp.ini"
@@ -446,10 +455,12 @@ class TestCompare:
         rows = {
             (f[0], f[1]): f[6] for f in (ln.split(",") for ln in table.read_text().splitlines()[1:])
         }
-        for method, gates in (("bethune", 2), ("yuan", 50), ("coincidence", 50)):
+        for method, gates, streams in (
+            ("bethune", 2, "bethune"), ("yuan", 50, "yuan"), ("coincidence", 50, "yuan")
+        ):
             laser = config.replace("laser_frequency_hz = 5e4", f"laser_frequency_hz = {312.5e6 / gates!r}")
             for i, mu in enumerate(("1.0", "3.0")):
-                lit_seed = stream(seed, method, i)
+                lit_seed = stream(seed, streams, i)
                 for name, photons, run_seed in (
                     ("lit", mu, lit_seed),
                     ("dark", "0.0", stream(lit_seed, "dark", 0)),
@@ -470,6 +481,33 @@ class TestCompare:
                 name, value = row.split(",")
                 assert (header, name) == ("method,P_ap", method)
                 assert float(value) == pytest.approx(float(rows[(method, mu)]), rel=1e-15)
+
+    def test_one_lit_dark_pair_per_fold_layout(self, tmp_path, capsys, monkeypatch):
+        # per pulse energy: one custom run, a lit and a dark run at Bethune's
+        # two gates per period, and one lit/dark pair at 50 gates per period
+        # that Yuan and coincidence both read
+        runs = []
+        real = cli.run_simulation
+        monkeypatch.setattr(cli, "run_simulation", lambda sim: runs.append(sim) or real(sim))
+        pairs = {"estimate_yuan": [], "estimate_coincidence": []}
+        for name, seen in pairs.items():
+            def recorded(lit, dark, *args, _seen=seen, _real=getattr(cli, name), **kwargs):
+                _seen.append((lit, dark))
+                return _real(lit, dark, *args, **kwargs)
+
+            monkeypatch.setattr(cli, name, recorded)
+        path = tmp_path / "cmp.ini"
+        path.write_text(SHORT_SWEEP.replace("n_gates = 2000000", "n_gates = 1000000"))
+        code, _, err = run_cli(
+            capsys, "compare", "--config", path, "--mu", "1,3", "--out", tmp_path / "cmp.csv"
+        )
+        assert code == EXIT_OK, err
+        assert len(runs) == 10
+        yuan, coincidence = pairs.values()
+        assert len(yuan) == len(coincidence) == 2
+        for (y_lit, y_dark), (c_lit, c_dark) in zip(yuan, coincidence):
+            assert y_lit is c_lit and y_dark is c_dark
+        assert yuan[0][0] is not yuan[1][0]
 
     def test_estimators_are_looked_up_at_each_call(self, tmp_path, capsys, monkeypatch):
         # a wrapper set on the cli module after import must see every call
@@ -771,6 +809,62 @@ class TestSweepPastTheNextPulse:
         assert _span_gates(20e-6, sim.f_g) == sim.gates_per_pulse == 6250
         code, _, err = run_cli(capsys, *argv, "--config", path, "--out", tmp_path / "out.csv")
         assert code == EXIT_OK, err
+
+    def test_sweep_file_records_the_laser_rate(self, config_path, tmp_path, capsys):
+        hist = tmp_path / "h.csv"
+        code, _, err = run_cli(capsys, "simulate", "--config", config_path, "--out", hist)
+        assert code == EXIT_OK, err
+        assert "# f_l_hz = 10000.0\n" in hist.read_text()
+
+    def test_estimate_refuses_a_file_whose_sweep_outlasts_the_laser_period(
+        self, config_path, tmp_path, capsys
+    ):
+        # the library builds the 25 us sweep at a 100 kHz laser that the
+        # commands refuse; read from its file, it would print a p2 three
+        # times too low with exit 0.  Without f_l_hz, as in an instrument
+        # export, the file is read as before
+        sim = replace(cli.sim_config(load_config(config_path)), f_l=1e5, n_gates=2_000_000)
+        hist = build_sweep_histogram(run_simulation(sim), 25e-6, 10e-9)
+        path = tmp_path / "h.csv"
+        write_histogram(hist, path)
+        code, out, err = run_cli(capsys, "estimate", "--hist", path, "--method", "custom")
+        assert (code, out) == (EXIT_NUMERIC, "")
+        assert str(path) in err and "sweep_ns = 25000" in err and "f_l_hz = 100000.0" in err
+        del hist.meta["f_l_hz"]
+        write_histogram(hist, path)
+        code, _, err = run_cli(capsys, "estimate", "--hist", path, "--method", "custom")
+        assert code == EXIT_OK, err
+
+    @pytest.mark.parametrize("laser, sweep", [("5e4", "20e-6"), ("86206.89655172414", "11.6e-6")])
+    def test_estimate_reads_a_file_of_one_laser_period(self, tmp_path, capsys, laser, sweep):
+        # a sweep of one whole period, as simulated and written: 20 us at
+        # 50 kHz, and 11.6 us at f_g / 3625, whose sweep_ns read back times
+        # f_l_hz is 1.0000000000000002
+        path = tmp_path / "run.ini"
+        path.write_text(
+            f"[source]\nlaser_frequency_hz = {laser}\n[histogram]\nsweep_s = {sweep}\n"
+            f"[estimation]\ndcr_window_start_s = 8e-6\ndcr_window_end_s = {sweep}\n"
+            "[run]\nn_gates = 2000000\n"
+        )
+        hist = tmp_path / "h.csv"
+        code, _, err = run_cli(capsys, "simulate", "--config", path, "--out", hist)
+        assert code == EXIT_OK, err
+        code, _, err = run_cli(
+            capsys, "estimate", "--hist", hist, "--method", "custom",
+            "--window-start", "8e-6", "--window-end", sweep,
+        )
+        assert code == EXIT_OK, err
+
+    @pytest.mark.parametrize("value", ["0.0", "-50000.0", "nan"])
+    def test_estimate_refuses_a_laser_rate_that_is_not_positive(self, tmp_path, capsys, value):
+        path = tmp_path / "h.csv"
+        write_histogram(SweepHistogram(
+            bin_width=10e-9, sweep=25e-6, bins=np.ones(2500, dtype=np.int64), c0=100,
+            meta={"f_l_hz": value, "tau_s_ns": "200", "rate_hz": "1000.0"},
+        ), path)
+        code, _, err = run_cli(capsys, "estimate", "--hist", path, "--method", "custom")
+        assert code == EXIT_NUMERIC
+        assert str(path) in err and "f_l_hz" in err
 
 
 class TestFit:

@@ -57,6 +57,24 @@ rows moved with the ``p2``; the rates now span 2051.6-2300.0 Hz (they were
 2146.9-2167.2 Hz), within the counting noise of each run's 1,300-1,500
 clicks.  No other entry changed.
 
+``compare-lt`` and ``compare-lt-ar`` were re-recorded when Yuan's method
+and the coincidence method began to share one lit/dark pair per pulse
+energy, run on Yuan's streams.  Only the two ``coincidence`` rows of each
+table moved, within their Monte Carlo noise (``lt``: 0.1977 to 0.1942 at
+``mu`` = 1 and 0.2045 to 0.1977 at ``mu`` = 3; ``lt-ar``: 0.1439 to 0.1456
+and 0.1090 to 0.1138).  No other entry changed.
+
+The four ``simulate-gate-*`` ``--out`` digests were re-recorded when the
+fold moved from 10 bins per gate, with every click in the central one, to
+one bin per gate.  The files hold the same per-gate counts in a tenth of
+the records; their stdout and the ``estimate-bethune``, ``estimate-yuan``
+and ``estimate-coincidence`` entries did not change.
+
+The ``simulate-sweep`` ``--out`` digest was re-recorded when the simulator
+began to write its laser rate, ``f_l_hz``, into the sweep metadata, so that
+``estimate --method custom`` can refuse a sweep longer than the laser
+period.  The file gained that one line; ``estimate-custom`` did not change.
+
 Commands run in-process through ``cli.main`` inside a temporary working
 directory and take relative paths, because ``simulate`` echoes its
 ``--out`` path and error messages name their input files.
@@ -214,8 +232,8 @@ CASES = {
 
 # name -> (exit code, sha256 of stdout, sha256 of the --out file or None)
 GOLDEN = {
-    "compare-lt": (0, "15b392821a88def5f5065ec71aa49dec9b7e4d5218a883e9cf1302295bded3fa", "15b392821a88def5f5065ec71aa49dec9b7e4d5218a883e9cf1302295bded3fa"),
-    "compare-lt-ar": (0, "eb6bb005f2ee96cde52d4b30698973ee4b214765f378b279d229bb6c03cf129f", "eb6bb005f2ee96cde52d4b30698973ee4b214765f378b279d229bb6c03cf129f"),
+    "compare-lt": (0, "3f18278a7aeafc317bfc610636e5e9e1cdf1b1d23bb3dd7b006a360a724c9121", "3f18278a7aeafc317bfc610636e5e9e1cdf1b1d23bb3dd7b006a360a724c9121"),
+    "compare-lt-ar": (0, "8dd8ef629ffba10de2eecdbdb01d3265d180fc665e2261d153db06a600194e2f", "8dd8ef629ffba10de2eecdbdb01d3265d180fc665e2261d153db06a600194e2f"),
     "estimate-bethune": (0, "91a62e57e5b4ae0b940260a4bd074b50220dbbd4d2023006884403387f4b5863", None),
     "estimate-coincidence": (0, "a667e02e91871680317b86ad6b1883a5e1c69bd03348acae525eb43a8a87bb65", None),
     "estimate-custom": (0, "298a365d49dbf6a719d906c69f31f575df450ca8b54b1f960bce43f3b6a27f63", None),
@@ -223,11 +241,11 @@ GOLDEN = {
     "estimate-sweep-as-dark": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None),
     "estimate-yuan": (0, "e05909f9ce384438f6746214a781d2c63aa94c36dc7dc7fa0e41cb263cb14add", None),
     "fit": (0, "a9b18b84bb702adf054f938354b1a05b60090c8bef57f5ef9750f7c0175df1c9", None),
-    "simulate-gate-fiftieth-dark": (0, "2beb1fd68c6503011167dd552f39bdb547b8e520e489fe80f0d5c0ef304424c9", "405dabbad0d1543825dd1eb61b7739e89c7db14e25c96feaedc1a6aed6c20b53"),
-    "simulate-gate-fiftieth-lit": (0, "cba8500eea878366a55e0162cfda91c5809e1363e941d5d625004f3a3995439d", "fa36d627b6edeea982411acc9ee1ce2f766c25977bf6ac602b510d5ddac3b085"),
-    "simulate-gate-half-dark": (0, "ce161cceb3b94f074e76f1da9944315ed86ac12c36c8393404da936423bd845b", "0770b16aa42dceb1b3e1f2dff52bd7d30fecb9438c72206773950a58c75e8785"),
-    "simulate-gate-half-lit": (0, "6d450b0ba9e85f083ebeaf26beb8120e5b59ba10ced686b10c80fd98ec583629", "5fccd355492f85279594fb7337f67580ba89d96721e00779922a287be2e820bf"),
-    "simulate-sweep": (0, "4610f624415c938a41b41c83140714f0db6e071e0d5a6943ca2796b8738d8a7b", "25a49f9f886596dd1380d4b1ed3a5562e569ea72f4465eec4b71aa633a8936b4"),
+    "simulate-gate-fiftieth-dark": (0, "2beb1fd68c6503011167dd552f39bdb547b8e520e489fe80f0d5c0ef304424c9", "4582d2a64ca953812e44b42008d04a65fcd323692b2611511fde64c80de4dc5f"),
+    "simulate-gate-fiftieth-lit": (0, "cba8500eea878366a55e0162cfda91c5809e1363e941d5d625004f3a3995439d", "36911ec30df275dafbc096b00f5aec6f5abaf655c62e1ca6207e32d3c7fe9366"),
+    "simulate-gate-half-dark": (0, "ce161cceb3b94f074e76f1da9944315ed86ac12c36c8393404da936423bd845b", "b208815a9192513965d29e5f0f9c5b199670b1122eb2142aa2c7c3c108dfed49"),
+    "simulate-gate-half-lit": (0, "6d450b0ba9e85f083ebeaf26beb8120e5b59ba10ced686b10c80fd98ec583629", "81a18cb234526449db306538dd10732feeadc82bfeeb32c5bb03253f119dd365"),
+    "simulate-sweep": (0, "4610f624415c938a41b41c83140714f0db6e071e0d5a6943ca2796b8738d8a7b", "84672f6a4707db07c4d746eb7770246a47c638c218dd2939cd4baa150af59333"),
     "sweep-deadtime": (0, "0cea7d2ac7cfca485c63799aae24c1e432ecd424be8df623d28c5127abab8372", "90fb1b63b95965e56ec61ad359522c8596c310fe37361ce228b97e9570d16b42"),
 }
 

@@ -68,8 +68,8 @@ class TestGateHistogram:
         trace = sim(F_G / 50, 1.0, 3, 10_000_000)
         hist = fold_gate_histogram(trace)
         assert hist.gates_per_period == 50
-        assert hist.bins_per_gate == 10
-        assert len(hist.bins) == 500
+        assert hist.bins_per_gate == 1
+        assert len(hist.bins) == 50
         assert hist.total_counts == trace.n_clicks
         assert hist.illuminated_gate() == 0
 
@@ -180,6 +180,36 @@ def test_laser_rate_must_match_the_folded_period(estimate, tmp_path):
             read_histogram(path)
     read_lit, read_dark = (read_histogram(path) for path in paths[1::2])
     assert estimate(read_lit, read_dark) == estimate(lit, dark)
+
+
+def test_sub_gate_files_estimate_as_their_per_gate_sums(tmp_path):
+    # the simulator folds at one bin per gate, but an instrument file may
+    # resolve each gate into several bins; the folded methods read only the
+    # per-gate sums, so a hand-made file with 10 unevenly filled bins per
+    # gate estimates exactly as the same counts summed per gate
+    rng = np.random.default_rng(3)
+    for m, methods in ((2, (estimate_bethune,)), (50, (estimate_yuan, estimate_coincidence))):
+        forms = {10: [], 1: []}  # bins per gate -> the lit and dark histograms read back
+        for name, gate_counts in (("lit", [40_000, 900] + [300] * (m - 2)), ("dark", [120] * m)):
+            sub = np.concatenate(
+                [rng.multinomial(n, rng.permutation(np.arange(1, 11)) / 55) for n in gate_counts]
+            )
+            assert np.ptp(sub.reshape(m, 10), axis=1).min() > 0
+            for per_gate, hists in forms.items():
+                path = tmp_path / f"{name}-{m}-{per_gate}.csv"
+                write_histogram(
+                    GateHistogram(
+                        bins=sub.reshape(-1, 10 // per_gate).sum(axis=1),
+                        bin_width=1 / F_G / per_gate, period=m / F_G, gates_per_period=m,
+                        acquisition_gates=2_000_000_000, tau_s=0.2e-6,
+                        meta={"f_g_hz": repr(F_G), "f_l_hz": repr(F_G / m)},
+                    ),
+                    path,
+                )
+                hists.append(read_histogram(path))
+                assert hists[-1].bins_per_gate == per_gate
+        for estimate in methods:
+            assert estimate(*forms[10]) == estimate(*forms[1]), estimate.__name__
 
 
 def make_sweep(bins, bin_width=10e-9, c0=1000):
