@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -509,7 +510,9 @@ def _float_list(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x.strip()]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: callers must not mutate it."""
     parser = _Parser(
         prog="afterpulse",
         description=(

@@ -261,8 +261,9 @@ def _writer_form(data: bytes) -> tuple[list[str], np.ndarray] | None:
         or np.any(kinds[1::2] != ord("\n"))
     ):
         return None
-    spans = np.diff(seps, prepend=-1)  # digits in each field, plus one
-    if spans.min() < 2 or spans.max() > 19:
+    # the first field has seps[0] digits, each later one its span less one
+    spans = seps[1:] - seps[:-1]
+    if not 1 <= seps[0] <= 18 or spans.min() < 2 or spans.max() > 19:
         return None
     del seps, kinds, spans
     body = data[end:].replace(b"\n", b",")

@@ -5,6 +5,7 @@ console entry through a subprocess as well.
 """
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -1219,3 +1220,52 @@ assert main(["estimate", "--method", "custom", "--hist", {str(hist)!r},
         )
         assert proc.returncode == 1
         assert "frobnicate" in proc.stderr
+
+
+class TestSharedParser:
+    """``cli.main`` builds its parser once per process; no call leaves state in it."""
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_usage_error_leaves_nothing_behind(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(SHORT_SWEEP)
+        hist = tmp_path / "h.csv"
+        assert run_cli(capsys, "simulate", "--config", cfg, "--out", hist)[0] == EXIT_OK
+        argv = ("estimate", "--hist", hist, "--method", "custom",
+                "--window-start", "13e-6", "--window-end", "18e-6")
+        before = run_cli(capsys, *argv)
+        assert before[0] == EXIT_OK
+        code, out, err = run_cli(capsys, "estimate", "--hist", hist)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith("usage: afterpulse estimate")
+        assert run_cli(capsys, *argv) == before
+
+    def test_an_option_given_once_does_not_persist(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(SHORT_SWEEP.replace("seed = 5", "seed = 3"))
+
+        def simulate(name, *extra):
+            out = tmp_path / name
+            assert run_cli(capsys, "simulate", "--config", cfg, "--out", out, *extra)[0] == EXIT_OK
+            return out.read_bytes()
+
+        alone = simulate("alone.csv")
+        seeded = simulate("seeded.csv", "--seed", "5")
+        assert seeded != alone
+        assert simulate("after.csv") == alone
+
+    @pytest.mark.skipif(
+        sys.version_info[:2] != (3, 11), reason="help digests are those of Python 3.11"
+    )
+    def test_help_wraps_at_the_width_when_printed(self, monkeypatch):
+        from test_cli_golden import HELP_GOLDEN, run, sha
+
+        monkeypatch.setenv("COLUMNS", "40")
+        getattr(cli.build_parser, "cache_clear", lambda: None)()  # the next call builds it
+        cli.build_parser()
+        monkeypatch.setenv("COLUMNS", "80")
+        for command, digest in HELP_GOLDEN.items():
+            code, out, _ = run(*command.split(), "--help")
+            assert (code, sha(out)) == (0, digest), command

@@ -562,6 +562,9 @@ NEAR_WRITER_FORM = {
     "FS in a header line": (WRITER_FORM.replace("# seed = 3", "# seed = 3\x1c0,1"), False),
     "CRLF": (WRITER_FORM.replace("\n", "\r\n"), False),
     "CR in a header line": (WRITER_FORM.replace("# seed = 3", "# seed = 3\r# b = 4"), False),
+    "18-digit first start": (WRITER_FORM.replace("3\n0,1\n", f"3\n{10**18 - 1},1\n"), True),
+    "19-digit first start": (WRITER_FORM.replace("3\n0,1\n", f"3\n{10**18},1\n"), False),
+    "empty first start": (WRITER_FORM.replace("3\n0,1\n", "3\n,1\n"), False),
 }
 
 
