@@ -36,9 +36,9 @@ delay (``scale * next(draws)[1]``).  The u and u' of a block are computed in
 numpy, and the logs are libm's ``math.log`` mapped over the block, so they
 do not depend on numpy's vectorised log.
 
-``sweep_scan`` folds a click train into oscilloscope sweeps in numpy: the
-triggers are found as a chain by pointer doubling, and every click is
-binned against its trigger at once.
+``sweep_scan`` folds a click train into oscilloscope sweeps in numpy: every
+laser-coincident click triggers, since no sweep outlasts the laser period,
+and every click is binned against its trigger at once.
 
 Pending trap releases sit in a min-heap (the priority queue of Gibson &
 Bruck's next-reaction method, 2000): a ``heapq`` list that always holds the
@@ -407,44 +407,22 @@ def gate_loop(
     return np.frombuffer(clicks, np.int64).copy(), hidden
 
 
-def _trigger_chain(laser, sweep_gates):
-    """Indices of the trigger chain in ``laser``, a sorted array of gates.
-
-    The chain starts at the first entry, and each link is the first entry at
-    least ``sweep_gates`` after the one before.  Pointer doubling: with
-    ``ptr`` the link map applied ``len(chain)`` times, ``ptr[chain]`` is the
-    next ``len(chain)`` links, so the chain doubles in each O(n) pass.
-    """
-    m = laser.size
-    ptr = np.append(np.searchsorted(laser, laser + sweep_gates), m)  # m: no link
-    chain = np.zeros(1, np.intp)
-    while True:
-        ahead = ptr[chain]
-        if ahead[-1] == m:
-            return np.concatenate([chain, ahead[ahead < m]])
-        chain = np.concatenate([chain, ahead])
-        ptr = ptr[ptr]
-
-
 def sweep_scan(click_gates, gates_per_pulse, sweep_gates, binw_gates, n_bins):
     """Emulate oscilloscope sweeps over a click train.
 
-    The triggers are a chain of laser-coincident clicks: the first one, then
-    each time the first one at least ``sweep_gates`` after the last trigger.
-    Every other click less than ``sweep_gates`` after the last trigger
-    before it is binned at its offset over ``binw_gates``, truncated, with
-    any overshoot in the last of ``n_bins`` bins; a click exactly
-    ``sweep_gates`` after a trigger is outside its window.  Windows never
-    overlap.
+    The sweep spans at most one laser period (``sweep_gates <=
+    gates_per_pulse``, which ``build_sweep_histogram`` enforces), so windows
+    never overlap and every laser-coincident click triggers.  Every other
+    click less than ``sweep_gates`` after the last trigger before it is
+    binned at its offset over ``binw_gates``, truncated, with any overshoot
+    in the last of ``n_bins`` bins; a click exactly ``sweep_gates`` after a
+    trigger is outside its window.
 
     Returns (bins int64 array, trigger count).
     """
     trig = click_gates[click_gates % gates_per_pulse == 0]
     if trig.size == 0:
         return np.zeros(n_bins, np.int64), 0
-    # when laser clicks are a sweep apart, as at a slow laser, each triggers
-    if trig.size > 1 and np.diff(trig).min() < sweep_gates:
-        trig = trig[_trigger_chain(trig, sweep_gates)]
     # each click's offset from the last trigger at or before it; a click
     # before the first trigger meets the last one (index -1), behind it
     off = click_gates - trig[np.searchsorted(trig, click_gates, "right") - 1]

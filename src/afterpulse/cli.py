@@ -21,6 +21,7 @@ import numpy as np
 
 from .estimators import (
     ModelEstimate,
+    _window_bins,
     derive_all,
     estimate_bethune,
     estimate_coincidence,
@@ -150,13 +151,7 @@ def sim_config(cfg: Config, seed: int | None = None) -> SimConfig:
 
 
 def _refuse_sweep_past_the_next_pulse(cfg: Config, sim: SimConfig) -> None:
-    """Refuse a sweep longer than the laser period, before any run.
-
-    The custom method counts every click after a trigger as an afterpulse
-    or a dark count, so the next pulse must not fall inside the sweep.  A
-    sweep of exactly one period is allowed: a click a whole sweep after the
-    trigger is not binned.
-    """
+    """Refuse before any run the sweep that ``build_sweep_histogram`` would refuse."""
     sweep = cfg[("histogram", "sweep_s")]
     if _span_gates(sweep, sim.f_g) > sim.gates_per_pulse:
         raise ConfigError(
@@ -168,6 +163,24 @@ def _refuse_sweep_past_the_next_pulse(cfg: Config, sim: SimConfig) -> None:
 
 def dcr_window(cfg: Config) -> tuple[float, float]:
     return cfg[("estimation", "dcr_window_start_s")], cfg[("estimation", "dcr_window_end_s")]
+
+
+def _check_sweep(cfg: Config, path: str | Path) -> None:
+    """Refuse a sweep, bin width or baseline window that no sweep histogram holds."""
+    sweep, bin_width = cfg["histogram", "sweep_s"], cfg["histogram", "bin_width_s"]
+    if not sweep > bin_width > 0.0:
+        raise ConfigError(
+            f"{path}: keys 'sweep_s' and 'bin_width_s' in [histogram]: need sweep_s > "
+            f"bin_width_s > 0, got {sweep!r} and {bin_width!r}"
+        )
+    # the window is checked as ``estimate_custom`` checks it, on an empty sweep
+    empty = SweepHistogram(bin_width, sweep, np.zeros(round(sweep / bin_width), np.int64), 0)
+    try:
+        _window_bins(empty, dcr_window(cfg))
+    except DegenerateDataError as exc:
+        raise ConfigError(
+            f"{path}: keys 'dcr_window_start_s' and 'dcr_window_end_s' in [estimation]: {exc}"
+        ) from None
 
 
 def load_config(path: str | Path) -> Config:
@@ -217,6 +230,7 @@ def load_config(path: str | Path) -> Config:
             raise ConfigError(
                 f"{path}: key '{key}' in [{section}]: must be a finite number, got {value!r}"
             )
+    _check_sweep(cfg, path)
     return cfg
 
 
@@ -254,12 +268,6 @@ def _sweep_histogram(cfg: Config, trace: ClickTrace) -> SweepHistogram:
     )
 
 
-def _simulated_custom(cfg: Config, trace: ClickTrace, row: str) -> ModelEstimate:
-    """The model conversions of a finished run's configured sweep histogram."""
-    hist = _sweep_histogram(cfg, trace)
-    return _custom_estimate(hist, trace.rate, trace.config.scheme.tau_s, dcr_window(cfg), row)
-
-
 def _model_fields(est: ModelEstimate) -> str:
     return ",".join(repr(v) for v in (est.p_exp, est.p_s, est.p1, est.p2, est.p_universal))
 
@@ -270,10 +278,7 @@ def cmd_simulate(args) -> int:
     if args.kind == "sweep":
         _refuse_sweep_past_the_next_pulse(cfg, sim)
     trace = run_simulation(sim)
-    if args.kind == "sweep":
-        hist = _sweep_histogram(cfg, trace)
-    else:
-        hist = fold_gate_histogram(trace)
+    hist = _sweep_histogram(cfg, trace) if args.kind == "sweep" else fold_gate_histogram(trace)
     write_histogram(hist, args.out)
     live_time = sim.duration - trace.n_clicks * sim.scheme.tau_s
     print(f"clicks = {trace.n_clicks}")
@@ -292,6 +297,10 @@ def cmd_estimate(args) -> int:
     ):
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"{option} must be a finite number, got {value!r}")
+    if args.tau_s is not None and not args.tau_s > 0.0:
+        raise ConfigError(f"--tau-s must be > 0, got {args.tau_s!r}")
+    if args.rate is not None and not args.rate >= 0.0:
+        raise ConfigError(f"--rate must be >= 0, got {args.rate!r}")
     if args.method in _FOLDED and not args.dark:
         raise ConfigError(f"method '{args.method}' needs --dark HISTOGRAM")
     hist = read_histogram(args.hist)
@@ -324,6 +333,13 @@ def cmd_estimate(args) -> int:
                 value = _meta_float(hist.meta, key, args.hist) / per_unit
             inputs.append(value)
         tau_s, rate = inputs
+        # the options are checked above, so a value out of range is the file's
+        if not tau_s > 0.0:
+            raise DegenerateDataError(
+                f"{args.hist}: metadata tau_s_ns = {hist.meta['tau_s_ns']} is not positive"
+            )
+        if rate < 0.0:
+            raise DegenerateDataError(f"{args.hist}: metadata rate_hz = {rate!r} is negative")
         full = _custom_estimate(hist, rate, tau_s, (args.window_start, args.window_end))
         print("method,p_exp,p_s,p1,p2,P_ap")
         print("custom," + _model_fields(full))
@@ -364,7 +380,8 @@ def cmd_compare(args) -> int:
             seed = stream(base.seed, method, i)
             if method == "custom":
                 trace = run_simulation(replace(base, mu=mu, seed=seed))
-                est = _simulated_custom(cfg, trace, f"custom, mu = {mu!r}")
+                est = _custom_estimate(_sweep_histogram(cfg, trace), trace.rate,
+                                       base.scheme.tau_s, dcr_window(cfg), f"custom, mu = {mu!r}")
                 lines.append(f"{method},{mu!r}," + _model_fields(est))
                 continue
             layout = _FOLDED[method]
@@ -412,19 +429,17 @@ def cmd_sweep_deadtime(args) -> int:
         if args.scheme == "both"
         else [SchemeKind(args.scheme)]
     )
-    # every row's circuit is checked before any run; a step ramp's dead time
-    # is tau plus the recovery time
+    # before any run, every row's dead time (under a step ramp, tau plus the
+    # recovery time) must end before the baseline window, which starts inside the sweep
     window = dcr_window(cfg)
     circuits = {kind: [_scheme(cfg, kind, tau, tau) for tau in taus] for kind in schemes}
     for kind in schemes:
         for tau, circuit in zip(taus, circuits[kind]):
-            for limit, name in ((cfg[("histogram", "sweep_s")], "sweep"),
-                                (window[0], "baseline window start")):
-                if circuit.tau_s >= limit:
-                    raise ConfigError(
-                        f"row {kind.value}, tau = {tau!r}: dead time tau_s = "
-                        f"{circuit.tau_s!r} must stay below the {name} {limit!r}"
-                    )
+            if circuit.tau_s >= window[0]:
+                raise ConfigError(
+                    f"row {kind.value}, tau = {tau!r}: dead time tau_s = "
+                    f"{circuit.tau_s!r} must stay below the baseline window start {window[0]!r}"
+                )
 
     # fixed-rate sweep: the first row's rate is the target, and each row
     # runs once.  A scheme's first row runs at the first row's pulse

@@ -257,11 +257,10 @@ def build_sweep_histogram(
 ) -> SweepHistogram:
     """Collect oscilloscope-style sweeps from a click train.
 
-    Each laser-coincident click outside an open window triggers a sweep of
-    length ``sweep``; later clicks in the window are histogrammed at their
+    Each laser-coincident click triggers a sweep of length ``sweep``, at most
+    one laser period; later clicks in the window are histogrammed at their
     offset with ``bin_width`` resolution, and a click a whole sweep after
-    the trigger is outside it.  The trigger itself is counted in ``c0``
-    only.
+    the trigger is outside it.  The trigger itself is counted in ``c0`` only.
     """
     if not sweep > bin_width > 0.0:
         raise SimulationConfigError(
@@ -269,11 +268,17 @@ def build_sweep_histogram(
             f"bin_width={bin_width!r}"
         )
     cfg = trace.config
+    sweep_gates = _span_gates(sweep, cfg.f_g)
+    if sweep_gates > cfg.gates_per_pulse:
+        raise SimulationConfigError(
+            f"sweep = {sweep!r} s outlasts the laser period of f_l = {cfg.f_l!r} Hz: "
+            "the next pulse's clicks would be counted as afterpulses"
+        )
     n_bins = int(round(sweep / bin_width))
     bins, c0 = _kernels.sweep_scan(
         np.ascontiguousarray(trace.click_gates, dtype=np.int64),
         cfg.gates_per_pulse,
-        _span_gates(sweep, cfg.f_g),
+        sweep_gates,
         bin_width * cfg.f_g,
         n_bins,
     )

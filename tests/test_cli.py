@@ -361,9 +361,35 @@ class TestEstimate:
             capsys, "estimate", "--method", "custom", "--hist", path, "--rate", "-5",
             "--window-start", "20e-9", "--window-end", "30e-9",
         )
-        assert code == EXIT_NUMERIC
+        assert code == EXIT_CONFIG
         assert out == ""
-        assert err == "afterpulse: rate must be >= 0, got -5.0\n"
+        assert err == "afterpulse: --rate must be >= 0, got -5.0\n"
+
+    @pytest.mark.parametrize("value", ["0", "-2e-7"])
+    def test_dead_time_out_of_range_names_the_option(self, tmp_path, capsys, value):
+        path = tmp_path / "in.csv"
+        path.write_text(sweep_file())
+        code, out, err = run_cli(
+            capsys, "estimate", "--method", "custom", "--hist", path, f"--tau-s={value}",
+            "--window-start", "20e-9", "--window-end", "30e-9",
+        )
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == f"afterpulse: --tau-s must be > 0, got {float(value)!r}\n"
+
+    @pytest.mark.parametrize(
+        "key,value,problem",
+        [("tau_s_ns", "-200", "-200 is not positive"), ("tau_s_ns", "0", "0 is not positive"),
+         ("rate_hz", "-5.0", "-5.0 is negative")],
+    )
+    def test_metadata_out_of_range_names_file_and_key(self, tmp_path, capsys, key, value, problem):
+        path = tmp_path / "in.csv"
+        path.write_text(sweep_file(**{key: value}))
+        code, out, err = run_cli(
+            capsys, "estimate", "--method", "custom", "--hist", path,
+            "--window-start", "20e-9", "--window-end", "30e-9",
+        )
+        assert (code, out) == (EXIT_NUMERIC, "")
+        assert err == f"afterpulse: {path}: metadata {key} = {problem}\n"
 
 
 class TestCompare:
@@ -820,12 +846,14 @@ class TestSweepPastTheNextPulse:
     def test_estimate_refuses_a_file_whose_sweep_outlasts_the_laser_period(
         self, config_path, tmp_path, capsys
     ):
-        # the library builds the 25 us sweep at a 100 kHz laser that the
-        # commands refuse; read from its file, it would print a p2 three
-        # times too low with exit 0.  Without f_l_hz, as in an instrument
-        # export, the file is read as before
-        sim = replace(cli.sim_config(load_config(config_path)), f_l=1e5, n_gates=2_000_000)
+        # a 25 us sweep whose file records a 100 kHz laser, as an
+        # instrument that takes a sweep past the next pulse would write it;
+        # read, it would print a p2 three times too low with exit 0.
+        # Without f_l_hz, as in an instrument export, the file is read as
+        # before
+        sim = replace(cli.sim_config(load_config(config_path)), n_gates=2_000_000)
         hist = build_sweep_histogram(run_simulation(sim), 25e-6, 10e-9)
+        hist.meta["f_l_hz"] = "100000.0"
         path = tmp_path / "h.csv"
         write_histogram(hist, path)
         code, out, err = run_cli(capsys, "estimate", "--hist", path, "--method", "custom")
@@ -1055,6 +1083,71 @@ class TestNonFiniteHistogramKey:
             f"afterpulse: {path}: key '{key}' in [histogram]: "
             f"must be a finite number, got {float(value)!r}\n"
         )
+        assert runs == []
+        assert not out.exists()
+
+
+class TestHistogramSettingsRefusedAtLoad:
+    """A sweep, bin width or baseline window that no sweep histogram holds is
+    refused at load, naming the file, the keys and the section, before any run."""
+
+    COMMANDS = {
+        "simulate": ["simulate"],
+        "compare": ["compare", "--mu", "1"],
+        "sweep-deadtime": ["sweep-deadtime", "--tau", "0.5e-6,1e-6"],
+    }
+    HISTOGRAM = "keys 'sweep_s' and 'bin_width_s' in [histogram]: need sweep_s > bin_width_s > 0"
+    WINDOW = "keys 'dcr_window_start_s' and 'dcr_window_end_s' in [estimation]: window"
+    CASES = {
+        "sweep-zero": ("[histogram]\nsweep_s = 0\n", f"{HISTOGRAM}, got 0.0 and 1e-08"),
+        "sweep-negative": (
+            "[histogram]\nsweep_s = -25e-6\n", f"{HISTOGRAM}, got -2.5e-05 and 1e-08"
+        ),
+        "bin-width-zero": ("[histogram]\nbin_width_s = 0\n", f"{HISTOGRAM}, got 2.5e-05 and 0.0"),
+        "bin-width-negative": (
+            "[histogram]\nbin_width_s = -1e-8\n", f"{HISTOGRAM}, got 2.5e-05 and -1e-08"
+        ),
+        "bin-width-of-the-sweep": (
+            "[histogram]\nbin_width_s = 25e-6\n", f"{HISTOGRAM}, got 2.5e-05 and 2.5e-05"
+        ),
+        "window-past-the-sweep": (
+            "[estimation]\ndcr_window_end_s = 30e-6\n",
+            f"{WINDOW} (2e-05, 3e-05) does not fit inside the 2.5e-05 s sweep",
+        ),
+        "window-at-the-sweep-end": (
+            "[estimation]\ndcr_window_start_s = 25e-6\ndcr_window_end_s = 25.004e-6\n",
+            f"{WINDOW} (2.5e-05, 2.5004e-05) selects no bins",
+        ),
+        "window-past-the-sweep-start": (
+            "[estimation]\ndcr_window_start_s = 30e-6\ndcr_window_end_s = 35e-6\n",
+            f"{WINDOW} (3e-05, 3.5e-05) does not fit inside the 2.5e-05 s sweep",
+        ),
+        "window-reversed": (
+            "[estimation]\ndcr_window_start_s = 20e-6\ndcr_window_end_s = 15e-6\n",
+            f"{WINDOW} (2e-05, 1.5e-05) does not fit inside the 2.5e-05 s sweep",
+        ),
+        "window-before-the-trigger": (
+            "[estimation]\ndcr_window_start_s = -1e-6\n",
+            f"{WINDOW} (-1e-06, 2.5e-05) does not fit inside the 2.5e-05 s sweep",
+        ),
+        "window-inside-one-bin": (
+            "[estimation]\ndcr_window_start_s = 20.001e-6\ndcr_window_end_s = 20.002e-6\n",
+            f"{WINDOW} (2.0001e-05, 2.0002e-05) selects no bins",
+        ),
+    }
+
+    @pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS.keys())
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_refused_at_load(self, tmp_path, capsys, monkeypatch, argv, case):
+        settings, message = case
+        runs = []
+        monkeypatch.setattr(cli, "run_simulation", runs.append)
+        path = tmp_path / "run.ini"
+        path.write_text("[run]\nn_gates = 1000\nseed = 3\n" + settings)
+        out = tmp_path / "out.csv"
+        code, stdout, err = run_cli(capsys, *argv, "--config", path, "--out", out)
+        assert (code, stdout) == (EXIT_CONFIG, "")
+        assert err == f"afterpulse: {path}: {message}\n"
         assert runs == []
         assert not out.exists()
 

@@ -15,6 +15,10 @@ The kernel skips gates and draws from its own xorshift stream, so the two
 agree in distribution only.  For each drawn configuration, a few hundred
 seeded runs of each are compared by chi-square tests on the click count,
 the hidden-avalanche count and the shape of the sweep histogram.  The
+sweeps span eight dead windows, often several laser periods, so both
+samples are scanned with the per-click reference loop
+(``sweep_reference``), which triggers only on a laser click outside the
+open sweep.  The
 configurations are in gate units and dense (many events per dead window),
 so that every branch of the kernel runs; they are drawn by hypothesis with
 a fixed derandomized sequence, so the test is deterministic.
@@ -29,6 +33,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2, chi2_contingency
 
 from afterpulse import _kernels
+from sweep_reference import reference_sweep_scan
 
 RUNS = 300
 N_GATES = 3000
@@ -79,7 +84,7 @@ def samples(args, seeds, run):
         clicks, h = run(seed)
         n_clicks.append(clicks.size)
         hidden.append(int(h))
-        b, _ = _kernels.sweep_scan(clicks, gates_per_pulse, sweep_gates, binw, SWEEP_BINS)
+        b, _ = reference_sweep_scan(clicks, gates_per_pulse, sweep_gates, binw, SWEEP_BINS)
         bins.append(b)
     return np.array(n_clicks), np.array(hidden), np.array(bins)
 

@@ -319,14 +319,24 @@ class TestSweepHistogram:
         assert hist.c0 == 0
         assert int(hist.bins.sum()) == 0
 
-    def test_windows_do_not_overlap(self):
-        # two coincident clicks 10 us apart: the second falls inside the
-        # first sweep and must be binned, not taken as a new trigger
+    def test_a_sweep_longer_than_the_laser_period_is_refused(self):
+        # a 25 us sweep at a 100 kHz laser: the clicks of the pulses 10 us
+        # and 20 us after the trigger would be binned as afterpulses
         m = 3125  # 100 kHz laser
         trace = hand_made_trace([0, m, 10 * m], f_l=1e5, n_gates=1_000_000)
-        hist = build_sweep_histogram(trace, 25e-6, 10e-9)
-        assert hist.c0 == 2  # gates 0 and 10*m; gate m is inside the sweep
-        assert int(hist.bins.sum()) == 1
+        with pytest.raises(SimulationConfigError, match="outlasts the laser period"):
+            build_sweep_histogram(trace, 25e-6, 10e-9)
+
+    @pytest.mark.parametrize("f_l, sweep", [(5e4, 20e-6), (86206.89655172414, 11.6e-6)])
+    def test_a_sweep_of_one_laser_period_builds(self, f_l, sweep):
+        # 20 us at 50 kHz, and 11.6 us at f_g / 3625: each sweep spans one
+        # whole period, so every laser click triggers, and a click one
+        # sweep after a trigger is not binned
+        m = round(F_G / f_l)
+        trace = hand_made_trace([0, 1, m, m + 2, 2 * m - 1, 3 * m], f_l=f_l, n_gates=10 * m)
+        hist = build_sweep_histogram(trace, sweep, 10e-9)
+        assert hist.c0 == 3
+        assert int(hist.bins.sum()) == 3
 
     def test_dead_time_gap_bins_empty(self):
         cfg = base_cfg(
