@@ -88,7 +88,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "latch_time_s": (float, 0.2e-6),
         "hold_time_s": (float, 0.2e-6),
         "recovery_time_s": (float, 0.0),
-        "ramp": (str, "linear"),
     },
     "run": {
         "n_gates": (int, 200_000_000),
@@ -118,14 +117,13 @@ Config = dict[tuple[str, str], object]
 
 
 def _scheme(cfg: Config, kind: SchemeKind, latch: float, hold: float) -> DeadTimeScheme:
-    """A ``kind`` circuit latched ``latch`` and held off ``hold`` s; recovery and ramp as set."""
+    """A ``kind`` circuit latched ``latch`` and held off ``hold`` s; recovery as configured."""
     ar = kind == SchemeKind.LT_AR
     return DeadTimeScheme(
         kind,
         tau_l=latch,
         tau_c=hold if ar else 0.0,
         tau_er=cfg[("deadtime", "recovery_time_s")] if ar else 0.0,
-        ramp=str(cfg[("deadtime", "ramp")]),
     )
 
 
@@ -163,6 +161,14 @@ def _refuse_sweep_past_the_next_pulse(cfg: Config, sim: SimConfig) -> None:
 
 def dcr_window(cfg: Config) -> tuple[float, float]:
     return cfg[("estimation", "dcr_window_start_s")], cfg[("estimation", "dcr_window_end_s")]
+
+
+def _refuse_dead_time_in_the_window(cfg: Config, tau_s: float, what: str) -> None:
+    """Refuse before any run a dead time that ends at or past the baseline window start."""
+    start = cfg["estimation", "dcr_window_start_s"]
+    if tau_s >= start:
+        raise ConfigError(f"{what}: dead time tau_s = {tau_s!r} must stay below the baseline "
+                          f"window start, [estimation] dcr_window_start_s = {start!r}")
 
 
 def _check_sweep(cfg: Config, path: str | Path) -> None:
@@ -243,21 +249,22 @@ def _gate_histogram(hist: SweepHistogram | GateHistogram, path) -> GateHistogram
 
 
 def _custom_estimate(
-    hist: SweepHistogram, rate: float, tau_s: float, window: tuple[float, float], row: str = ""
+    hist: SweepHistogram, rate: float, tau_s: float, window: tuple[float, float], row: str
 ) -> ModelEstimate:
     """The model conversions of the sweep-histogram estimate.
 
     Every command's custom row passes here, so a flagged estimate warns on
-    stderr whichever command prints it; ``row`` names the row it flags.
+    stderr whichever command prints it, and a refused one is refused with
+    the same error type; ``row`` names the row in the warning or the error.
     """
-    counts = estimate_custom(hist, tau_s=tau_s, window=window)
-    if counts.negative_ap_warning:
-        print(
-            f"warning: {row + ': ' if row else ''}afterpulse counts negative "
-            "beyond 3 sigma; check tau_s and the baseline window",
-            file=sys.stderr,
-        )
-    return derive_all(counts.p_exp, rate=rate, tau_s=tau_s)
+    try:
+        counts = estimate_custom(hist, tau_s=tau_s, window=window)
+        if counts.negative_ap_warning:
+            print(f"warning: {row}: afterpulse counts negative beyond 3 sigma; check tau_s "
+                  "and the baseline window", file=sys.stderr)
+        return derive_all(counts.p_exp, rate=rate, tau_s=tau_s)
+    except _NUMERIC_ERRORS as exc:
+        raise type(exc)(f"{row}: {exc}") from None
 
 
 def _sweep_histogram(cfg: Config, trace: ClickTrace) -> SweepHistogram:
@@ -320,11 +327,12 @@ def cmd_estimate(args) -> int:
                     f"{args.hist}: sweep_ns = {hist.sweep * 1e9:g} outlasts the laser period "
                     f"of f_l_hz = {f_l!r}: the next pulse's clicks would be counted as afterpulses"
                 )
-        inputs = []
+        inputs, sources = [], []
         # metadata in ns is divided by 1e9, so that 200 ns reads back as 2e-07
         for option, key, value, per_unit in (
             ("--tau-s", "tau_s_ns", args.tau_s, 1e9), ("--rate", "rate_hz", args.rate, 1.0)
         ):
+            sources.append(option if value is not None else key)
             if value is None:
                 if key not in hist.meta:
                     raise DegenerateDataError(
@@ -340,7 +348,8 @@ def cmd_estimate(args) -> int:
             )
         if rate < 0.0:
             raise DegenerateDataError(f"{args.hist}: metadata rate_hz = {rate!r} is negative")
-        full = _custom_estimate(hist, rate, tau_s, (args.window_start, args.window_end))
+        row = f"{args.hist} (tau_s from {sources[0]}, rate from {sources[1]})"
+        full = _custom_estimate(hist, rate, tau_s, (args.window_start, args.window_end), row)
         print("method,p_exp,p_s,p1,p2,P_ap")
         print("custom," + _model_fields(full))
         return EXIT_OK
@@ -369,6 +378,7 @@ def cmd_compare(args) -> int:
     cfg = load_config(args.config)
     base = sim_config(cfg, seed=args.seed)
     _refuse_sweep_past_the_next_pulse(cfg, base)
+    _refuse_dead_time_in_the_window(cfg, base.scheme.tau_s, f"{args.config}: [deadtime]")
     if not args.mu:
         raise ConfigError("--mu must list at least one pulse energy")
     yuan_gate = cfg[("estimation", "yuan_gate_index")]
@@ -429,17 +439,9 @@ def cmd_sweep_deadtime(args) -> int:
         if args.scheme == "both"
         else [SchemeKind(args.scheme)]
     )
-    # before any run, every row's dead time (under a step ramp, tau plus the
-    # recovery time) must end before the baseline window, which starts inside the sweep
-    window = dcr_window(cfg)
-    circuits = {kind: [_scheme(cfg, kind, tau, tau) for tau in taus] for kind in schemes}
-    for kind in schemes:
-        for tau, circuit in zip(taus, circuits[kind]):
-            if circuit.tau_s >= window[0]:
-                raise ConfigError(
-                    f"row {kind.value}, tau = {tau!r}: dead time tau_s = "
-                    f"{circuit.tau_s!r} must stay below the baseline window start {window[0]!r}"
-                )
+    # before any run, every row's dead time (its tau) must end before the baseline window
+    for tau in taus:
+        _refuse_dead_time_in_the_window(cfg, tau, f"row {schemes[0].value}, tau = {tau!r}")
 
     # fixed-rate sweep: the first row's rate is the target, and each row
     # runs once.  A scheme's first row runs at the first row's pulse
@@ -449,24 +451,23 @@ def cmd_sweep_deadtime(args) -> int:
     lines = ["scheme,tau_s,mu,rate_hz,p_exp,p_s,p2"]
     series: dict[SchemeKind, list[tuple[float, float]]] = {k: [] for k in schemes}
     target_rate = None
+    window = dcr_window(cfg)
     for kind in schemes:
         mu = base.mu
-        for j, (tau, circuit) in enumerate(zip(taus, circuits[kind])):
-            row = replace(base, scheme=circuit, mu=mu, seed=stream(base.seed, "sweep", j))
-            trace = run_simulation(row)
+        for j, tau in enumerate(taus):
+            trace = run_simulation(replace(base, scheme=_scheme(cfg, kind, tau, tau), mu=mu,
+                                           seed=stream(base.seed, "sweep", j)))
             if target_rate is None:
                 target_rate = trace.rate
             hist = _sweep_histogram(cfg, trace)
-            full = _custom_estimate(
-                hist, trace.rate, circuit.tau_s, window, f"{kind.value}, tau_s = {tau!r}"
-            )
+            full = _custom_estimate(hist, trace.rate, tau, window, f"{kind.value}, tau_s = {tau!r}")
             lines.append(
                 f"{kind.value},{tau!r},{mu!r},{trace.rate!r},"
                 f"{full.p_exp!r},{full.p_s!r},{full.p2!r}"
             )
             series[kind].append((tau, full.p2))
             if j + 1 < len(taus):
-                ahead = estimate_custom(hist, tau_s=circuits[kind][j + 1].tau_s, window=window)
+                ahead = estimate_custom(hist, tau_s=taus[j + 1], window=window)
                 mu = _start_mu(trace, full.p_exp, ahead.p_exp, target_rate)
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

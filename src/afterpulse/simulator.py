@@ -11,8 +11,9 @@ detector, producing afterpulses.  Two dead-time circuits are modelled:
   click, but the bias stays high, so avalanches keep growing unseen
   (counted as hidden) and keep refilling traps;
 * ``LT_AR`` -- the bias is actively dropped for ``tau_c`` (no avalanches,
-  pending carriers are lost) and detection efficiency recovers over
-  ``tau_er`` after the bias is restored, optionally as a linear ramp.
+  pending carriers are lost) and detection efficiency recovers linearly
+  over ``tau_er`` after the bias is restored; a step recovery is a longer
+  hold-off.
 
 Events are resolved on the gate grid; trap-release instants are continuous
 but take effect at the next gate.  The one kernel (``_kernels``, plain
@@ -82,17 +83,15 @@ class DeadTimeScheme:
 
     ``tau_l`` is the comparator latching time.  For ``LT_AR``, ``tau_c`` is
     the active bias hold-off and ``tau_er`` the post-reset recovery
-    interval; the efficiency ramps 0 -> 1 over [tau_c, tau_c + tau_er]
-    (``ramp="linear"``) or jumps at tau_c + tau_er (``ramp="step"``).  Zero
-    efficiency is the hold-off here, so a step extends the hold-off to
-    tau_c + tau_er.
+    interval; the efficiency ramps linearly 0 -> 1 over
+    [tau_c, tau_c + tau_er].  Efficiency that jumps back at once after a
+    recovery ``r`` is a hold-off of ``tau_c + r``.
     """
 
     kind: SchemeKind
     tau_l: float
     tau_c: float = 0.0
     tau_er: float = 0.0
-    ramp: str = "linear"
 
     def __post_init__(self) -> None:
         _require_finite(self, "tau_l", "tau_c", "tau_er")
@@ -107,18 +106,12 @@ class DeadTimeScheme:
                 raise SimulationConfigError(
                     f"tau_er must be >= 0, got {self.tau_er!r}"
                 )
-        if self.ramp not in ("linear", "step"):
-            raise SimulationConfigError(
-                f"ramp must be 'linear' or 'step', got {self.ramp!r}"
-            )
 
     @property
     def tau_s(self) -> float:
         """Statistical dead time: earliest possible click-to-click spacing."""
         if self.kind == SchemeKind.LT:
             return self.tau_l
-        if self.ramp == "step":
-            return max(self.tau_l, self.tau_c + self.tau_er)
         return max(self.tau_l, self.tau_c)
 
 
@@ -227,8 +220,6 @@ def gate_loop_args(cfg: SimConfig) -> tuple:
     """Arguments of ``_kernels.gate_loop`` for one run, in gate units."""
     scheme = cfg.scheme
     is_lt = scheme.kind == SchemeKind.LT
-    # a step ramp is carried by the hold-off (``DeadTimeScheme.tau_s``)
-    ramped = not is_lt and scheme.ramp == "linear"
     return (
         cfg.n_gates,
         cfg.gates_per_pulse,
@@ -239,7 +230,7 @@ def gate_loop_args(cfg: SimConfig) -> tuple:
         is_lt,
         _span_gates(scheme.tau_s, cfg.f_g),
         scheme.tau_c * cfg.f_g,
-        scheme.tau_er * cfg.f_g if ramped else 0.0,
+        0.0 if is_lt else scheme.tau_er * cfg.f_g,
         cfg.seed,
     )
 

@@ -5,8 +5,10 @@ console entry through a subprocess as well.
 """
 
 import math
+import re
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,6 +138,42 @@ class TestConfigLoading:
         assert str(path) in err and "[deadtime]" in err and "'scheme'" in err
         assert all(kind.value in err for kind in SchemeKind)
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("ramp", ["step", "linear"])
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("simulate", ()), ("compare", ("--mu", "1")), ("sweep-deadtime", ("--tau", "1e-6"))],
+    )
+    def test_ramp_key_refused(self, tmp_path, capsys, monkeypatch, ramp, command, extra):
+        # a step recovery is a longer hold_time_s, and a linear one is the
+        # only ramp, so no key chooses between them
+        runs = []
+        monkeypatch.setattr(cli, "run_simulation", runs.append)
+        path = tmp_path / "ramp.ini"
+        path.write_text(
+            BASE_CONFIG.replace("recovery_time_s = 0.0", f"recovery_time_s = 0.0\nramp = {ramp}")
+        )
+        code, out, err = run_cli(
+            capsys, command, "--config", path, "--out", tmp_path / "o.csv", *extra
+        )
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == f"afterpulse: {path}: unknown key 'ramp' in [deadtime]\n"
+        assert runs == []
+
+    def test_readme_sample_config_loads_as_the_defaults(self, tmp_path):
+        # the README's sample config shows every key with its default, so a
+        # key documented there and gone from the schema fails here
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```ini\n(.*?)^```$", readme, flags=re.M | re.S)
+        assert len(blocks) == 1
+        path = tmp_path / "readme.ini"
+        path.write_text(blocks[0], encoding="utf-8")
+        assert load_config(path) == {
+            (section, key): default
+            for section, keys in cli._SCHEMA.items()
+            for key, (_, default) in keys.items()
+        }
 
 
 class TestSimulate:
@@ -376,6 +414,29 @@ class TestEstimate:
         assert (code, out) == (EXIT_CONFIG, "")
         assert err == f"afterpulse: --tau-s must be > 0, got {float(value)!r}\n"
 
+    @pytest.mark.parametrize("meta,argv,sources,problem", [
+        ({}, ["--tau-s", "1e-3"], "tau_s from --tau-s, rate from rate_hz",
+         "tau_s = 0.001 must be below the sweep 3e-08"),
+        ({}, ["--tau-s", "2.5e-8"], "tau_s from --tau-s, rate from rate_hz",
+         "tau_s = 2.5e-08 must be below the baseline window start 2e-08"),
+        ({"tau_s_ns": "25"}, [], "tau_s from tau_s_ns, rate from rate_hz",
+         "tau_s = 2.5e-08 must be below the baseline window start 2e-08"),
+        ({}, ["--rate", "1e12"], "tau_s from tau_s_ns, rate from --rate",
+         "rate * tau_s must be below 1 + p_exp (got 10000.0 vs 1.4)"),
+    ], ids=["tau-past-sweep", "tau-in-window", "tau-metadata-in-window", "rate"])
+    def test_refusal_names_the_file_and_the_sources(
+        self, tmp_path, capsys, meta, argv, sources, problem
+    ):
+        # the estimator's own message, after the file and where tau_s and the rate came from
+        path = tmp_path / "in.csv"
+        path.write_text(sweep_file(**meta))
+        code, out, err = run_cli(
+            capsys, "estimate", "--method", "custom", "--hist", path, *argv,
+            "--window-start", "20e-9", "--window-end", "30e-9",
+        )
+        assert (code, out) == (EXIT_NUMERIC, "")
+        assert err.startswith(f"afterpulse: {path} ({sources}): {problem}")
+
     @pytest.mark.parametrize(
         "key,value,problem",
         [("tau_s_ns", "-200", "-200 is not positive"), ("tau_s_ns", "0", "0 is not positive"),
@@ -568,6 +629,45 @@ class TestCompare:
         assert runs == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("scheme,tau", [("lt", 20e-6), ("lt-ar", 21e-6)])
+    def test_dead_time_in_the_baseline_window_refused_before_any_run(
+        self, tmp_path, capsys, monkeypatch, scheme, tau
+    ):
+        # a dead time at or past the default 20 us window start would make
+        # the afterpulse region the window itself
+        runs = []
+        monkeypatch.setattr(cli, "run_simulation", runs.append)
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(
+            BASE_CONFIG.replace("scheme = lt-ar", f"scheme = {scheme}")
+            .replace("latch_time_s = 0.2e-6", f"latch_time_s = {tau!r}")
+            .replace("hold_time_s = 0.2e-6", f"hold_time_s = {tau!r}")
+        )
+        out = tmp_path / "cmp.csv"
+        code, stdout, err = run_cli(capsys, "compare", "--config", cfg, "--mu", "1", "--out", out)
+        assert (code, stdout) == (EXIT_CONFIG, "")
+        assert err == (
+            f"afterpulse: {cfg}: [deadtime]: dead time tau_s = {tau!r} must stay below the "
+            "baseline window start, [estimation] dcr_window_start_s = 2e-05\n"
+        )
+        assert runs == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config,argv,row", [
+        # 3e6 gates at a 10 kHz laser hold about 100 pulses: at mu = 0.1
+        # seed 1 registers none of them
+        ("[run]\nn_gates = 3000000\n", ["--mu", "0.1", "--seed", "1"], "custom, mu = 0.1"),
+        (BASE_CONFIG, ["--mu", "0"], "custom, mu = 0.0"),
+    ], ids=["few-pulses", "no-light"])
+    def test_a_refused_custom_row_is_named(self, tmp_path, capsys, config, argv, row):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(config)
+        out = tmp_path / "cmp.csv"
+        code, stdout, err = run_cli(capsys, "compare", "--config", cfg, *argv, "--out", out)
+        assert (code, stdout) == (EXIT_NUMERIC, "")
+        assert err == f"afterpulse: {row}: histogram has no trigger counts\n"
+        assert not out.exists()
+
 
 def record_traces(monkeypatch):
     """Wrap ``cli.run_simulation``; each run's trace is appended to the returned list."""
@@ -685,9 +785,8 @@ class TestSweepDeadtime:
         assert len(traces) == 12
         assert_rows_share_the_first_rows_rate(traces, 2)
 
-    @pytest.mark.parametrize("ramp", ["linear", "step"])
     @pytest.mark.parametrize("kind", ["lt", "lt-ar"])
-    def test_rows_run_the_circuit_simulate_builds(self, tmp_path, capsys, monkeypatch, kind, ramp):
+    def test_rows_run_the_circuit_simulate_builds(self, tmp_path, capsys, monkeypatch, kind):
         # each row's first run has the scheme that simulate builds from the
         # same file with the latch and the hold-off both set to the row's tau
         runs = []
@@ -703,7 +802,7 @@ class TestSweepDeadtime:
             return SHORT_SWEEP.replace(
                 deadtime,
                 f"scheme = {kind}\nlatch_time_s = {tau!r}\nhold_time_s = {tau!r}\n"
-                f"recovery_time_s = 0.1e-6\nramp = {ramp}\n",
+                "recovery_time_s = 0.1e-6\n",
             )
 
         path = tmp_path / "sweep.ini"
@@ -743,23 +842,34 @@ class TestSweepDeadtime:
         assert "baseline window" in err
         assert not out.exists()
 
-    def test_step_ramp_dead_time_checked_before_any_run(self, tmp_path, capsys, monkeypatch):
-        # a step ramp's dead time is tau plus the recovery time: 15 + 6 us
-        # reaches into the 20-25 us baseline window
+    def test_dead_time_checked_before_any_run(self, tmp_path, capsys, monkeypatch):
+        # a row's dead time is its tau: 21 us reaches into the 20-25 us
+        # baseline window, and the 1 us row before it does not run either
         runs = []
         monkeypatch.setattr(cli, "run_simulation", runs.append)
         cfg = tmp_path / "c.ini"
-        cfg.write_text(
-            BASE_CONFIG.replace("recovery_time_s = 0.0", "recovery_time_s = 6e-6\nramp = step")
-        )
+        cfg.write_text(BASE_CONFIG)
         out = tmp_path / "x.csv"
         code, _, err = run_cli(
-            capsys, "sweep-deadtime", "--config", cfg, "--tau", "1e-6,15e-6", "--out", out,
+            capsys, "sweep-deadtime", "--config", cfg, "--tau", "1e-6,21e-6", "--out", out,
         )
         assert code == EXIT_CONFIG
-        assert "lt-ar, tau = 1.5e-05" in err
+        assert "row lt, tau = 2.1e-05" in err
         assert "baseline window start" in err
         assert runs == []
+        assert not out.exists()
+
+    def test_a_refused_row_is_named(self, tmp_path, capsys):
+        # no light, no trigger: the first row's sweep histogram is refused
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(BASE_CONFIG.replace("mean_photons = 1.0", "mean_photons = 0.0"))
+        out = tmp_path / "x.csv"
+        code, stdout, err = run_cli(
+            capsys, "sweep-deadtime", "--config", cfg, "--tau", "1e-6,2e-6",
+            "--scheme", "lt-ar", "--out", out,
+        )
+        assert (code, stdout) == (EXIT_NUMERIC, "")
+        assert err == "afterpulse: lt-ar, tau_s = 1e-06: histogram has no trigger counts\n"
         assert not out.exists()
 
     def test_empty_scheme_list_rejected(self, tmp_path, capsys):
@@ -1212,7 +1322,9 @@ class TestNegativeAfterpulseWarning:
         )
         assert code == EXIT_OK
         assert out.startswith("method,p_exp,p_s,p1,p2,P_ap\ncustom,")
-        assert err == NEGATIVE_AP_WARNING
+        # the one row is named by its file and where tau_s and the rate came from
+        row = f"{path} (tau_s from tau_s_ns, rate from rate_hz)"
+        assert err == NEGATIVE_AP_WARNING.replace("warning: ", f"warning: {row}: ")
 
     @pytest.mark.parametrize("argv,rows", [
         (["compare", "--mu", "0.5,1"], ["custom, mu = 0.5", "custom, mu = 1.0"]),

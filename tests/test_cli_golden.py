@@ -75,6 +75,14 @@ began to write its laser rate, ``f_l_hz``, into the sweep metadata, so that
 ``estimate --method custom`` can refuse a sweep longer than the laser
 period.  The file gained that one line; ``estimate-custom`` did not change.
 
+The config-schema digest and the ``simulate-sweep`` ``--out`` digest were
+re-recorded when the ``[deadtime] ramp`` key and ``DeadTimeScheme.ramp``
+were removed: a step recovery is a longer hold-off, and a linear ramp is
+the only one left.  The schema lost that key.  In the sweep file only the
+``config_sha1`` line changed, because it hashes ``repr(SimConfig)``, which
+no longer shows ``ramp='linear'``; every bin, every other metadata line and
+every other entry held.
+
 Commands run in-process through ``cli.main`` inside a temporary working
 directory and take relative paths, because ``simulate`` echoes its
 ``--out`` path and error messages name their input files.
@@ -245,7 +253,7 @@ GOLDEN = {
     "simulate-gate-fiftieth-lit": (0, "cba8500eea878366a55e0162cfda91c5809e1363e941d5d625004f3a3995439d", "36911ec30df275dafbc096b00f5aec6f5abaf655c62e1ca6207e32d3c7fe9366"),
     "simulate-gate-half-dark": (0, "ce161cceb3b94f074e76f1da9944315ed86ac12c36c8393404da936423bd845b", "b208815a9192513965d29e5f0f9c5b199670b1122eb2142aa2c7c3c108dfed49"),
     "simulate-gate-half-lit": (0, "6d450b0ba9e85f083ebeaf26beb8120e5b59ba10ced686b10c80fd98ec583629", "81a18cb234526449db306538dd10732feeadc82bfeeb32c5bb03253f119dd365"),
-    "simulate-sweep": (0, "4610f624415c938a41b41c83140714f0db6e071e0d5a6943ca2796b8738d8a7b", "84672f6a4707db07c4d746eb7770246a47c638c218dd2939cd4baa150af59333"),
+    "simulate-sweep": (0, "4610f624415c938a41b41c83140714f0db6e071e0d5a6943ca2796b8738d8a7b", "b4cd762cc01a5f16126e4ccfbda14865f4f4e1ea7a858387aeec08ce58dc0741"),
     "sweep-deadtime": (0, "0cea7d2ac7cfca485c63799aae24c1e432ecd424be8df623d28c5127abab8372", "90fb1b63b95965e56ec61ad359522c8596c310fe37361ce228b97e9570d16b42"),
 }
 
@@ -266,7 +274,7 @@ HELP_GOLDEN = {
     "sweep-deadtime": "a04fec841acdc2accd12e98c715b35ae0f792a1f198ed243f620707c3c5526d9",
     "fit": "5aa4e91ca62c01b7ecba98f6b2b380ff6e51a66e6a343b706f51508f76c7e697",
 }
-SCHEMA_GOLDEN = "07aa11505c28606304df5dd96dd545083dd352c0efcfb88888c19f30258cda83"
+SCHEMA_GOLDEN = "645abd7d4b48f5601e36f2fa5a19a8b3fe80ef947834e0fdc3b2bbe475da2c4f"
 
 
 @pytest.mark.skipif(

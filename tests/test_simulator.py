@@ -73,8 +73,6 @@ class TestConfigValidation:
             DeadTimeScheme(SchemeKind.LT, tau_l=0.0)
         with pytest.raises(SimulationConfigError):
             DeadTimeScheme(SchemeKind.LT_AR, tau_l=1e-6, tau_c=0.0)
-        with pytest.raises(SimulationConfigError):
-            DeadTimeScheme(SchemeKind.LT, tau_l=1e-6, ramp="cubic")
 
     @pytest.mark.parametrize(
         "field", ["f_g", "f_l", "mu", "pde", "dcr_per_gate", "p_ap_internal", "tau_detrap"]
@@ -98,12 +96,7 @@ class TestConfigValidation:
         assert s.tau_s == 2e-6
         s = DeadTimeScheme(SchemeKind.LT_AR, tau_l=3e-6, tau_c=2e-6)
         assert s.tau_s == 3e-6
-        # a step ramp sits at tau_c + tau_er; a linear one registers clicks
-        # from tau_c on
-        s = DeadTimeScheme(SchemeKind.LT_AR, tau_l=1e-6, tau_c=2e-6, tau_er=1.5e-6, ramp="step")
-        assert s.tau_s == 3.5e-6
-        s = DeadTimeScheme(SchemeKind.LT_AR, tau_l=4e-6, tau_c=2e-6, tau_er=1.5e-6, ramp="step")
-        assert s.tau_s == 4e-6
+        # a linear ramp registers clicks from tau_c on
         s = DeadTimeScheme(SchemeKind.LT_AR, tau_l=1e-6, tau_c=2e-6, tau_er=1.5e-6)
         assert s.tau_s == 2e-6
 
@@ -178,49 +171,6 @@ class TestDeadTime:
         trace = run_simulation(cfg)
         gaps = np.diff(trace.click_gates)
         assert gaps.min() >= math.ceil(2e-6 * F_G - 1e-9)
-
-    def test_step_recovery_time_lengthens_the_dead_time(self):
-        # half-rate laser at mu 1: a step at tau_c + tau_er = 0.7 us keeps
-        # the detector blind 2.5 times as long as the bare hold-off
-        clicks = {}
-        for tau_er in (0.0, 0.5e-6):
-            scheme = DeadTimeScheme(
-                SchemeKind.LT_AR, tau_l=0.2e-6, tau_c=0.2e-6, tau_er=tau_er, ramp="step"
-            )
-            cfg = base_cfg(
-                scheme=scheme,
-                n_gates=2_000_000,
-                seed=3,
-                f_l=F_G / 2,
-                dcr_per_gate=100 / F_G,
-                p_ap_internal=0.1,
-            )
-            trace = run_simulation(cfg)
-            clicks[tau_er] = trace.n_clicks
-            gaps = np.diff(trace.click_gates)
-            assert gaps.min() >= math.ceil((0.2e-6 + tau_er) * F_G - 1e-9)
-        assert clicks[0.5e-6] < clicks[0.0]
-
-    def test_step_and_linear_agree_without_recovery_time(self):
-        # 67.2 ns is 21 gates, 21.000000000000004 as a float product: with
-        # no recovery interval either ramp is the bare 21-gate hold-off
-        traces = [
-            run_simulation(
-                base_cfg(
-                    scheme=DeadTimeScheme(
-                        SchemeKind.LT_AR, tau_l=67.2e-9, tau_c=67.2e-9, ramp=ramp
-                    ),
-                    n_gates=2_000_000,
-                    seed=3,
-                    f_l=F_G / 2,
-                    dcr_per_gate=100 / F_G,
-                    p_ap_internal=0.2,
-                )
-            )
-            for ramp in ("linear", "step")
-        ]
-        assert np.array_equal(traces[0].click_gates, traces[1].click_gates)
-        assert traces[0].hidden_avalanches == traces[1].hidden_avalanches
 
     def test_lt_hidden_avalanches_counted(self):
         # fast traps: releases land inside the latch window and fire unseen
