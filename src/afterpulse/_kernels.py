@@ -410,13 +410,13 @@ def gate_loop(
 def sweep_scan(click_gates, gates_per_pulse, sweep_gates, binw_gates, n_bins):
     """Emulate oscilloscope sweeps over a click train.
 
-    The sweep spans at most one laser period (``sweep_gates <=
-    gates_per_pulse``, which ``build_sweep_histogram`` enforces), so windows
-    never overlap and every laser-coincident click triggers.  Every other
-    click less than ``sweep_gates`` after the last trigger before it is
-    binned at its offset over ``binw_gates``, truncated, with any overshoot
-    in the last of ``n_bins`` bins; a click exactly ``sweep_gates`` after a
-    trigger is outside its window.
+    Every laser-coincident click triggers, and every other click less than
+    ``sweep_gates`` after the last trigger before it is binned at its offset
+    over ``binw_gates``, truncated, with any overshoot in the last of
+    ``n_bins`` bins.  ``SweepHistogram`` holds the sweep to one laser period
+    up to float noise, so ``sweep_gates`` is at most ``gates_per_pulse + 1``:
+    a click ``gates_per_pulse`` gates after a trigger is itself a trigger,
+    at offset 0, so no window bins the next pulse's clicks.
 
     Returns (bins int64 array, trigger count).
     """

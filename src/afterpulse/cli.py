@@ -34,7 +34,6 @@ from .histio import (
     GateHistogram,
     HistogramFormatError,
     SweepHistogram,
-    _meta_float,
     read_histogram,
     write_histogram,
 )
@@ -45,7 +44,6 @@ from .simulator import (
     SchemeKind,
     SimConfig,
     SimulationConfigError,
-    _span_gates,
     build_sweep_histogram,
     fold_gate_histogram,
     run_simulation,
@@ -148,15 +146,21 @@ def sim_config(cfg: Config, seed: int | None = None) -> SimConfig:
     )
 
 
+def _empty_sweep(cfg: Config, f_l: float | None = None) -> SweepHistogram:
+    """A sweep histogram of the configured layout, with no counts."""
+    sweep, bin_width = cfg["histogram", "sweep_s"], cfg["histogram", "bin_width_s"]
+    bins = np.zeros(round(sweep / bin_width), np.int64)
+    return SweepHistogram(bin_width, sweep, bins, 0, f_l=f_l)
+
+
 def _refuse_sweep_past_the_next_pulse(cfg: Config, sim: SimConfig) -> None:
     """Refuse before any run the sweep that ``build_sweep_histogram`` would refuse."""
-    sweep = cfg[("histogram", "sweep_s")]
-    if _span_gates(sweep, sim.f_g) > sim.gates_per_pulse:
-        raise ConfigError(
-            f"[histogram] sweep_s = {sweep!r} outlasts the laser period of "
-            f"[source] laser_frequency_hz = {sim.f_l!r}: the next pulse's "
-            "clicks would be counted as afterpulses"
-        )
+    try:
+        _empty_sweep(cfg, sim.f_l)
+    except DegenerateDataError:
+        raise ConfigError(f"[histogram] sweep_s = {cfg['histogram', 'sweep_s']!r} outlasts the "
+                          f"laser period of [source] laser_frequency_hz = {sim.f_l!r}: the next "
+                          "pulse's clicks would be counted as afterpulses") from None
 
 
 def dcr_window(cfg: Config) -> tuple[float, float]:
@@ -180,9 +184,8 @@ def _check_sweep(cfg: Config, path: str | Path) -> None:
             f"bin_width_s > 0, got {sweep!r} and {bin_width!r}"
         )
     # the window is checked as ``estimate_custom`` checks it, on an empty sweep
-    empty = SweepHistogram(bin_width, sweep, np.zeros(round(sweep / bin_width), np.int64), 0)
     try:
-        _window_bins(empty, dcr_window(cfg))
+        _window_bins(_empty_sweep(cfg), dcr_window(cfg))
     except DegenerateDataError as exc:
         raise ConfigError(
             f"{path}: keys 'dcr_window_start_s' and 'dcr_window_end_s' in [estimation]: {exc}"
@@ -317,37 +320,19 @@ def cmd_estimate(args) -> int:
                 f"{args.hist}: the custom method needs a sweep histogram, "
                 "not a gate histogram"
             )
-        # the simulator records its laser rate; an instrument export may not
-        if "f_l_hz" in hist.meta:
-            f_l = _meta_float(hist.meta, "f_l_hz", args.hist)
-            if not f_l > 0.0:
-                raise DegenerateDataError(f"{args.hist}: metadata f_l_hz = {f_l!r} is not positive")
-            if hist.sweep * f_l > 1.0 + 1e-9:  # a sweep of one whole period is allowed
-                raise DegenerateDataError(
-                    f"{args.hist}: sweep_ns = {hist.sweep * 1e9:g} outlasts the laser period "
-                    f"of f_l_hz = {f_l!r}: the next pulse's clicks would be counted as afterpulses"
-                )
+        # an option overrides the file, whose keys ``read_histogram`` has checked
         inputs, sources = [], []
-        # metadata in ns is divided by 1e9, so that 200 ns reads back as 2e-07
-        for option, key, value, per_unit in (
-            ("--tau-s", "tau_s_ns", args.tau_s, 1e9), ("--rate", "rate_hz", args.rate, 1.0)
+        for option, key, value, recorded in (
+            ("--tau-s", "tau_s_ns", args.tau_s, hist.tau_s),
+            ("--rate", "rate_hz", args.rate, hist.rate),
         ):
-            sources.append(option if value is not None else key)
-            if value is None:
-                if key not in hist.meta:
-                    raise DegenerateDataError(
-                        f"{args.hist}: custom method needs {option} or {key} metadata"
-                    )
-                value = _meta_float(hist.meta, key, args.hist) / per_unit
-            inputs.append(value)
+            if value is None and recorded is None:
+                raise DegenerateDataError(
+                    f"{args.hist}: custom method needs {option} or {key} metadata"
+                )
+            sources.append(key if value is None else option)
+            inputs.append(recorded if value is None else value)
         tau_s, rate = inputs
-        # the options are checked above, so a value out of range is the file's
-        if not tau_s > 0.0:
-            raise DegenerateDataError(
-                f"{args.hist}: metadata tau_s_ns = {hist.meta['tau_s_ns']} is not positive"
-            )
-        if rate < 0.0:
-            raise DegenerateDataError(f"{args.hist}: metadata rate_hz = {rate!r} is negative")
         row = f"{args.hist} (tau_s from {sources[0]}, rate from {sources[1]})"
         full = _custom_estimate(hist, rate, tau_s, (args.window_start, args.window_end), row)
         print("method,p_exp,p_s,p1,p2,P_ap")

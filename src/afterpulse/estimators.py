@@ -65,9 +65,11 @@ class SweepCounts:
 
     @property
     def negative_ap_warning(self) -> bool:
-        """Whether C_ap lies below zero by more than 3 sigma of the dark counts."""
-        var = self.n_ap * self.c_dcr * (1.0 + self.n_ap / self.n_dcr)
-        return bool(self.c_ap < -3.0 * math.sqrt(var)) if var > 0.0 else bool(self.c_ap < 0.0)
+        """Whether C_ap lies below zero by more than 3 sigma of the bins outside the window."""
+        # the window's bins cancel in C_ap; without other bins C_ap is 0 up to rounding
+        n_out = self.n_ap - self.n_dcr
+        var = n_out * self.c_dcr * (1.0 + n_out / self.n_dcr)
+        return bool(n_out > 0 and self.c_ap < -3.0 * math.sqrt(var))
 
 
 @dataclass(frozen=True)

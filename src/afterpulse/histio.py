@@ -8,13 +8,17 @@ appear anywhere, and the first bad line is named.  Writing then reading is a
 bit-exact identity on the counts.  The writer formats the records in a few
 array passes over the bins and always ends lines in ``\n``; that form is read
 in a few whole-file array passes, any other file in one pass over its lines.
+A sweep file's optional ``tau_s_ns`` (> 0), ``rate_hz`` (>= 0) and ``f_l_hz``
+(> 0, its period no shorter than the sweep) become the ``SweepHistogram``
+fields ``tau_s``, ``rate`` and ``f_l``, None where absent.
 
 Gate-folded histograms share the format: ``kind = gate`` marks them, the
 period takes the place of the sweep, ``c0`` is 0, and ``gates_per_period``,
 ``acquisition_gates`` (integers >= 1) and ``tau_s_ns`` (>= 0, default 0) carry
 the period structure.  Optional ``f_g_hz`` and ``f_l_hz`` must give a whole
 ``f_g/f_l`` equal to ``gates_per_period``; each defaults to agree with it.
-The reader checks every one of these keys, naming the file and the key.
+The reader checks every one of these keys, and ``rate_hz`` (>= 0) of either
+kind, naming the file and the key.
 """
 
 from __future__ import annotations
@@ -75,11 +79,22 @@ class SweepHistogram:
     bins: np.ndarray  # integer counts
     c0: int
     meta: dict[str, str] = field(default_factory=dict)
+    # the dead time (s), click rate and laser rate (Hz); None where the source
+    # does not record them, as in an instrument export
+    tau_s: float | None = None
+    rate: float | None = None
+    f_l: float | None = None
 
     def __post_init__(self) -> None:
         self.bins = _layout(self.bins, self.bin_width, self.sweep, "sweep", HistogramFormatError)
         if self.c0 < 0:
             raise HistogramFormatError("c0 must be >= 0")
+        # a sweep of one whole laser period is allowed, up to float noise
+        if self.f_l is not None and self.sweep * self.f_l > 1.0 + 1e-9:
+            raise DegenerateDataError(
+                f"sweep_ns = {self.sweep * 1e9:g} outlasts the laser period of f_l_hz = "
+                f"{self.f_l!r}: the next pulse's clicks would be counted as afterpulses"
+            )
 
     @property
     def bin_starts(self) -> np.ndarray:
@@ -173,7 +188,10 @@ def write_histogram(h: SweepHistogram | GateHistogram, path: str | Path) -> None
             **h.meta,
         }
     else:
-        span, c0, meta = h.sweep, h.c0, h.meta
+        span, c0 = h.sweep, h.c0
+        typed = (("tau_s_ns", h.tau_s, _format_ns), ("rate_hz", h.rate, repr),
+                 ("f_l_hz", h.f_l, repr))
+        meta = {**h.meta, **{key: fmt(float(v)) for key, v, fmt in typed if v is not None}}
     lines = [
         f"# bin_width_ns = {_format_ns(h.bin_width)}",
         f"# sweep_ns = {_format_ns(span)}",
@@ -303,8 +321,9 @@ def _meta_float(meta: dict[str, str], key: str, path: str | Path) -> float:
     return value
 
 
-def _as_gate(hist: SweepHistogram, meta: dict[str, str], path: str | Path) -> GateHistogram:
+def _as_gate(hist: SweepHistogram, meta: dict[str, str], typed: dict, path) -> GateHistogram:
     """The gate histogram of a ``kind = gate`` file, its gate keys checked."""
+    del meta["kind"]
     counts = []
     for key in ("gates_per_period", "acquisition_gates"):
         if key not in meta:
@@ -314,13 +333,8 @@ def _as_gate(hist: SweepHistogram, meta: dict[str, str], path: str | Path) -> Ga
         if counts[-1] < 1:
             raise DegenerateDataError(f"{path}: {key} = {text!r} is not an integer >= 1")
     gates, acq = counts
-    tau_ns = _meta_float(meta, "tau_s_ns", path) if "tau_s_ns" in meta else 0.0
-    if tau_ns < 0.0:
-        raise DegenerateDataError(f"{path}: metadata tau_s_ns = {tau_ns!r} is negative")
-    meta.pop("tau_s_ns", None)
     f_g = _meta_float(meta, "f_g_hz", path) if "f_g_hz" in meta else gates / hist.sweep
-    f_l = _meta_float(meta, "f_l_hz", path) if "f_l_hz" in meta else f_g / gates
-    ratio = f_g / f_l if f_l else math.inf
+    ratio = f_g / typed.get("f_l", f_g / gates)
     if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-6:
         raise DegenerateDataError(
             f"{path}: f_g must be an integer multiple of f_l (f_g/f_l = {ratio!r})"
@@ -331,7 +345,7 @@ def _as_gate(hist: SweepHistogram, meta: dict[str, str], path: str | Path) -> Ga
         )
     return GateHistogram(
         bins=hist.bins, bin_width=hist.bin_width, period=hist.sweep, gates_per_period=gates,
-        acquisition_gates=acq, tau_s=tau_ns / 1e9, meta=meta,
+        acquisition_gates=acq, tau_s=typed.get("tau_s", 0.0), meta=meta,
     )
 
 
@@ -371,12 +385,26 @@ def read_histogram(path: str | Path) -> SweepHistogram | GateHistogram:
             f"{path}: bin {i} starts at {starts[i]} ns, expected {i * width_ns:.0f} ns"
         )
     extra = {k: v for k, v in meta.items() if k not in _MANDATORY_KEYS}
+    gate = extra.get("kind") == "gate"
+    # the model inputs, in s and Hz; a fold may have no dead time and keeps its rates as text
+    typed = {}
+    for name, key, per_unit, zero_ok in (
+        ("tau_s", "tau_s_ns", 1e9, gate), ("rate", "rate_hz", 1, True), ("f_l", "f_l_hz", 1, False),
+    ):
+        if key in extra:
+            value = _meta_float(extra, key, path)
+            if value < 0.0 or not (zero_ok or value):
+                problem = "negative" if zero_ok else "not positive"
+                raise DegenerateDataError(f"{path}: metadata {key} = {extra[key]} is {problem}")
+            typed[name] = value / per_unit  # so that 200 ns reads back as 2e-07
+            if not gate or name == "tau_s":
+                del extra[key]
     # the sweep container's layout checks apply to gate files as well
-    hist = SweepHistogram(
-        bin_width=width_ns / 1e9, sweep=sweep_ns / 1e9, bins=values[:, 1].copy(), c0=c0,
-        meta=extra,
-    )
-    if extra.get("kind") != "gate":
-        return hist
-    del extra["kind"]
-    return _as_gate(hist, extra, path)
+    try:
+        hist = SweepHistogram(
+            bin_width=width_ns / 1e9, sweep=sweep_ns / 1e9, bins=values[:, 1].copy(), c0=c0,
+            meta=extra, **({} if gate else typed),
+        )
+    except DegenerateDataError as exc:
+        raise DegenerateDataError(f"{path}: {exc}") from None
+    return _as_gate(hist, extra, typed, path) if gate else hist

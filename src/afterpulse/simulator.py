@@ -44,7 +44,7 @@ from enum import Enum
 import numpy as np
 
 from . import _kernels
-from .histio import GateHistogram, SweepHistogram, _format_ns
+from .histio import GateHistogram, SweepHistogram
 
 __all__ = [
     "SchemeKind",
@@ -241,17 +241,15 @@ def run_simulation(cfg: SimConfig) -> ClickTrace:
     return ClickTrace(config=cfg, click_gates=clicks, hidden_avalanches=int(hidden))
 
 
-def build_sweep_histogram(
-    trace: ClickTrace,
-    sweep: float,
-    bin_width: float,
-) -> SweepHistogram:
+def build_sweep_histogram(trace: ClickTrace, sweep: float, bin_width: float) -> SweepHistogram:
     """Collect oscilloscope-style sweeps from a click train.
 
     Each laser-coincident click triggers a sweep of length ``sweep``, at most
-    one laser period; later clicks in the window are histogrammed at their
-    offset with ``bin_width`` resolution, and a click a whole sweep after
-    the trigger is outside it.  The trigger itself is counted in ``c0`` only.
+    one laser period (``SweepHistogram`` raises ``DegenerateDataError`` on a
+    longer one); later clicks in the window are histogrammed at their offset
+    with ``bin_width`` resolution, and a click a whole sweep after the
+    trigger is outside it.  The trigger itself is counted in ``c0`` only.
+    The histogram carries the run's dead time, click rate and laser rate.
     """
     if not sweep > bin_width > 0.0:
         raise SimulationConfigError(
@@ -259,36 +257,23 @@ def build_sweep_histogram(
             f"bin_width={bin_width!r}"
         )
     cfg = trace.config
-    sweep_gates = _span_gates(sweep, cfg.f_g)
-    if sweep_gates > cfg.gates_per_pulse:
-        raise SimulationConfigError(
-            f"sweep = {sweep!r} s outlasts the laser period of f_l = {cfg.f_l!r} Hz: "
-            "the next pulse's clicks would be counted as afterpulses"
-        )
-    n_bins = int(round(sweep / bin_width))
     bins, c0 = _kernels.sweep_scan(
         np.ascontiguousarray(trace.click_gates, dtype=np.int64),
         cfg.gates_per_pulse,
-        sweep_gates,
+        _span_gates(sweep, cfg.f_g),
         bin_width * cfg.f_g,
-        n_bins,
+        int(round(sweep / bin_width)),
     )
     meta = {
         "source": "simulator",
-        "tau_s_ns": _format_ns(cfg.scheme.tau_s),
-        "rate_hz": repr(trace.rate),
-        "f_l_hz": repr(cfg.f_l),
         "hidden_avalanches": str(trace.hidden_avalanches),
         "total_gates": str(cfg.n_gates),
         "seed": str(cfg.seed),
         "config_sha1": cfg.config_digest(),
     }
     return SweepHistogram(
-        bin_width=bin_width,
-        sweep=sweep,
-        bins=bins,
-        c0=int(c0),
-        meta=meta,
+        bin_width=bin_width, sweep=sweep, bins=bins, c0=int(c0), meta=meta,
+        tau_s=cfg.scheme.tau_s, rate=trace.rate, f_l=cfg.f_l,
     )
 
 

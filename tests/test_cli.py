@@ -23,8 +23,9 @@ from afterpulse.cli import (
     main,
 )
 from afterpulse.estimators import SweepCounts
-from afterpulse.histio import SweepHistogram, write_histogram
+from afterpulse.histio import DegenerateDataError, SweepHistogram, read_histogram, write_histogram
 from afterpulse.simulator import (
+    ClickTrace,
     SchemeKind,
     _span_gates,
     build_sweep_histogram,
@@ -451,6 +452,22 @@ class TestEstimate:
         )
         assert (code, out) == (EXIT_NUMERIC, "")
         assert err == f"afterpulse: {path}: metadata {key} = {problem}\n"
+
+    @pytest.mark.parametrize("key,value", [
+        ("tau_s_ns", "x"), ("tau_s_ns", "0"), ("rate_hz", "fast"), ("rate_hz", "-5.0"),
+        ("f_l_hz", "x"), ("f_l_hz", "0"),
+    ])
+    def test_a_bad_key_is_refused_even_beside_both_options(self, tmp_path, capsys, key, value):
+        # the file's keys are checked where it is read, as a gate file's are:
+        # --tau-s and --rate take the place of a key, they do not hide a bad one
+        path = tmp_path / "in.csv"
+        path.write_text(sweep_file(**{key: value}))
+        code, out, err = run_cli(
+            capsys, "estimate", "--method", "custom", "--hist", path, "--tau-s", "2e-9",
+            "--rate", "1000", "--window-start", "20e-9", "--window-end", "30e-9",
+        )
+        assert (code, out) == (EXIT_NUMERIC, "")
+        assert err.startswith(f"afterpulse: {path}: metadata {key} = ")
 
 
 class TestCompare:
@@ -963,13 +980,14 @@ class TestSweepPastTheNextPulse:
         # before
         sim = replace(cli.sim_config(load_config(config_path)), n_gates=2_000_000)
         hist = build_sweep_histogram(run_simulation(sim), 25e-6, 10e-9)
-        hist.meta["f_l_hz"] = "100000.0"
+        hist.f_l = 1e5  # set after construction, which would refuse it
         path = tmp_path / "h.csv"
         write_histogram(hist, path)
+        assert "# f_l_hz = 100000.0\n" in path.read_text()
         code, out, err = run_cli(capsys, "estimate", "--hist", path, "--method", "custom")
         assert (code, out) == (EXIT_NUMERIC, "")
         assert str(path) in err and "sweep_ns = 25000" in err and "f_l_hz = 100000.0" in err
-        del hist.meta["f_l_hz"]
+        hist.f_l = None
         write_histogram(hist, path)
         code, _, err = run_cli(capsys, "estimate", "--hist", path, "--method", "custom")
         assert code == EXIT_OK, err
@@ -993,6 +1011,37 @@ class TestSweepPastTheNextPulse:
             "--window-start", "8e-6", "--window-end", sweep,
         )
         assert code == EXIT_OK, err
+
+    @pytest.mark.parametrize("laser, sweep, refused", [
+        ("5e4", "20e-6", False), ("86206.89655172414", "11.6e-6", False), ("1e5", "25e-6", True),
+    ], ids=["20us-at-50kHz", "11.6us-at-f_g/3625", "25us-at-100kHz"])
+    def test_the_three_refusals_agree(self, tmp_path, laser, sweep, refused):
+        # the config check, the read file and build_sweep_histogram refuse
+        # the same sweeps; 11.6 us times f_g/3625 is 1.0000000000000002
+        path = tmp_path / "run.ini"
+        path.write_text(
+            f"[source]\nlaser_frequency_hz = {laser}\n[histogram]\nsweep_s = {sweep}\n"
+            f"[estimation]\ndcr_window_start_s = 8e-6\ndcr_window_end_s = {sweep}\n"
+        )
+        cfg = load_config(path)
+        sim = cli.sim_config(cfg)
+        hist = SweepHistogram(10e-9, float(sweep), np.ones(round(float(sweep) / 10e-9), int), 5)
+        hist.f_l = sim.f_l  # set after construction, which would refuse a sweep too long
+        write_histogram(hist, tmp_path / "h.csv")
+
+        def refuses(call, error):
+            try:
+                call()
+            except error as exc:
+                return "outlasts the laser period" in str(exc)
+            return False
+
+        assert [
+            refuses(lambda: cli._refuse_sweep_past_the_next_pulse(cfg, sim), ConfigError),
+            refuses(lambda: read_histogram(tmp_path / "h.csv"), DegenerateDataError),
+            refuses(lambda: build_sweep_histogram(ClickTrace(sim, np.zeros(1, int), 0),
+                                                  float(sweep), 10e-9), DegenerateDataError),
+        ] == [refused] * 3
 
     @pytest.mark.parametrize("value", ["0.0", "-50000.0", "nan"])
     def test_estimate_refuses_a_laser_rate_that_is_not_positive(self, tmp_path, capsys, value):

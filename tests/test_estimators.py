@@ -299,6 +299,28 @@ class TestEstimateCustom:
         assert bundle.negative_ap_warning
         assert bundle.c_ap < 0
 
+    def test_negative_warning_counts_the_bins_outside_the_window(self):
+        # a 10 ns dead time leaves 29 bins, the last 10 the baseline window
+        # at 100 counts each, which cancel in C_ap = 1630 - 19 * 100 = -270.
+        # Its sigma is that of the other 19 bins, sqrt(19 * 100 * 2.9) = 74.2;
+        # counting the window's bins too gave sqrt(29 * 100 * 3.9) = 106.3
+        bins = np.full(30, 100, dtype=np.int64)
+        bins[:20] = [0] + [86] * 18 + [82]
+        bundle = estimate_custom(make_sweep(bins), tau_s=10e-9, window=(200e-9, 300e-9))
+        assert (bundle.n_ap, bundle.n_dcr, bundle.c_dcr, bundle.c_ap) == (29, 10, 100.0, -270.0)
+        assert -3 * 106.3 < bundle.c_ap < -3 * 74.2
+        assert bundle.negative_ap_warning
+
+    def test_no_warning_on_a_rounding_residue(self):
+        # where the afterpulse region is the baseline window, C_ap is 0 up to rounding
+        bins = np.zeros(30, dtype=np.int64)
+        bins[20:] = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3]
+        bundle = estimate_custom(make_sweep(bins), tau_s=195e-9, window=(200e-9, 300e-9))
+        assert bundle.n_ap == bundle.n_dcr == 10
+        assert bundle.c_ap == pytest.approx(0.0, abs=1e-9)
+        assert not bundle.negative_ap_warning
+        assert not replace(bundle, c_ap=-1e-12).negative_ap_warning
+
     def test_normalized_tails_agree_across_acquisition_lengths(self):
         # same process, different acquisition times: after trigger-count
         # normalization the dark-dominated tails coincide within noise

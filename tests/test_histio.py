@@ -165,6 +165,21 @@ class TestFileRoundTrip:
         assert back.meta["seed"] == "42"
         assert back.meta["source"] == "simulator"
 
+    @pytest.mark.parametrize("fields", [
+        {}, {"tau_s": 123.4567891e-9, "rate": 1234.5678, "f_l": 1e4}, {"tau_s": 2e-7},
+        {"rate": 0.0, "f_l": 4e4},
+    ], ids=["none", "all", "dead-time", "rates-at-one-period"])
+    def test_model_inputs_read_back(self, tmp_path, fields):
+        # the dead time, click rate and laser rate come back as written, or
+        # None where not written, and the rest of the metadata with them
+        h = replace(make_hist(np.arange(2500), seed=42, source="simulator"), **fields)
+        path = tmp_path / "hist.csv"
+        write_histogram(h, path)
+        back = read_histogram(path)
+        want_tau = None if h.tau_s is None else pytest.approx(h.tau_s, rel=1e-15, abs=0.0)
+        assert (back.tau_s, back.rate, back.f_l) == (want_tau, h.rate, h.f_l)
+        assert back.meta == h.meta == {"seed": "42", "source": "simulator"}
+
     @pytest.mark.parametrize("width", [2e-7, 3e-7, 7e-7])
     def test_whole_ns_widths_read_back_exactly(self, tmp_path, width):
         # 200 ns times 1e-9 is 2.0000000000000002e-07; 200 ns / 1e9 is 2e-07

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from afterpulse.estimators import estimate_custom
-from afterpulse.histio import read_histogram, write_histogram
+from afterpulse.histio import DegenerateDataError, read_histogram, write_histogram
 from afterpulse.simulator import (
     ClickTrace,
     DeadTimeScheme,
@@ -252,10 +252,12 @@ class TestSweepHistogram:
         tau_ns = 123.4567891
         trace = hand_made_trace([31250], scheme=DeadTimeScheme(SchemeKind.LT, tau_l=tau_ns * 1e-9))
         hist = build_sweep_histogram(trace, 25e-6, 10e-9)
-        assert float(hist.meta["tau_s_ns"]) == pytest.approx(tau_ns, rel=1e-15)
+        assert hist.tau_s == pytest.approx(tau_ns * 1e-9, rel=1e-15)
         write_histogram(hist, tmp_path / "sweep.csv")
-        back = read_histogram(tmp_path / "sweep.csv")
-        assert back.meta["tau_s_ns"] == hist.meta["tau_s_ns"]
+        (line,) = [ln for ln in (tmp_path / "sweep.csv").read_text().splitlines()
+                   if ln.startswith("# tau_s_ns = ")]
+        assert float(line.split(" = ")[1]) == pytest.approx(tau_ns, rel=1e-15)
+        assert read_histogram(tmp_path / "sweep.csv").tau_s == hist.tau_s
 
     def test_single_click_trace(self):
         trace = hand_made_trace([31250])
@@ -274,7 +276,7 @@ class TestSweepHistogram:
         # and 20 us after the trigger would be binned as afterpulses
         m = 3125  # 100 kHz laser
         trace = hand_made_trace([0, m, 10 * m], f_l=1e5, n_gates=1_000_000)
-        with pytest.raises(SimulationConfigError, match="outlasts the laser period"):
+        with pytest.raises(DegenerateDataError, match="outlasts the laser period"):
             build_sweep_histogram(trace, 25e-6, 10e-9)
 
     @pytest.mark.parametrize("f_l, sweep", [(5e4, 20e-6), (86206.89655172414, 11.6e-6)])
