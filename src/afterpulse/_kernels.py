@@ -30,11 +30,11 @@ Python ints masked to 64 bits.  ``_draws`` turns the seeded state into an
 iterator over the stream, computed in numpy blocks: the shift-xor step is
 linear over GF(2)^64, and byte tables of its powers advance a whole block
 of states at once.  Each draw comes as a pair: a float u in [0, 1) for the
-recovery-efficiency and other Bernoulli draws (``next(draws)[0]``), and the
-log of a u' in (0, 1) for the geometric gaps and the exponential detrap
-delay (``scale * next(draws)[1]``).  The u and u' of a block are computed in
-numpy, and the logs are libm's ``math.log`` mapped over the block, so they
-do not depend on numpy's vectorised log.
+recovery-efficiency and other Bernoulli draws (``next(draws)[0]``), and
+numpy's log of a u' in (0, 1) for the geometric gaps and the exponential
+detrap delay (``scale * next(draws)[1]``).  A train reads a log only through
+``int()`` or ``ceil()`` of a scaled value, so a last-bit difference from
+libm's log moves it only within an ulp of a whole number.
 
 ``sweep_scan`` folds a click train into oscilloscope sweeps in numpy: every
 laser-coincident click triggers, since no sweep outlasts the laser period,
@@ -82,8 +82,8 @@ def _splitmix64(x):
 # The stream is drawn in numpy blocks.  The xorshift step T is linear over
 # GF(2)^64 (Marsaglia, 2003), so T^(2^i) advances a whole block of states
 # by 2^i steps at once, as the XOR of 8 byte-table lookups per state (jump
-# ahead, Haramoto et al., 2008).  Blocks double from 2 states up to
-# 2**_BLOCK_LEVELS, so a run that draws a few numbers computes a few.
+# ahead, Haramoto et al., 2008).  T^n of the first n states gives the next n
+# until blocks reach 2**_BLOCK_LEVELS: a run that draws a few computes a few.
 # uint64 arrays wrap around silently, which is the algorithm.
 _BLOCK_LEVELS = 12
 
@@ -128,24 +128,24 @@ def _draw_pairs(states):
 
     Each draw x = (s * MULT) >> 11 has 53 bits, so u = x * 2**-53 in [0, 1)
     and u' = (x | 1) * 2**-53 in (0, 1) are exact; u' is
-    ``((s * MULT) >> 12) + 0.5`` over 2**52.  The logs are libm's, one per
-    pair as it is drawn.
+    ``((s * MULT) >> 12) + 0.5`` over 2**52.  The logs are numpy's, one
+    ``np.log`` pass over the block.
     """
     x = (states * _MULT) >> 11
     u = x * _TWO53INV
     x |= 1
-    return zip(u.tolist(), map(math.log, (x * _TWO53INV).tolist()))
+    return zip(u.tolist(), np.log(x * _TWO53INV).tolist())
 
 
 def _blocks(s):
     """The stream after state ``s`` in blocks of ``(u, log u')`` pairs."""
     jumps = _jump_tables()
-    states = np.array([s], np.uint64)
+    states = _jump(jumps[0], np.array([s], np.uint64))
+    yield _draw_pairs(states)
     for tab in jumps[:-1]:
-        # the next len(states) states, then the len(states) after those
         ahead = _jump(tab, states)
-        states = np.concatenate([ahead, _jump(tab, ahead)])
-        yield _draw_pairs(states)
+        yield _draw_pairs(ahead)
+        states = np.concatenate([states, ahead])
     while True:
         states = _jump(jumps[-1], states)
         yield _draw_pairs(states)

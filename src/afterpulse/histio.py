@@ -10,7 +10,8 @@ array passes over the bins and always ends lines in ``\n``; that form is read
 in a few whole-file array passes, any other file in one pass over its lines.
 A sweep file's optional ``tau_s_ns`` (> 0), ``rate_hz`` (>= 0) and ``f_l_hz``
 (> 0, its period no shorter than the sweep) become the ``SweepHistogram``
-fields ``tau_s``, ``rate`` and ``f_l``, None where absent.
+fields ``tau_s``, ``rate`` and ``f_l``, None where absent, which the
+container holds to the same ranges.
 
 Gate-folded histograms share the format: ``kind = gate`` marks them, the
 period takes the place of the sweep, ``c0`` is 0, and ``gates_per_period``,
@@ -89,6 +90,13 @@ class SweepHistogram:
         self.bins = _layout(self.bins, self.bin_width, self.sweep, "sweep", HistogramFormatError)
         if self.c0 < 0:
             raise HistogramFormatError("c0 must be >= 0")
+        # the reader's ranges for tau_s_ns, rate_hz and f_l_hz
+        for name, zero_ok in (("tau_s", False), ("rate", True), ("f_l", False)):
+            value = getattr(self, name)
+            if value is not None and not (0.0 <= value < math.inf and (zero_ok or value > 0.0)):
+                raise DegenerateDataError(
+                    f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {value!r}"
+                )
         # a sweep of one whole laser period is allowed, up to float noise
         if self.f_l is not None and self.sweep * self.f_l > 1.0 + 1e-9:
             raise DegenerateDataError(

@@ -65,6 +65,26 @@ class TestContainer:
             f"got {bin_width!r} and {sweep!r}"
         )
 
+    @pytest.mark.parametrize("fields,message", [
+        # once accepted, and written to a file that read_histogram refused
+        ({"f_l": NAN, "tau_s": -1.0, "rate": -5.0}, "tau_s must be finite and > 0, got -1.0"),
+        ({"tau_s": 0.0}, "tau_s must be finite and > 0, got 0.0"),
+        ({"tau_s": NAN}, "tau_s must be finite and > 0, got nan"),
+        ({"rate": -5.0}, "rate must be finite and >= 0, got -5.0"),
+        ({"rate": INF}, "rate must be finite and >= 0, got inf"),
+        ({"f_l": 0.0}, "f_l must be finite and > 0, got 0.0"),
+        ({"f_l": NAN}, "f_l must be finite and > 0, got nan"),
+        ({"f_l": -1e4}, "f_l must be finite and > 0, got -10000.0"),
+    ])
+    def test_refuses_what_the_reader_refuses_in_a_file(self, fields, message):
+        with pytest.raises(DegenerateDataError) as info:
+            SweepHistogram(1e-9, 2e-9, [3, 5], 0, **fields)
+        assert str(info.value) == message
+
+    def test_accepts_a_zero_rate(self):
+        h = SweepHistogram(1e-9, 2e-9, [3, 5], 0, tau_s=1e-9, rate=0.0, f_l=1e4)
+        assert (h.tau_s, h.rate, h.f_l) == (1e-9, 0.0, 1e4)
+
 
 def make_gate(bins=(3, 5), **fields):
     """A two-gate fold; ``fields`` override its constructor arguments."""

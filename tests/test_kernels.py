@@ -3,7 +3,6 @@ reference, and the helpers."""
 
 import dataclasses
 import hashlib
-import math
 
 import numpy as np
 import pytest
@@ -208,10 +207,54 @@ def test_sweep_histogram_is_pinned():
     assert _digest(hist.bins, hist.c0) == SWEEP_DIGEST
 
 
+def _nudged_draw_pairs(toward):
+    """``_kernels._draw_pairs`` with every log one ulp off, toward ``toward``."""
+    draw_pairs = _kernels._draw_pairs
+
+    def nudged(states):
+        u, logs = zip(*draw_pairs(states))
+        return zip(u, np.nextafter(logs, toward).tolist())
+
+    return nudged
+
+
+@pytest.mark.parametrize("toward", [np.inf, -np.inf], ids=["up", "down"])
+def test_pinned_trains_hold_with_every_log_one_ulp_off(monkeypatch, toward):
+    # numpy's log may differ from libm's in its last bit, and a train reads a
+    # log only through int() or ceil() of a scaled value: no pinned train may
+    # lean on the last bit of any log
+    monkeypatch.setattr(_kernels, "_draw_pairs", _nudged_draw_pairs(toward))
+    for name, cfg in PINNED.items():
+        clicks, hidden = _kernels.gate_loop(*gate_loop_args(cfg))
+        assert _digest(clicks, hidden) == DIGESTS[name], name
+    hist = build_sweep_histogram(run_simulation(PINNED["lt-ar-10khz"]), 25e-6, 10e-9)
+    assert _digest(hist.bins, hist.c0) == SWEEP_DIGEST
+
+
+@pytest.mark.parametrize("n_draws,n_jumps", [(2000, 12), (4097, 14)])
+def test_stream_start_up_makes_one_jump_per_doubling(monkeypatch, n_draws, n_jumps):
+    # one jump for the first state, then one per doubling of the states
+    # drawn (T^n of the first n), then one per full block of 4096
+    _kernels._jump_tables()  # built once per process, by jumps of its own
+    jump, calls = _kernels._jump, []
+
+    def spy(tab, states):
+        calls.append(len(states))
+        return jump(tab, states)
+
+    monkeypatch.setattr(_kernels, "_jump", spy)
+    draws = _kernels._draws(_kernels._splitmix64(5))
+    for _ in range(n_draws):
+        next(draws)
+    assert calls == [1] + [2**i for i in range(n_jumps - 1)]
+
+
 def test_block_stream_draws_the_scalar_stream():
     # the scalar xorshift64* steps, on Python ints, against the block
-    # stream: the doubling start-up (blocks of 2, 4, ... states) and then
-    # three full blocks and a few draws of a fourth, so three full-block edges
+    # stream: the doubling start-up (blocks of 1, 1, 2, ..., 2048 states) and
+    # then three full blocks and a few draws of a fourth, so three full-block
+    # edges.  The scalar log is numpy's of one element, which has the same
+    # bits as inside a block
     mask = (1 << 64) - 1
 
     def step(s):
@@ -226,10 +269,10 @@ def test_block_stream_draws_the_scalar_stream():
 
     def log_uniform(s, scale):
         s, x = step(s)
-        return s, scale * math.log((float(x >> 12) + 0.5) * 2.0**-52)
+        return s, scale * float(np.log((float(x >> 12) + 0.5) * 2.0**-52))
 
     cap = 2**_kernels._BLOCK_LEVELS
-    n_draws = (2 * cap - 2) + 3 * cap + 5
+    n_draws = cap + 3 * cap + 5
     scales = (-1.0, -3.7e3)
     scalar, block = [], []
     s = _kernels._splitmix64(2024)
