@@ -2,9 +2,10 @@
 
 Configuration is a sectioned key-value text file (INI syntax); unknown
 sections or keys are rejected so typos fail loudly.  Every command is
-deterministic for a fixed config (seeds included) and emits CSV with a
-one-line header.  Exit codes: 0 success, 1 usage/config/IO error,
-2 numerical or degenerate-data error.
+deterministic for a fixed config (seeds included), and every CSV table it
+prints or writes goes through one writer, ``_table``, under a one-line
+header.  Exit codes: 0 success, 1 usage/config/IO error, 2 numerical or
+degenerate-data error.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .estimators import (
     estimate_custom,
     estimate_yuan,
 )
-from .fitting import FitInputError, FitLaw, FitResult, fit_curve
+from .fitting import FitInputError, FitLaw, fit_curve
 from .histio import (
     DegenerateDataError,
     GateHistogram,
@@ -278,8 +279,22 @@ def _sweep_histogram(cfg: Config, trace: ClickTrace) -> SweepHistogram:
     )
 
 
-def _model_fields(est: ModelEstimate) -> str:
-    return ",".join(repr(v) for v in (est.p_exp, est.p_s, est.p1, est.p2, est.p_universal))
+# the model columns of a custom row; its P_ap is the estimate's ``p_universal``
+_MODEL_COLUMNS = ("p_exp", "p_s", "p1", "p2", "P_ap")
+_FIT_COLUMNS = ("law", "a", "b", "c", "rss", "iterations", "converged")
+
+
+def _table(columns: tuple[str, ...], rows) -> str:
+    """The CSV text of ``rows``, each a mapping from column name to value.
+
+    The header is ``columns``.  Text is written as it is and any other value
+    by ``repr``; a column that a row lacks is an empty field.
+    """
+    lines = [columns]
+    for row in rows:
+        values = (row.get(column, "") for column in columns)
+        lines.append([v if isinstance(v, str) else repr(v) for v in values])
+    return "".join(",".join(line) + "\n" for line in lines)
 
 
 def cmd_simulate(args) -> int:
@@ -299,12 +314,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    for option, value in (
-        ("--tau-s", args.tau_s),
-        ("--rate", args.rate),
-        ("--window-start", args.window_start),
-        ("--window-end", args.window_end),
-    ):
+    for option, value in (("--tau-s", args.tau_s), ("--rate", args.rate),
+                          ("--window-start", args.window_start), ("--window-end", args.window_end)):
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"{option} must be a finite number, got {value!r}")
     if args.tau_s is not None and not args.tau_s > 0.0:
@@ -335,14 +346,13 @@ def cmd_estimate(args) -> int:
         tau_s, rate = inputs
         row = f"{args.hist} (tau_s from {sources[0]}, rate from {sources[1]})"
         full = _custom_estimate(hist, rate, tau_s, (args.window_start, args.window_end), row)
-        print("method,p_exp,p_s,p1,p2,P_ap")
-        print("custom," + _model_fields(full))
-        return EXIT_OK
-    lit = _gate_histogram(hist, args.hist)
-    dark = _gate_histogram(read_histogram(args.dark), args.dark)
-    value = _folded_estimate(args.method, lit, dark, args.ni_gate)
-    print("method,P_ap")
-    print(f"{args.method},{value!r}")
+        columns, est = ("method", *_MODEL_COLUMNS), {**vars(full), "P_ap": full.p_universal}
+    else:
+        lit = _gate_histogram(hist, args.hist)
+        dark = _gate_histogram(read_histogram(args.dark), args.dark)
+        columns = ("method", "P_ap")
+        est = {"P_ap": _folded_estimate(args.method, lit, dark, args.ni_gate)}
+    print(_table(columns, [{"method": args.method, **est}]), end="")
     return EXIT_OK
 
 
@@ -367,7 +377,7 @@ def cmd_compare(args) -> int:
     if not args.mu:
         raise ConfigError("--mu must list at least one pulse energy")
     yuan_gate = cfg[("estimation", "yuan_gate_index")]
-    lines = ["method,mu,p_exp,p_s,p1,p2,P_ap"]
+    rows = []
     # (gates per period, mu index) -> lit and dark folds, on the first method's streams
     pairs: dict[tuple[int, int], list[GateHistogram]] = {}
     for method in METHODS:
@@ -377,7 +387,7 @@ def cmd_compare(args) -> int:
                 trace = run_simulation(replace(base, mu=mu, seed=seed))
                 est = _custom_estimate(_sweep_histogram(cfg, trace), trace.rate,
                                        base.scheme.tau_s, dcr_window(cfg), f"custom, mu = {mu!r}")
-                lines.append(f"{method},{mu!r}," + _model_fields(est))
+                rows.append({"method": method, "mu": mu, **vars(est), "P_ap": est.p_universal})
                 continue
             layout = _FOLDED[method]
             if (layout, i) not in pairs:
@@ -387,8 +397,8 @@ def cmd_compare(args) -> int:
                     for m, s in ((mu, seed), (0.0, stream(seed, "dark", 0)))
                 ]
             value = _folded_estimate(method, *pairs[layout, i], yuan_gate)
-            lines.append(f"{method},{mu!r},,,,,{value!r}")
-    table = "\n".join(lines) + "\n"
+            rows.append({"method": method, "mu": mu, "P_ap": value})
+    table = _table(("method", "mu", *_MODEL_COLUMNS), rows)
     Path(args.out).write_text(table, encoding="utf-8")
     print(table, end="")
     return EXIT_OK
@@ -419,11 +429,7 @@ def cmd_sweep_deadtime(args) -> int:
     taus = args.tau
     if not taus or any(b <= a for a, b in zip(taus, taus[1:])):
         raise ConfigError("--tau must be a strictly increasing list of seconds")
-    schemes = (
-        [SchemeKind.LT, SchemeKind.LT_AR]
-        if args.scheme == "both"
-        else [SchemeKind(args.scheme)]
-    )
+    schemes = list(SchemeKind) if args.scheme == "both" else [SchemeKind(args.scheme)]
     # before any run, every row's dead time (its tau) must end before the baseline window
     for tau in taus:
         _refuse_dead_time_in_the_window(cfg, tau, f"row {schemes[0].value}, tau = {tau!r}")
@@ -433,8 +439,7 @@ def cmd_sweep_deadtime(args) -> int:
     # energy, as it has the same dead time; each later row runs where the
     # previous row's sweep histogram, read from the new dead time on, puts
     # the target (``_start_mu``).  Each row prints its own run's rate
-    lines = ["scheme,tau_s,mu,rate_hz,p_exp,p_s,p2"]
-    series: dict[SchemeKind, list[tuple[float, float]]] = {k: [] for k in schemes}
+    rows = []
     target_rate = None
     window = dcr_window(cfg)
     for kind in schemes:
@@ -446,35 +451,25 @@ def cmd_sweep_deadtime(args) -> int:
                 target_rate = trace.rate
             hist = _sweep_histogram(cfg, trace)
             full = _custom_estimate(hist, trace.rate, tau, window, f"{kind.value}, tau_s = {tau!r}")
-            lines.append(
-                f"{kind.value},{tau!r},{mu!r},{trace.rate!r},"
-                f"{full.p_exp!r},{full.p_s!r},{full.p2!r}"
-            )
-            series[kind].append((tau, full.p2))
+            rows.append({"scheme": kind.value, "tau_s": tau, "mu": mu, "rate_hz": trace.rate,
+                         **vars(full)})
             if j + 1 < len(taus):
                 ahead = estimate_custom(hist, tau_s=taus[j + 1], window=window)
                 mu = _start_mu(trace, full.p_exp, ahead.p_exp, target_rate)
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    columns = ("scheme", "tau_s", "mu", "rate_hz", "p_exp", "p_s", "p2")
+    Path(args.out).write_text(_table(columns, rows), encoding="utf-8")
 
-    print("scheme,law,a,b,c,rss,iterations,converged")
+    fits = []
     for kind in schemes:
-        xs = np.array([t for t, _ in series[kind]])
-        ys = np.array([v for _, v in series[kind]])
+        own = [row for row in rows if row["scheme"] == kind.value]
+        xs, ys = (np.array([row[key] for row in own]) for key in ("tau_s", "p2"))
         for law in FitLaw:
             try:
-                fit = fit_curve(xs, ys, law)
+                fits.append({"scheme": kind.value, **vars(fit_curve(xs, ys, law))})
             except FitInputError as exc:
                 print(f"{kind.value},{law.value},,,,,,{exc}", file=sys.stderr)
-                continue
-            print(f"{kind.value},{_fit_row(fit)}")
+    print(_table(("scheme", *_FIT_COLUMNS), fits), end="")
     return EXIT_OK
-
-
-def _fit_row(fit: FitResult) -> str:
-    return (
-        f"{fit.law.value},{fit.a!r},{fit.b!r},{fit.c!r},{fit.rss!r},"
-        f"{fit.iterations},{fit.converged}"
-    )
 
 
 def cmd_fit(args) -> int:
@@ -482,8 +477,6 @@ def cmd_fit(args) -> int:
         rows = Path(args.data).read_text(encoding="utf-8").strip().splitlines()
     except UnicodeDecodeError as exc:
         raise FitInputError(f"{args.data}: not UTF-8 text ({exc.reason})") from None
-    if len(rows) < 2:
-        raise FitInputError(f"{args.data}: no data rows")
     xs, ys = [], []
     for lineno, row in enumerate(rows[1:], start=2):
         fields = row.split(",")
@@ -494,10 +487,15 @@ def cmd_fit(args) -> int:
             ys.append(float(fields[1]))
         except ValueError as exc:
             raise FitInputError(f"{args.data}:{lineno}: non-numeric field in {row!r}") from exc
-    laws = list(FitLaw) if args.law == "both" else [FitLaw(args.law)]
-    print("law,a,b,c,rss,iterations,converged")
-    for law in laws:
-        print(_fit_row(fit_curve(np.array(xs), np.array(ys), law)))
+        if not (math.isfinite(xs[-1]) and math.isfinite(ys[-1])):
+            raise FitInputError(f"{args.data}:{lineno}: non-finite field in {row!r}")
+    fits = []
+    for law in list(FitLaw) if args.law == "both" else [FitLaw(args.law)]:
+        try:
+            fits.append(vars(fit_curve(np.array(xs), np.array(ys), law)))
+        except FitInputError as exc:
+            raise FitInputError(f"{args.data}, law = {law.value}: {exc}") from None
+    print(_table(_FIT_COLUMNS, fits), end="")
     return EXIT_OK
 
 

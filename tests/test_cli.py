@@ -545,9 +545,9 @@ class TestCompare:
         # f_g / 2 for Bethune, on the stream (seed, "bethune", i), and f_g / 50
         # for Yuan and coincidence, on Yuan's stream (seed, "yuan", i).  The
         # dark run takes its lit run's "dark" stream.  A gate file stores the
-        # dead time and the period in ns, and the period's ns need not read
-        # back as the same float, so a rate-normalized value may differ from
-        # compare's in-memory one in its last digit
+        # dead time and the period in ns; at 312.5 MHz both read back as the
+        # same floats for these layouts, and both commands print through one
+        # writer, so estimate's P_ap is compare's text
         seed = 11
         config = SHORT_SWEEP.replace("afterpulse_probability = 0.10", "afterpulse_probability = 0.2")
         path = tmp_path / "cmp.ini"
@@ -585,7 +585,7 @@ class TestCompare:
                 header, row = out.splitlines()
                 name, value = row.split(",")
                 assert (header, name) == ("method,P_ap", method)
-                assert float(value) == pytest.approx(float(rows[(method, mu)]), rel=1e-15)
+                assert value == rows[(method, mu)]
 
     def test_one_lit_dark_pair_per_fold_layout(self, tmp_path, capsys, monkeypatch):
         # per pulse energy: one custom run, a lit and a dark run at Bethune's
@@ -718,6 +718,28 @@ class TestSweepDeadtime:
         )
         assert code == EXIT_OK, err
         assert len(out.read_text().strip().splitlines()) == 1 + 3
+
+    def test_fewer_than_four_dead_times_write_rows_and_refuse_each_fit(self, tmp_path, capsys):
+        # three rows are a table but too few points for a three-parameter
+        # fit: each refused law is a stderr line, and stdout is the header
+        cfg = tmp_path / "small.ini"
+        cfg.write_text(BASE_CONFIG.replace("n_gates = 50000000", "n_gates = 20000000"))
+        out = tmp_path / "swp.csv"
+        code, stdout, err = run_cli(
+            capsys, "sweep-deadtime", "--config", cfg, "--tau", "0.5e-6,1e-6,2e-6",
+            "--scheme", "lt-ar", "--out", out,
+        )
+        assert code == EXIT_OK, err
+        lines = out.read_text().splitlines()
+        assert lines[0] == "scheme,tau_s,mu,rate_hz,p_exp,p_s,p2"
+        assert [ln.split(",")[:2] for ln in lines[1:]] == [
+            ["lt-ar", "5e-07"], ["lt-ar", "1e-06"], ["lt-ar", "2e-06"]
+        ]
+        assert stdout == "scheme,law,a,b,c,rss,iterations,converged\n"
+        assert err == (
+            "lt-ar,power,,,,,,need at least 4 points, got 3\n"
+            "lt-ar,exponential,,,,,,need at least 4 points, got 3\n"
+        )
 
     def test_lt_exceeds_lt_ar_at_short_dead_times(self, tmp_path, capsys):
         # the 50 us sweep puts the baseline window past the 20 us point, so
@@ -1076,6 +1098,35 @@ class TestFit:
         data.write_text("tau_us,p_ap\n1.0\n")
         code, _, _ = run_cli(capsys, "fit", "--data", data)
         assert code == EXIT_NUMERIC
+
+    @pytest.mark.parametrize(
+        "rows,law,message",
+        [
+            ("0,0.2\n1,0.1\n2,0.05\n4,0.02\n", "both",
+             "law = power: power-law fits need strictly positive xs"),
+            ("0,0.2\n1,0.1\n2,0.05\n4,0.02\n", "power",
+             "law = power: power-law fits need strictly positive xs"),
+            ("1,0.2\n2,0.1\n4,0.05\n", "exponential",
+             "law = exponential: need at least 4 points, got 3"),
+            ("", "both", "law = power: need at least 4 points, got 0"),
+        ],
+        ids=["zero-tau-both", "zero-tau-power", "three-rows", "header-only"],
+    )
+    def test_a_refused_law_prints_nothing_and_is_named(self, tmp_path, capsys, rows, law, message):
+        # no table is printed before a refusal: stdout stays empty on exit 2
+        data = tmp_path / "fit.csv"
+        data.write_text("tau_us,p_ap\n" + rows)
+        code, out, err = run_cli(capsys, "fit", "--data", data, "--law", law)
+        assert (code, out) == (EXIT_NUMERIC, "")
+        assert err == f"afterpulse: {data}, {message}\n"
+
+    @pytest.mark.parametrize("row", ["2,nan", "2,inf", "nan,0.1", "-inf,0.1"])
+    def test_a_non_finite_field_is_named_by_its_line(self, tmp_path, capsys, row):
+        data = tmp_path / "fit.csv"
+        data.write_text(f"tau_us,p_ap\n1,0.2\n{row}\n4,0.05\n8,0.02\n")
+        code, out, err = run_cli(capsys, "fit", "--data", data)
+        assert (code, out) == (EXIT_NUMERIC, "")
+        assert err == f"afterpulse: {data}:3: non-finite field in {row!r}\n"
 
 
 def sweep_file(**meta):
