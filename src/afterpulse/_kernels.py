@@ -1,49 +1,49 @@
 """Hot Monte Carlo kernels, in plain Python over numpy.
 
-The gate loop walks a sine-gated detector over ``n_gates`` gates without
-visiting every gate: stretches of gates with identical per-gate click
-probability are skipped with geometric jumps, which is distribution-exact
-and makes the cost proportional to the number of visited events instead of
-the gate count.  Dead windows are skipped exactly too, since geometric
-gaps are memoryless:
+The gate loop simulates a sine-gated detector over ``n_gates`` gates
+without visiting every gate: each source fires at a gate with a fixed
+probability, so the gaps between fires are geometric and are drawn whole,
+which is distribution-exact and makes the cost proportional to the number
+of events instead of the gate count.  The two dead-time schemes take two
+paths:
 
-* active reset: at a registered click the photon and dark streams restart
-  at the end of the hold-off, the pending trap releases inside it are
-  dropped, and a release that would land inside it is never queued;
-* latched comparator: in a latch window the photon stream is thinned to
-  the fires that fill a trap (Lewis & Shedler, 1979), from the click, or
-  from its first fire in the window when the click had no photon.  Only
-  those fires, the dark fires and the trap releases are visited there.  The
-  laser gates the thinned stream skips are counted, and the non-trapping
-  avalanches they hid are drawn as one binomial per run
-  (``hidden_avalanches`` is a run total).  The uniform of a thinned gap
-  that overshoots the window, rescaled, gives the gap past it, so a stream
-  advance stays one draw.
-
-Each avalanche fills a trap with probability ``q``, independently, so the
-trap marks of successive avalanches are kept as a geometric count of
-unmarked avalanches before the next marked one: an avalanche costs a
-decrement, a trap fill one draw.
+* active reset: an event loop.  At a registered click the photon and dark
+  streams restart at the end of the hold-off (geometric gaps are
+  memoryless, so the jump is exact), the pending trap releases inside it
+  are dropped, and a release that would land inside it is never queued.
+  The trap marks of successive avalanches are kept as a geometric count of
+  unmarked avalanches before the next marked one: an avalanche costs a
+  decrement, a trap fill one draw.  Pending releases sit in a min-heap (the
+  priority queue of Gibson & Bruck's next-reaction method, 2000): a
+  ``heapq`` list that always holds the sentinel ``_FAR``, so its smallest
+  entry is the next release, or ``_FAR``.  Every release due at a gate is
+  popped there at once, as one avalanche.
+* latched comparator: the bias stays high through a latch window, so the
+  avalanches do not depend on which of them the comparator registers.
+  ``_latched`` grows them in numpy, window by window, as a branching
+  process: a window draws its photon and dark fires, each generation's
+  avalanches trap with probability ``q`` and release the next generation,
+  and a release past the window waits for the next one.  The clicks are a
+  non-paralyzable dead-time selection over the window's sorted avalanches,
+  and ``hidden_avalanches`` counts the others.  A window expects one block
+  of draws, so a run's working set does not grow with its gate count.
 
 Randomness comes from one xorshift64* stream, seeded by splitmix64 on
-Python ints masked to 64 bits.  ``_draws`` turns the seeded state into an
-iterator over the stream, computed in numpy blocks: the shift-xor step is
-linear over GF(2)^64, and byte tables of its powers advance a whole block
-of states at once.  Each draw comes as a pair: a float u in [0, 1) for the
-recovery-efficiency and other Bernoulli draws (``next(draws)[0]``), and
-numpy's log of a u' in (0, 1) for the geometric gaps and the exponential
-detrap delay (``scale * next(draws)[1]``).  A train reads a log only through
-``int()`` or ``ceil()`` of a scaled value, so a last-bit difference from
-libm's log moves it only within an ulp of a whole number.
+Python ints masked to 64 bits.  ``_blocks`` turns the seeded state into
+numpy blocks of draws: the shift-xor step is linear over GF(2)^64, and
+byte tables of its powers advance a whole block of states at once.  The
+event loop reads the blocks as ``(u, log u')`` pairs (``_draws``), the
+windows as arrays (``_taker``).  u in [0, 1) decides the event loop's
+recovery-efficiency draws, and numpy's log of a u' in (0, 1), always taken
+by ``_logs``, gives the geometric gaps and the exponential detrap delays.
+A train reads a log only through the whole part or the ceiling of a scaled
+value, so a last-bit difference from libm's log moves it only within an
+ulp of a whole number.
 
 ``sweep_scan`` folds a click train into oscilloscope sweeps in numpy: every
 laser-coincident click triggers, since no sweep outlasts the laser period,
 and every click is binned against its trigger at once.
 
-Pending trap releases sit in a min-heap (the priority queue of Gibson &
-Bruck's next-reaction method, 2000): a ``heapq`` list that always holds the
-sentinel ``_FAR``, so its smallest entry is the next release, or ``_FAR``.
-Every release due at a gate is popped there at once, as one avalanche.
 The registered clicks are appended to an ``array("q")``, which grows as
 needed, so no carrier or click is ever dropped.
 """
@@ -69,6 +69,7 @@ _SM_M2 = 0x94D049BB133111EB
 _TWO53INV = 1.0 / 9007199254740992.0  # 2**-53
 
 _FAR = 1 << 62  # gate index sentinel: no further event of this kind
+_EMPTY = np.empty(0, np.int64)
 
 
 def _splitmix64(x):
@@ -123,37 +124,58 @@ def _jump_tables():
     return tables
 
 
-def _draw_pairs(states):
-    """The draws of a block of states, as ``(u, log u')`` pairs.
+def _logs(x):
+    """numpy's log of u' = (x | 1) * 2**-53 in (0, 1), for draws ``x``.
 
-    Each draw x = (s * MULT) >> 11 has 53 bits, so u = x * 2**-53 in [0, 1)
-    and u' = (x | 1) * 2**-53 in (0, 1) are exact; u' is
-    ``((s * MULT) >> 12) + 0.5`` over 2**52.  The logs are numpy's, one
-    ``np.log`` pass over the block.
+    Every log either kernel path reads comes from here.
     """
-    x = (states * _MULT) >> 11
-    u = x * _TWO53INV
-    x |= 1
-    return zip(u.tolist(), np.log(x * _TWO53INV).tolist())
+    return np.log((x | 1) * _TWO53INV)
+
+
+def _draw_pairs(x):
+    """The draws ``x`` as ``(u, log u')`` pairs, with u = x * 2**-53 in [0, 1)."""
+    return zip((x * _TWO53INV).tolist(), _logs(x).tolist())
 
 
 def _blocks(s):
-    """The stream after state ``s`` in blocks of ``(u, log u')`` pairs."""
+    """The stream after state ``s`` in blocks of 53-bit draws (uint64 arrays).
+
+    A state s gives the draw (s * MULT) >> 11.
+    """
     jumps = _jump_tables()
     states = _jump(jumps[0], np.array([s], np.uint64))
-    yield _draw_pairs(states)
+    yield (states * _MULT) >> 11
     for tab in jumps[:-1]:
         ahead = _jump(tab, states)
-        yield _draw_pairs(ahead)
+        yield (ahead * _MULT) >> 11
         states = np.concatenate([states, ahead])
     while True:
         states = _jump(jumps[-1], states)
-        yield _draw_pairs(states)
+        yield (states * _MULT) >> 11
 
 
 def _draws(s):
     """The draws after generator state ``s``, as ``(u, log u')`` pairs."""
-    return itertools.chain.from_iterable(_blocks(s))
+    return itertools.chain.from_iterable(map(_draw_pairs, _blocks(s)))
+
+
+def _taker(s):
+    """``take(n)``: the next ``n`` draws after state ``s``, as one array."""
+    blocks = _blocks(s)
+    buf, pos = np.empty(0, np.uint64), 0
+
+    def take(n):
+        nonlocal buf, pos
+        parts = []
+        while n > buf.size - pos:
+            parts.append(buf[pos:])
+            n -= buf.size - pos
+            buf, pos = next(blocks), 0
+        pos += n
+        parts.append(buf[pos - n : pos])
+        return np.concatenate(parts) if len(parts) > 1 else parts[0]
+
+    return take
 
 
 def _inv_log1m(p):
@@ -163,45 +185,93 @@ def _inv_log1m(p):
     return 0.0
 
 
-def _binomial(draws, n, p):
-    """One Binomial(n, p) draw, by inversion searching outwards from the mode.
+def _fires(take, n, p, inv_lp):
+    """The indices below ``n`` where a stream fires with probability ``p``
+    each, from geometric gaps drawn until one passes ``n``.
 
-    The mode's probability comes from ``lgamma``, so the probabilities are
-    exact up to a relative rounding error of about 1e-16 * n * log(n).
+    Gaps are memoryless, so the next call starts the stream afresh.
     """
-    if n <= 0 or p <= 0.0:
-        return 0
-    if p >= 1.0:
-        return n
-    m = int((n + 1) * p)
-    if m > n:
-        m = n
-    f_mode = math.exp(
-        math.lgamma(n + 1.0) - math.lgamma(m + 1.0) - math.lgamma(n - m + 1.0)
-        + m * math.log(p) + (n - m) * math.log1p(-p)
-    )
-    odds = p / (1.0 - p)
-    u = next(draws)[0] - f_mode
-    lo, f_lo, hi, f_hi = m, f_mode, m, f_mode
-    while u >= 0.0:
-        moved = False
-        if hi < n and f_hi > 0.0:
-            f_hi *= (n - hi) / (hi + 1.0) * odds
-            hi += 1
-            u -= f_hi
-            if u < 0.0:
-                return hi
-            moved = True
-        if lo > 0 and f_lo > 0.0:
-            f_lo *= lo / ((n - lo + 1.0) * odds)
-            lo -= 1
-            u -= f_lo
-            if u < 0.0:
-                return lo
-            moved = True
-        if not moved:
-            break  # the pmf sum fell short of u by rounding
-    return m
+    parts = [_EMPTY]
+    last = -1
+    while p > 0.0 and last < n - 1:
+        rem = n - 1 - last  # the indices left
+        mean = rem * p
+        gaps = inv_lp * _logs(take(min(rem, int(mean + 3.0 * math.sqrt(mean))) + 1))
+        np.minimum(gaps, rem, out=gaps)
+        pos = np.cumsum(gaps.astype(np.int64) + 1)
+        pos += last
+        parts.append(pos[: np.searchsorted(pos, n)])
+        last = int(pos[-1])
+    return np.concatenate(parts)
+
+
+def _latched(n_gates, gates_per_pulse, p_photon, p_dark, q_ap, detrap_gates, dead_gates, s):
+    """``gate_loop`` under the latched comparator, window by window in numpy.
+
+    Each window of gates draws its photon and dark fires, then grows its
+    avalanches one generation at a time: a gate with fires or releases is
+    one avalanche, each new avalanche traps with probability ``q_ap``, and
+    a release past the window waits for the next one.  The clicks are the
+    first avalanche and then, each time, the first one ``dead_gates`` or
+    more after the last click.
+    """
+    take = _taker(s)
+    inv_lp_ph, inv_lp_dk, inv_lp_q = map(_inv_log1m, (p_photon, p_dark, q_ap))
+    # a window expects one block of draws: one per fire, and a trap costs
+    # two, its mark's gap and its delay
+    fire_rate = p_photon / gates_per_pulse + p_dark
+    aval_rate = min(1.0, fire_rate / (1.0 - q_ap)) if q_ap < 1.0 else 1.0
+    draw_rate = fire_rate + 2.0 * q_ap * aval_rate
+    span = max(1, int(2**_BLOCK_LEVELS / draw_rate)) if draw_rate > 0.0 else n_gates
+    clicks = array.array("q")
+    n_aval = 0
+    armed = 0  # the first gate a click may register at
+    carry = _EMPTY  # releases past the window, before n_gates
+    for w0 in range(0, n_gates, span):
+        w1 = min(w0 + span, n_gates)
+        k0 = -(-w0 // gates_per_pulse)
+        photon = _fires(take, -(-w1 // gates_per_pulse) - k0, p_photon, inv_lp_ph)
+        later = [carry[carry >= w1]]
+        new = np.concatenate(((photon + k0) * gates_per_pulse,
+                              _fires(take, w1 - w0, p_dark, inv_lp_dk) + w0,
+                              carry[carry < w1]))
+        aval = _EMPTY  # twice each avalanche's gate
+        while new.size:
+            # a code is twice a gate, plus one for a new event: sorted, a
+            # gate whose first code is odd had no avalanche yet
+            code = np.concatenate((aval, new * 2 + 1))
+            code.sort(kind="stable")
+            gate = code >> 1
+            first = np.empty(code.size, bool)
+            first[0] = True
+            np.not_equal(gate[1:], gate[:-1], out=first[1:])
+            aval = gate[first] * 2
+            new = gate[first & (code & 1).astype(bool)]
+            trap = new[_fires(take, new.size, q_ap, inv_lp_q)]
+            # the next whole gate after an exponential delay: floor + 1 is
+            # max(1, ceil) for every delay but a whole number
+            delay = _logs(take(trap.size))
+            delay *= -detrap_gates
+            np.minimum(delay, n_gates, out=delay)
+            rel = delay.astype(np.int64) + 1
+            rel += trap
+            rel.sort(kind="stable")
+            cut = np.searchsorted(rel, (w1, n_gates))
+            later.append(rel[cut[0] : cut[1]])
+            new = rel[: cut[0]]
+        carry = np.concatenate(later)
+        aval = aval >> 1
+        n_aval += aval.size
+        n, i = aval.size, int(np.searchsorted(aval, armed))
+        if i < n:
+            succ = memoryview(np.searchsorted(aval, aval + dead_gates))
+            picks = array.array("q")
+            while i < n:
+                picks.append(i)
+                i = succ[i]
+            clicks.frombytes(aval[np.frombuffer(picks, np.int64)].tobytes())
+            armed = clicks[-1] + dead_gates
+    return np.frombuffer(clicks, np.int64).copy(), n_aval - len(clicks)
 
 
 def gate_loop(
@@ -222,31 +292,34 @@ def gate_loop(
     Per-gate semantics: at an armed gate the click probability is
     eff(dt) * [1 - (1-p_photon)(1-p_dark)(1-p_trap)], decomposed into
     independent per-source Bernoulli fires thinned by the recovery
-    efficiency; coincident sources make one avalanche.  eff rises linearly
-    from 0 at ``ramp_start`` to 1 at ``ramp_start + ramp_len`` gates after
-    the last click, and is 1 when ``ramp_len`` is 0.  Within the dead
-    window the latched-comparator scheme (``is_lt``) still grows avalanches
-    (counted as hidden, each may trap a carrier) while the active-reset
-    scheme suppresses avalanches entirely and pending trap releases are
-    lost.  Every avalanche fills a trap with probability ``q_ap``; the
-    carrier is released after an exponential delay of mean
-    ``detrap_gates``, at the next whole gate.
+    efficiency; coincident sources make one avalanche.  Under active reset
+    eff rises linearly from 0 at ``ramp_start`` to 1 at ``ramp_start +
+    ramp_len`` gates after the last click, and is 1 when ``ramp_len`` is 0;
+    the latched scheme has no ramp.  Within the dead window the
+    latched-comparator scheme (``is_lt``) still grows avalanches (counted
+    as hidden, each may trap a carrier) while the active-reset scheme
+    suppresses avalanches entirely and pending trap releases are lost.
+    Every avalanche fills a trap with probability ``q_ap``; the carrier is
+    released after an exponential delay of mean ``detrap_gates``, at the
+    next whole gate.
 
     Returns (click_gates int64 array, hidden_avalanches).
     """
     # xorshift's fixed point 0 gives way to the splitmix64 increment
-    draws = _draws(_splitmix64(seed) or _SM_GAMMA)
-    draw = draws.__next__
+    s = _splitmix64(seed) or _SM_GAMMA
+    if is_lt:
+        return _latched(
+            n_gates, gates_per_pulse, p_photon, p_dark, q_ap, detrap_gates, max(dead_gates, 1), s
+        )
+    draw = _draws(s).__next__
     push, pop, ceil = heapq.heappush, heapq.heappop, math.ceil
 
     n_pulses = (n_gates + gates_per_pulse - 1) // gates_per_pulse
     inv_lp_ph = _inv_log1m(p_photon)
     inv_lp_dk = _inv_log1m(p_dark)
-    # An avalanche's trap is decided by its release's mark, else by its
-    # photon fire's, else by its dark fire's; every mark is set with
-    # probability q_ap.  Marks drawn one avalanche after another are kept
-    # as a geometric count of unmarked avalanches before the next marked
-    # one (to_trap), so most avalanches cost a decrement, not a draw.
+    # Trap marks drawn one avalanche after another are kept as a geometric
+    # count of unmarked avalanches before the next marked one (to_trap), so
+    # most avalanches cost a decrement, not a draw.
     inv_lp_q = _inv_log1m(q_ap)
     to_trap = _FAR
     if q_ap >= 1.0:
@@ -254,21 +327,6 @@ def gate_loop(
     elif q_ap > 0.0:
         gap = inv_lp_q * draw()[1]
         to_trap = int(gap) if gap < 4.0e18 else _FAR
-    # In a latch window the photon stream is thinned to its marked fires
-    # (Lewis & Shedler) from the click, or from its first fire there; a
-    # laser gate it skips hid an unmarked fire with probability miss_ph.
-    # Past the window, the uniform of a thinned gap that overshoots it,
-    # rescaled to (0, 1], gives the full stream's gap: ratio_ph converts
-    # the scales.
-    th_ph = q_ap * p_photon if is_lt else 0.0
-    miss_ph = 0.0
-    if th_ph < 1.0:
-        miss_ph = (p_photon - th_ph) / (1.0 - th_ph)
-    # no marked fire at all when th_ph = 0: every thinned gap overshoots,
-    # and its rescaled overshoot is a plain gap of the full stream; every
-    # fire is marked when th_ph = 1, and no gap overshoots
-    inv_lp_th_ph = _inv_log1m(th_ph) if th_ph > 0.0 else -1e300
-    ratio_ph = inv_lp_ph / inv_lp_th_ph if th_ph < 1.0 else 0.0
 
     next_phot = _FAR
     if p_photon >= 1.0:
@@ -295,10 +353,6 @@ def gate_loop(
     add_click = clicks.append
 
     last_click = -_FAR
-    dead_end = -_FAR  # last_click + dead_gates: the first armed gate
-    ph_stop = 0  # the photon stream is thinned below this laser pulse
-    skip_ph = 0  # laser gates of latch windows the thinned stream skipped
-    hidden = 0
 
     while True:
         e = next_phot
@@ -314,55 +368,24 @@ def gate_loop(
         # the streams that fired restart at ``start``; the releases before
         # it are spent, or lost
         start = e + 1
-        own = True  # the avalanche's own trap mark decides its trap
+        own = True  # an avalanche, registered
         trap = False
-        if e < dead_end:
-            # latch window (under active reset nothing is pending in the
-            # hold-off): the comparator is latched but the bias high, so
-            # the avalanche grows and quenches unseen
-            hidden += 1
-            if e < ph_stop * gates_per_pulse and e % gates_per_pulse == 0:
-                # a laser gate the thinned stream covers: visited after all
-                skip_ph -= 1
-                if next_rel != e:
-                    if phot_f:
-                        own = False  # a marked photon fire
-                        trap = True
-                    else:
-                        # a dark fire, unless an unmarked photon fire the
-                        # thinned stream skipped decides the trap
-                        own = draw()[0] >= miss_ph
-            elif phot_f:
-                # the photon stream's first fire in a window its click did
-                # not thin: thin it for the rest of the window
-                stop = dead_end if dead_end < n_gates else n_gates
-                ph_stop = (stop + gates_per_pulse - 1) // gates_per_pulse
-                skip_ph += ph_stop - e // gates_per_pulse - 1
-        else:
-            if e - last_click < ramp_end:
-                # still recovering from an active reset: registered with
-                # the efficiency, or no avalanche at all
-                tf = float(e - last_click)
-                effv = 0.0
-                if tf > ramp_start:
-                    effv = (tf - ramp_start) / ramp_len
-                own = draw()[0] < effv
-            if own:
-                add_click(e)
-                last_click = e
-                dead_end = e + dead_gates
-                if phot_f and is_lt:
-                    # thin the photon stream for the latch window
-                    stop = dead_end if dead_end < n_gates else n_gates
-                    ph_stop = (stop + gates_per_pulse - 1) // gates_per_pulse
-                    skip_ph += ph_stop - e // gates_per_pulse - 1
-                if not is_lt:
-                    # hold-off: restart the streams at its end and lose
-                    # every carrier released inside it
-                    start = dead_end
-                    phot_f = phot_f or next_phot < dead_end
-                    dark_f = dark_f or next_dark < dead_end
+        if e - last_click < ramp_end:
+            # still recovering from an active reset: registered with the
+            # efficiency, or no avalanche at all
+            tf = float(e - last_click)
+            effv = 0.0
+            if tf > ramp_start:
+                effv = (tf - ramp_start) / ramp_len
+            own = draw()[0] < effv
         if own:
+            add_click(e)
+            last_click = e
+            # hold-off: restart the streams at its end and lose every
+            # carrier released inside it
+            start = e + dead_gates
+            phot_f = phot_f or next_phot < start
+            dark_f = dark_f or next_dark < start
             if to_trap > 0:
                 to_trap -= 1
             else:
@@ -377,15 +400,7 @@ def gate_loop(
             next_rel = rel[0]
         if phot_f:
             k = (start + gates_per_pulse - 1) // gates_per_pulse
-            gap = 0.0  # to the next fire, in laser pulses
-            if k < ph_stop:
-                # latch window: only the marked fires up to ph_stop
-                gap = inv_lp_th_ph * draw()[1]
-                if gap >= ph_stop - k:
-                    gap = (gap - (ph_stop - k)) * ratio_ph
-                    k = ph_stop
-            elif p_photon < 1.0:
-                gap = inv_lp_ph * draw()[1]
+            gap = inv_lp_ph * draw()[1] if p_photon < 1.0 else 0.0
             k = k + int(gap) if gap < 4.0e18 else n_pulses
             next_phot = k * gates_per_pulse if k < n_pulses else _FAR
         if dark_f:
@@ -403,8 +418,7 @@ def gate_loop(
                 if rg < next_rel:
                     next_rel = rg
 
-    hidden += _binomial(draws, skip_ph, miss_ph)
-    return np.frombuffer(clicks, np.int64).copy(), hidden
+    return np.frombuffer(clicks, np.int64).copy(), 0
 
 
 def sweep_scan(click_gates, gates_per_pulse, sweep_gates, binw_gates, n_bins):

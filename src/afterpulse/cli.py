@@ -472,13 +472,24 @@ def cmd_sweep_deadtime(args) -> int:
     return EXIT_OK
 
 
+def _two_numbers(row: str) -> bool:
+    fields = row.split(",")
+    try:
+        float(fields[0]), float(fields[1])
+    except (ValueError, IndexError):
+        return False
+    return True
+
+
 def cmd_fit(args) -> int:
     try:
         rows = Path(args.data).read_text(encoding="utf-8").strip().splitlines()
     except UnicodeDecodeError as exc:
         raise FitInputError(f"{args.data}: not UTF-8 text ({exc.reason})") from None
+    # the first line is a header unless its first two fields are numbers
+    start = 0 if rows and _two_numbers(rows[0]) else 1
     xs, ys = [], []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in enumerate(rows[start:], start=start + 1):
         fields = row.split(",")
         if len(fields) < 2:
             raise FitInputError(f"{args.data}:{lineno}: expected 'tau_us,value'")

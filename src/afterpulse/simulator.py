@@ -16,14 +16,14 @@ detector, producing afterpulses.  Two dead-time circuits are modelled:
   hold-off.
 
 Events are resolved on the gate grid; trap-release instants are continuous
-but take effect at the next gate.  The one kernel (``_kernels``, plain
+but take effect at the next gate.  The kernel (``_kernels``, plain
 Python drawing one xorshift64* stream in numpy blocks) skips the gates
-where nothing can change, and skips dead windows exactly: an active-reset
-hold-off is jumped over, with the carriers released inside it lost, and a
-latch window visits only the photon fires that fill a trap, the dark fires
-and the trap releases.  The non-trapping avalanches a latch window hides
-are counted per run, so ``hidden_avalanches`` is a run total.  Pending
-releases wait in a binary heap.  A run is deterministic for a fixed seed,
+where nothing can change.  Under ``LT_AR`` an event loop jumps each
+hold-off exactly, with the carriers released inside it lost; pending
+releases wait in a binary heap.  Under ``LT`` the avalanches do not depend
+on the clicks, so numpy grows them window by window and registers the
+clicks by a dead-time selection over them: ``hidden_avalanches`` counts
+every avalanche the latch hid.  A run is deterministic for a fixed seed,
 and simulations with independent configs are safe to run concurrently.
 ``stream`` derives the seeds of the several runs one command makes from
 its one seed.

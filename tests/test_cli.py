@@ -1093,6 +1093,16 @@ class TestFit:
         assert float(fields[1]) == pytest.approx(0.2, rel=1e-4)
         assert float(fields[2]) == pytest.approx(0.3, rel=1e-4)
 
+    def test_a_table_without_a_header_keeps_its_first_row(self, tmp_path, capsys):
+        rows = "0.5,0.17\n1,0.145\n2,0.11\n4,0.067\n8,0.028\n"
+        outs = []
+        for name, text in (("bare.csv", rows), ("headed.csv", "tau_us,p_ap\n" + rows)):
+            (tmp_path / name).write_text(text)
+            code, out, _ = run_cli(capsys, "fit", "--data", tmp_path / name, "--law", "both")
+            assert code == EXIT_OK
+            outs.append(out)
+        assert outs[0] == outs[1]
+
     def test_bad_table_is_numeric_error(self, tmp_path, capsys):
         data = tmp_path / "bad.csv"
         data.write_text("tau_us,p_ap\n1.0\n")

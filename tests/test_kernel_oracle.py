@@ -154,8 +154,8 @@ ORACLE_SETTINGS = settings(max_examples=5, derandomize=True, deadline=None, data
 
 @ORACLE_SETTINGS
 @given(**common)
-# dark fires on most gates: they land among the photon fires the thinned
-# stream skips
+# dark fires on most gates: photon and dark fires and releases often share a
+# gate, where they must make one avalanche with one trap mark
 @example(gates_per_pulse=1, p_photon=0.5, p_dark=0.3, q_ap=0.6, detrap_gates=3.0,
          dead_gates=20)
 def test_latched_matches_reference(gates_per_pulse, p_photon, p_dark, q_ap,

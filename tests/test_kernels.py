@@ -3,10 +3,10 @@ reference, and the helpers."""
 
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from afterpulse import _kernels
 from afterpulse.simulator import (
@@ -52,8 +52,8 @@ CONFIGS = [
         p_ap_internal=0.3,
         tau_detrap=3e-6,
     ),
-    # half-rate laser at mu = 10: nearly every gate of a latch window fires,
-    # the thinned stream and about 30 pending releases are in play
+    # half-rate laser at mu = 10: nearly every laser gate fires, about 30
+    # releases are pending, and each window grows several generations
     SimConfig(
         scheme=DeadTimeScheme(SchemeKind.LT, tau_l=0.2e-6),
         n_gates=500_000,
@@ -109,17 +109,17 @@ PINNED = {
     ),
 }
 DIGESTS = {
-    "lt": "df2d9066313dff3c6647aa61c28b0bb72e83dd2fc823c883112440b98f89a3d9",
+    "lt": "4efbc010697a63d9a2b85c3bd5141251731c13959cb624b427862163769bb8be",
     "lt-ar-bethune": "b1132f762ee000912e6ba5e9311fca0d8128fe10b14f2498f136e9750474d1df",
     "lt-ar-ramp": "48e0438664c35ed8cfbcd21491125b25a06d01fdd4c98d1d5a58f1ce1a44baf3",
-    "lt-dense": "e02d65907ad4e403d19fa589f59ee63e6505a3425bbbab6d86a6b002df7c23b6",
+    "lt-dense": "3f1f1c7309e2fa94f5cad885c52122d204824361c61d4bae2017f2ee47d2ff62",
     "lt-ar-long-hold": "4d084b9a4c4c8247e904266f48f8abe06b2d3d2ad3d08d069e0a1b91ed121600",
     "q0": "cf279b212d8df360503ae58ed9b701c8a9f185ac281e92b70fb2d52cde16a3f9",
-    "q1": "e5159325602239f6773dd9f2840112a4654c1e6162613c93e084fe5faf8f1cd2",
+    "q1": "e3cbec75b3f06fa78d2a4830dec313ee654cc766eb93676dac9ea11de0d41f5f",
     "p-photon-1": "20d2c64234190c848406c64f822a691638a53a9fee10e24cd6f3c4eb00980ccb",
-    "laser-every-gate": "3cb98a4be3a5f45854b5849805de110a6e59b3e59e4308c52667c185d85bcf5e",
+    "laser-every-gate": "52170f07900f0dd8332c07195cc3b9119a538f7566fb9344419e7c500357d2ed",
     "no-dark": "8fed771ace66b87b07a7f55c2c20f9ebe92c9731c1698a8c630477ff5cac9744",
-    "zero-state-seed": "8af42702b47d9b3ee73c46eabdbb257dd444f322d790f205a203cf4222226f67",
+    "zero-state-seed": "fcfba3cfd6532bc66b15a0de0fadf305e982515da56ee3966393727a6205cd3d",
     "lt-ar-10khz": "0a0296a21df01d22b796763b1672f5a2016841d37f5381760ad6a3ec6af61174",
 }
 # the sha256 of the "lt-ar-10khz" run's sweep histogram (the CLI's 25 us
@@ -169,15 +169,39 @@ def test_releases_on_one_gate_make_one_avalanche():
     assert clicks.size > cfg.n_gates // 2
 
 
-@pytest.mark.parametrize("n,p", [(7, 0.5), (100_000, 0.3), (10**9, 3e-7)])
-def test_binomial_draws_follow_the_binomial(n, p):
-    stream = _kernels._draws(_kernels._splitmix64(7))
-    draws = [_kernels._binomial(stream, n, p) for _ in range(2000)]
-    # classes at the binomial's own quantiles
-    edges = np.unique(stats.binom.ppf(np.linspace(0.05, 0.95, 10), n, p))
-    observed = np.bincount(np.searchsorted(edges, draws), minlength=edges.size + 1)
-    expected = np.diff(np.concatenate([[0.0], stats.binom.cdf(edges, n, p), [1.0]]))
-    assert stats.chisquare(observed, expected * len(draws)).pvalue > 1e-4
+def test_latched_avalanches_do_not_depend_on_the_dead_time():
+    # under the latched comparator the bias stays high, so a run grows the
+    # same avalanches whatever the dead time, and its clicks are the first
+    # avalanche and then, each time, the first one a dead time or more after
+    # the last click.  A one-gate dead time registers every avalanche
+    args = (2_000_000, 2, 0.3, 1e-6, 0.2, 312.5, True)
+    runs = {d: _kernels.gate_loop(*args, d, 0.0, 0.0, 7) for d in (1, 3, 63, 313, 5000)}
+    every, hidden = runs[1]
+    assert hidden == 0
+    for dead_gates, (clicks, hidden) in runs.items():
+        assert clicks.size + hidden == every.size, dead_gates
+        picks, armed = [], 0
+        for gate in every.tolist():
+            if gate >= armed:
+                picks.append(gate)
+                armed = gate + dead_gates
+        assert np.array_equal(clicks, picks), dead_gates
+
+
+@pytest.mark.parametrize("n_gates", [500_000, 5_000_000])
+def test_latched_working_set_is_bounded(n_gates):
+    # a latched run holds one window at a time: past its click train (8
+    # bytes a click in the kernel's buffer, 8 in the array it returns) its
+    # memory must not grow with the gate count
+    cfg = dataclasses.replace(PINNED["lt-dense"], n_gates=n_gates)
+    _kernels.gate_loop(*gate_loop_args(dataclasses.replace(cfg, n_gates=1000)))  # jump tables
+    tracemalloc.start()
+    try:
+        clicks, _ = _kernels.gate_loop(*gate_loop_args(cfg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 16 * clicks.size < 1e6
 
 
 def _digest(clicks, hidden):
@@ -207,23 +231,19 @@ def test_sweep_histogram_is_pinned():
     assert _digest(hist.bins, hist.c0) == SWEEP_DIGEST
 
 
-def _nudged_draw_pairs(toward):
-    """``_kernels._draw_pairs`` with every log one ulp off, toward ``toward``."""
-    draw_pairs = _kernels._draw_pairs
-
-    def nudged(states):
-        u, logs = zip(*draw_pairs(states))
-        return zip(u, np.nextafter(logs, toward).tolist())
-
-    return nudged
+def _nudged_logs(toward):
+    """``_kernels._logs`` with every log one ulp off, toward ``toward``."""
+    logs = _kernels._logs
+    return lambda x: np.nextafter(logs(x), toward)
 
 
 @pytest.mark.parametrize("toward", [np.inf, -np.inf], ids=["up", "down"])
 def test_pinned_trains_hold_with_every_log_one_ulp_off(monkeypatch, toward):
     # numpy's log may differ from libm's in its last bit, and a train reads a
     # log only through int() or ceil() of a scaled value: no pinned train may
-    # lean on the last bit of any log
-    monkeypatch.setattr(_kernels, "_draw_pairs", _nudged_draw_pairs(toward))
+    # lean on the last bit of any log.  Both schemes take their logs from
+    # _logs, so the nudge reaches every pinned train
+    monkeypatch.setattr(_kernels, "_logs", _nudged_logs(toward))
     for name, cfg in PINNED.items():
         clicks, hidden = _kernels.gate_loop(*gate_loop_args(cfg))
         assert _digest(clicks, hidden) == DIGESTS[name], name
