@@ -7,17 +7,19 @@ which is distribution-exact and makes the cost proportional to the number
 of events instead of the gate count.  The two dead-time schemes take two
 paths:
 
-* active reset: an event loop.  At a registered click the photon and dark
-  streams restart at the end of the hold-off (geometric gaps are
-  memoryless, so the jump is exact), the pending trap releases inside it
-  are dropped, and a release that would land inside it is never queued.
-  The trap marks of successive avalanches are kept as a geometric count of
-  unmarked avalanches before the next marked one: an avalanche costs a
-  decrement, a trap fill one draw.  Pending releases sit in a min-heap (the
-  priority queue of Gibson & Bruck's next-reaction method, 2000): a
-  ``heapq`` list that always holds the sentinel ``_FAR``, so its smallest
-  entry is the next release, or ``_FAR``.  Every release due at a gate is
-  popped there at once, as one avalanche.
+* active reset: a hold-off only discards the fires inside it and does not
+  change them (a non-paralyzable dead time; J. W. Müller, NIM 112, 1973),
+  so each window draws its photon and dark fires ahead, and one stable
+  merge gives each fire its first successor past a hold-off from it.  A
+  Python loop chases those successors, one step per click, and steps out
+  only where a pending trap release comes first or a fire is inside the
+  efficiency ramp, which takes one uniform draw.  The trap marks of
+  successive clicks are kept as a geometric count of unmarked clicks
+  before the next marked one: a click costs a decrement, a trap fill two
+  draws.  Pending releases sit in a min-heap across windows (the priority
+  queue of Gibson & Bruck's next-reaction method, 2000): a ``heapq`` list
+  that always holds the sentinel ``_FAR``.  A release inside a hold-off is
+  lost, and releases and fires due at one gate make one avalanche.
 * latched comparator: the bias stays high through a latch window, so the
   avalanches do not depend on which of them the comparator registers.
   ``_latched`` grows them in numpy, window by window, as a branching
@@ -25,35 +27,34 @@ paths:
   avalanches trap with probability ``q`` and release the next generation,
   and a release past the window waits for the next one.  The clicks are a
   non-paralyzable dead-time selection over the window's sorted avalanches,
-  and ``hidden_avalanches`` counts the others.  A window expects one block
-  of draws, so a run's working set does not grow with its gate count.
+  and ``hidden_avalanches`` counts the others.
 
-Randomness comes from one xorshift64* stream, seeded by splitmix64 on
-Python ints masked to 64 bits.  ``_blocks`` turns the seeded state into
-numpy blocks of draws: the shift-xor step is linear over GF(2)^64, and
-byte tables of its powers advance a whole block of states at once.  The
-event loop reads the blocks as ``(u, log u')`` pairs (``_draws``), the
-windows as arrays (``_taker``).  u in [0, 1) decides the event loop's
-recovery-efficiency draws, and numpy's log of a u' in (0, 1), always taken
-by ``_logs``, gives the geometric gaps and the exponential detrap delays.
-A train reads a log only through the whole part or the ceiling of a scaled
-value, so a last-bit difference from libm's log moves it only within an
-ulp of a whole number.
+A window of either path expects one block of draws, so a run's working set
+does not grow with its gate count or its pulse energy.  Randomness comes
+from one xorshift64* stream, seeded by splitmix64 on Python ints masked to
+64 bits.  ``_blocks`` turns the seeded state into numpy blocks of draws:
+the shift-xor step is linear over GF(2)^64, and byte tables of its powers
+advance a whole block of states at once.  Both paths take the draws as
+arrays (``_taker``), and the active-reset loop its trap and ramp draws one
+log at a time (``_log_stream``).  numpy's log of u' in (0, 1), always
+taken by ``_logs``, gives the geometric gaps, the exponential detrap delays
+and the ramp's draws, which compare it with the log of the efficiency.  A
+train reads a log only through the whole part or the ceiling of a scaled
+value, or that comparison, so a last-bit difference from libm's log moves
+it only within an ulp of a whole number or of the efficiency's log.
 
 ``sweep_scan`` folds a click train into oscilloscope sweeps in numpy: every
 laser-coincident click triggers, since no sweep outlasts the laser period,
-and every click is binned against its trigger at once.
-
-The registered clicks are appended to an ``array("q")``, which grows as
-needed, so no carrier or click is ever dropped.
+and every click is binned against its trigger at once.  The registered
+clicks go into an ``array("q")``, so no carrier or click is ever dropped.
 """
 
 from __future__ import annotations
 
 import array
+import bisect
 import functools
 import heapq
-import itertools
 import math
 
 import numpy as np
@@ -132,11 +133,6 @@ def _logs(x):
     return np.log((x | 1) * _TWO53INV)
 
 
-def _draw_pairs(x):
-    """The draws ``x`` as ``(u, log u')`` pairs, with u = x * 2**-53 in [0, 1)."""
-    return zip((x * _TWO53INV).tolist(), _logs(x).tolist())
-
-
 def _blocks(s):
     """The stream after state ``s`` in blocks of 53-bit draws (uint64 arrays).
 
@@ -152,11 +148,6 @@ def _blocks(s):
     while True:
         states = _jump(jumps[-1], states)
         yield (states * _MULT) >> 11
-
-
-def _draws(s):
-    """The draws after generator state ``s``, as ``(u, log u')`` pairs."""
-    return itertools.chain.from_iterable(map(_draw_pairs, _blocks(s)))
 
 
 def _taker(s):
@@ -176,6 +167,31 @@ def _taker(s):
         return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
     return take
+
+
+def _log_stream(take):
+    """numpy's logs of the draws ``take`` gives, one at a time, taken in
+    blocks that double up to one full block."""
+    n = 1
+    while True:
+        yield from _logs(take(n)).tolist()
+        n = min(2 * n, 2**_BLOCK_LEVELS)
+
+
+def _windows(n_gates, draw_rate):
+    """``(w0, w1)`` windows over the run, each expecting one block of draws
+    at ``draw_rate`` draws a gate."""
+    span = max(1, int(2**_BLOCK_LEVELS / draw_rate)) if draw_rate > 0.0 else n_gates
+    for w0 in range(0, n_gates, span):
+        yield w0, min(w0 + span, n_gates)
+
+
+def _firsts(x):
+    """The mask of the first of each run of equal values in the sorted ``x``."""
+    first = np.empty(x.size, bool)
+    first[:1] = True
+    np.not_equal(x[1:], x[:-1], out=first[1:])
+    return first
 
 
 def _inv_log1m(p):
@@ -205,6 +221,13 @@ def _fires(take, n, p, inv_lp):
     return np.concatenate(parts)
 
 
+def _window_fires(take, w0, w1, gates_per_pulse, p_photon, p_dark):
+    """The photon fires' gates in ``[w0, w1)``, then the dark fires'."""
+    k0 = -(-w0 // gates_per_pulse)
+    photon = _fires(take, -(-w1 // gates_per_pulse) - k0, p_photon, _inv_log1m(p_photon))
+    return (photon + k0) * gates_per_pulse, _fires(take, w1 - w0, p_dark, _inv_log1m(p_dark)) + w0
+
+
 def _latched(n_gates, gates_per_pulse, p_photon, p_dark, q_ap, detrap_gates, dead_gates, s):
     """``gate_loop`` under the latched comparator, window by window in numpy.
 
@@ -216,25 +239,19 @@ def _latched(n_gates, gates_per_pulse, p_photon, p_dark, q_ap, detrap_gates, dea
     more after the last click.
     """
     take = _taker(s)
-    inv_lp_ph, inv_lp_dk, inv_lp_q = map(_inv_log1m, (p_photon, p_dark, q_ap))
+    inv_lp_q = _inv_log1m(q_ap)
     # a window expects one block of draws: one per fire, and a trap costs
     # two, its mark's gap and its delay
     fire_rate = p_photon / gates_per_pulse + p_dark
     aval_rate = min(1.0, fire_rate / (1.0 - q_ap)) if q_ap < 1.0 else 1.0
-    draw_rate = fire_rate + 2.0 * q_ap * aval_rate
-    span = max(1, int(2**_BLOCK_LEVELS / draw_rate)) if draw_rate > 0.0 else n_gates
     clicks = array.array("q")
     n_aval = 0
     armed = 0  # the first gate a click may register at
     carry = _EMPTY  # releases past the window, before n_gates
-    for w0 in range(0, n_gates, span):
-        w1 = min(w0 + span, n_gates)
-        k0 = -(-w0 // gates_per_pulse)
-        photon = _fires(take, -(-w1 // gates_per_pulse) - k0, p_photon, inv_lp_ph)
+    for w0, w1 in _windows(n_gates, fire_rate + 2.0 * q_ap * aval_rate):
+        fires = _window_fires(take, w0, w1, gates_per_pulse, p_photon, p_dark)
         later = [carry[carry >= w1]]
-        new = np.concatenate(((photon + k0) * gates_per_pulse,
-                              _fires(take, w1 - w0, p_dark, inv_lp_dk) + w0,
-                              carry[carry < w1]))
+        new = np.concatenate((*fires, carry[carry < w1]))
         aval = _EMPTY  # twice each avalanche's gate
         while new.size:
             # a code is twice a gate, plus one for a new event: sorted, a
@@ -242,9 +259,7 @@ def _latched(n_gates, gates_per_pulse, p_photon, p_dark, q_ap, detrap_gates, dea
             code = np.concatenate((aval, new * 2 + 1))
             code.sort(kind="stable")
             gate = code >> 1
-            first = np.empty(code.size, bool)
-            first[0] = True
-            np.not_equal(gate[1:], gate[:-1], out=first[1:])
+            first = _firsts(gate)
             aval = gate[first] * 2
             new = gate[first & (code & 1).astype(bool)]
             trap = new[_fires(take, new.size, q_ap, inv_lp_q)]
@@ -274,19 +289,8 @@ def _latched(n_gates, gates_per_pulse, p_photon, p_dark, q_ap, detrap_gates, dea
     return np.frombuffer(clicks, np.int64).copy(), n_aval - len(clicks)
 
 
-def gate_loop(
-    n_gates,
-    gates_per_pulse,
-    p_photon,
-    p_dark,
-    q_ap,
-    detrap_gates,
-    is_lt,
-    dead_gates,
-    ramp_start,
-    ramp_len,
-    seed,
-):
+def gate_loop(n_gates, gates_per_pulse, p_photon, p_dark, q_ap, detrap_gates, is_lt,
+              dead_gates, ramp_start, ramp_len, seed):
     """Simulate registered clicks on the gate grid.
 
     Per-gate semantics: at an armed gate the click probability is
@@ -307,116 +311,97 @@ def gate_loop(
     """
     # xorshift's fixed point 0 gives way to the splitmix64 increment
     s = _splitmix64(seed) or _SM_GAMMA
+    dead_gates = max(dead_gates, 1)
     if is_lt:
-        return _latched(
-            n_gates, gates_per_pulse, p_photon, p_dark, q_ap, detrap_gates, max(dead_gates, 1), s
-        )
-    draw = _draws(s).__next__
-    push, pop, ceil = heapq.heappush, heapq.heappop, math.ceil
-
-    n_pulses = (n_gates + gates_per_pulse - 1) // gates_per_pulse
-    inv_lp_ph = _inv_log1m(p_photon)
-    inv_lp_dk = _inv_log1m(p_dark)
-    # Trap marks drawn one avalanche after another are kept as a geometric
-    # count of unmarked avalanches before the next marked one (to_trap), so
-    # most avalanches cost a decrement, not a draw.
+        return _latched(n_gates, gates_per_pulse, p_photon, p_dark, q_ap, detrap_gates, dead_gates, s)
+    take = _taker(s)
+    step = _log_stream(take).__next__  # the trap marks' gaps, the delays, the ramp's draws
+    push, pop, first_at = heapq.heappush, heapq.heappop, bisect.bisect_left
+    rel = [_FAR]  # min-heap of pending release gates, over the sentinel
     inv_lp_q = _inv_log1m(q_ap)
-    to_trap = _FAR
-    if q_ap >= 1.0:
-        to_trap = 0
-    elif q_ap > 0.0:
-        gap = inv_lp_q * draw()[1]
-        to_trap = int(gap) if gap < 4.0e18 else _FAR
 
-    next_phot = _FAR
-    if p_photon >= 1.0:
-        next_phot = 0
-    elif p_photon > 0.0:
-        gap = inv_lp_ph * draw()[1]
-        if gap < n_pulses:
-            next_phot = int(gap) * gates_per_pulse
-    next_dark = _FAR
-    if p_dark >= 1.0:
-        next_dark = 0
-    elif p_dark > 0.0:
-        gap = inv_lp_dk * draw()[1]
-        if gap < n_gates:
-            next_dark = int(gap)
+    def trapped(e):
+        """Queue the release of a carrier trapped at click ``e``, then draw
+        the clicks before the next trap fill, a geometric count."""
+        rg = e + int(-detrap_gates * step()) + 1  # the next whole gate, as under LT
+        if e + dead_gates <= rg < n_gates:
+            push(rel, rg)
+        gap = inv_lp_q * step()
+        return int(gap) if gap < 4.0e18 else _FAR
 
+    # the trap marks of successive clicks are kept as a count of unmarked
+    # clicks before the next marked one: a click costs a decrement
+    gap = inv_lp_q * step() if q_ap > 0.0 else 4.0e18
+    to_trap = int(gap) if gap < 4.0e18 else _FAR
     # after an active reset the efficiency is below 1 until ramp_end
     ramp_end = ramp_start + ramp_len if ramp_len > 0.0 else -1.0
-
-    rel = [_FAR]  # min-heap of pending release gates, over the sentinel
-    next_rel = _FAR  # rel[0]
-
     clicks = array.array("q")
-    add_click = clicks.append
-
-    last_click = -_FAR
-
-    while True:
-        e = next_phot
-        if next_dark < e:
-            e = next_dark
-        if next_rel < e:
-            e = next_rel
-        if e >= n_gates:
-            break
-        phot_f = next_phot == e
-        dark_f = next_dark == e
-
-        # the streams that fired restart at ``start``; the releases before
-        # it are spent, or lost
-        start = e + 1
-        own = True  # an avalanche, registered
-        trap = False
-        if e - last_click < ramp_end:
-            # still recovering from an active reset: registered with the
-            # efficiency, or no avalanche at all
-            tf = float(e - last_click)
-            effv = 0.0
-            if tf > ramp_start:
-                effv = (tf - ramp_start) / ramp_len
-            own = draw()[0] < effv
-        if own:
-            add_click(e)
-            last_click = e
-            # hold-off: restart the streams at its end and lose every
-            # carrier released inside it
-            start = e + dead_gates
-            phot_f = phot_f or next_phot < start
-            dark_f = dark_f or next_dark < start
-            if to_trap > 0:
+    add = clicks.append
+    last, pos = -_FAR, 0  # the last click, and the first gate left to see
+    for w0, w1 in _windows(n_gates, p_photon / gates_per_pulse + p_dark):
+        fires = np.concatenate((*_window_fires(take, w0, w1, gates_per_pulse, p_photon, p_dark),
+                                (_FAR,)))
+        fires.sort(kind="stable")  # merges the two sorted streams
+        fires = fires[_firsts(fires)]
+        n = fires.size - 1
+        # each fire's first successor past a hold-off from it is the count of
+        # fires before the hold-off's end: a stable merge of the ends, ahead
+        # of the fires, costs less than a binary search per fire
+        ends = np.argsort(np.concatenate((fires[:-1] + dead_gates, fires)), kind="stable")
+        after = np.flatnonzero(ends < n) - np.arange(n)
+        # the chase leaves at -1, the sentinel's index, where that successor
+        # is still in the ramp
+        if ramp_len > 0.0:
+            after[fires[after] - fires[:-1] < ramp_end] = -1
+        fire, after = memoryview(fires), memoryview(after)
+        i = first_at(fire, pos)  # the first fire left to see
+        while True:
+            while rel[0] < pos:
+                pop(rel)  # spent, or lost in the hold-off
+            f, r = fire[i], rel[0]
+            e = f if f <= r else r  # coincident sources make one avalanche
+            if e >= w1:
+                break
+            dt = e - last
+            if dt < ramp_end:
+                # still recovering from an active reset: registered with the
+                # efficiency, or no avalanche at all
+                log_u = step()
+                if dt <= ramp_start or log_u >= math.log((dt - ramp_start) / ramp_len):
+                    pos = e + 1  # its fire is spent, the releases due there lost
+                    i += f == e
+                    continue
+            add(e)
+            if to_trap:
                 to_trap -= 1
             else:
-                trap = True
-                if q_ap < 1.0:
-                    gap = inv_lp_q * draw()[1]
-                    to_trap = int(gap) if gap < 4.0e18 else _FAR
-
-        if next_rel < start:
-            while rel[0] < start:
-                pop(rel)
-            next_rel = rel[0]
-        if phot_f:
-            k = (start + gates_per_pulse - 1) // gates_per_pulse
-            gap = inv_lp_ph * draw()[1] if p_photon < 1.0 else 0.0
-            k = k + int(gap) if gap < 4.0e18 else n_pulses
-            next_phot = k * gates_per_pulse if k < n_pulses else _FAR
-        if dark_f:
-            next_dark = start
-            if p_dark < 1.0:
-                gap = inv_lp_dk * draw()[1]
-                next_dark = start + int(gap) if gap < 4.0e18 else _FAR
-            if next_dark >= n_gates:
-                next_dark = _FAR
-        if trap:
-            delay = -detrap_gates * draw()[1]
-            rg = e + (ceil(delay) if delay > 1.0 else 1)
-            if start <= rg < n_gates:
-                push(rel, rg)
-                if rg < next_rel:
-                    next_rel = rg
+                to_trap = trapped(e)
+            if f == e:
+                i = after[i]
+            else:  # a release registered
+                i = first_at(fire, e + dead_gates, i)
+                if fire[i] - e < ramp_end:
+                    i = -1
+            # chase the first fire past each hold-off, until a pending
+            # release comes first or that fire is in the ramp
+            f = fire[i]
+            while rel[0] < e + dead_gates:
+                pop(rel)  # lost in the hold-off
+            stop = rel[0] if rel[0] < w1 else w1 - 1
+            while f <= stop:
+                add(f)
+                if to_trap:
+                    to_trap -= 1
+                else:
+                    to_trap = trapped(f)
+                    if rel[0] < stop:
+                        stop = rel[0]
+                i = after[i]
+                f = fire[i]
+            last = clicks[-1]
+            pos = last + dead_gates
+            if i < 0:
+                i = first_at(fire, pos)
 
     return np.frombuffer(clicks, np.int64).copy(), 0
 

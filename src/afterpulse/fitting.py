@@ -9,7 +9,9 @@ monotone in rss.
 Dead times are passed in seconds and converted to microseconds internally
 for conditioning; the fitted parameters are reported in microsecond units
 (``b`` per microsecond for the exponential, ``a`` in microsecond**b for the
-power law).
+power law).  The fit runs in Python floats (libm's exp, log and pow,
+``math.fsum`` and a 3x3 elimination), so its digits do not follow numpy's
+SIMD paths.
 """
 
 from __future__ import annotations
@@ -52,24 +54,34 @@ class FitResult:
     converged: bool
 
 
-def _evaluate(law: FitLaw, a: float, b: float, c: float, x_us: np.ndarray):
+def _evaluate(law: FitLaw, a: float, b: float, c: float, x_us) -> list[float]:
     if law is FitLaw.EXPONENTIAL:
-        return a * np.exp(-b * x_us) + c
-    return a * np.power(x_us, b) + c
+        return [a * math.exp(-b * x) + c for x in x_us]
+    return [a * x**b + c for x in x_us]
 
 
-def _jacobian(law: FitLaw, a: float, b: float, x_us: np.ndarray) -> np.ndarray:
-    jac = np.empty((len(x_us), 3))
+def _jacobian(law: FitLaw, a: float, b: float, x_us) -> list[tuple[float, float, float]]:
+    """Each point's derivatives of the law in (a, b, c)."""
     if law is FitLaw.EXPONENTIAL:
-        e = np.exp(-b * x_us)
-        jac[:, 0] = e
-        jac[:, 1] = -a * x_us * e
-    else:
-        p = np.power(x_us, b)
-        jac[:, 0] = p
-        jac[:, 1] = a * p * np.log(x_us)
-    jac[:, 2] = 1.0
-    return jac
+        return [(e, -a * x * e, 1.0) for x, e in ((x, math.exp(-b * x)) for x in x_us)]
+    return [(p, a * p * math.log(x), 1.0) for x, p in ((x, x**b) for x in x_us)]
+
+
+def _solve3(m, v) -> list[float] | None:
+    """The x with ``m x = v`` for a symmetric positive definite 3x3 ``m``,
+    by elimination, which needs no pivoting there; None at a pivot that is
+    not positive."""
+    rows = [[*row, rhs] for row, rhs in zip(m, v)]
+    for k, pivot in enumerate(rows):
+        if not pivot[k] > 0.0:
+            return None
+        for row in rows[k + 1 :]:
+            f = row[k] / pivot[k]
+            row[:] = [x - f * y for x, y in zip(row, pivot)]
+    x = [0.0, 0.0, 0.0]
+    for k in (2, 1, 0):
+        x[k] = (rows[k][3] - math.fsum(rows[k][j] * x[j] for j in range(k + 1, 3))) / rows[k][k]
+    return x
 
 
 def _validate(xs, ys, law: FitLaw) -> tuple[np.ndarray, np.ndarray]:
@@ -134,43 +146,44 @@ def fit_curve(xs, ys, law: FitLaw | str, sigma=None) -> FitResult:
     """
     law = FitLaw(law)
     xs, ys = _validate(xs, ys, law)
-    x_us = xs * 1e6
+    x_us = (xs * 1e6).tolist()
+    weights = [1.0] * len(x_us)
     if sigma is not None:
         sigma = np.asarray(sigma, dtype=np.float64)
         if sigma.shape != ys.shape or np.any(sigma <= 0):
             raise FitInputError("sigma must match ys and be positive")
-        weights = 1.0 / sigma
-    else:
-        weights = np.ones_like(ys)
-
-    theta = np.array(initial_guess(xs, ys, law))
+        weights = (1.0 / sigma).tolist()
+    theta = [float(v) for v in initial_guess(xs, ys, law)]
+    ys = ys.tolist()
 
     def rss_of(params):
-        resid = (_evaluate(law, *params, x_us) - ys) * weights
-        return float(resid @ resid), resid
+        # a trial step that overflows gives an infinite rss and is rejected
+        try:
+            resid = [(m - y) * w for m, y, w in zip(_evaluate(law, *params, x_us), ys, weights)]
+            return math.fsum(r * r for r in resid), resid
+        except (OverflowError, ValueError):
+            return math.inf, None
 
     rss, resid = rss_of(theta)
     lam = 1e-3
     converged = False
     iterations = 0
     for iterations in range(1, _MAX_ITER + 1):
-        jac = _jacobian(law, theta[0], theta[1], x_us) * weights[:, None]
-        jtj = jac.T @ jac
-        jtr = jac.T @ resid
+        jac = [[w * d for d in row] for row, w in zip(_jacobian(law, *theta[:2], x_us), weights)]
+        jtj = [[math.fsum(row[i] * row[j] for row in jac) for j in range(3)] for i in range(3)]
+        jtr = [math.fsum(row[i] * r for row, r in zip(jac, resid)) for i in range(3)]
         stepped = False
         for _ in range(40):
-            damped = jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-12))
-            try:
-                delta = np.linalg.solve(damped, -jtr)
-            except np.linalg.LinAlgError:
+            damped = [[v + lam * max(v, 1e-12) if i == j else v for j, v in enumerate(row)]
+                      for i, row in enumerate(jtj)]
+            delta = _solve3(damped, [-g for g in jtr])
+            if delta is None:
                 lam *= 5.0
                 continue
-            candidate = theta + delta
-            # a trial step that overflows gives a non-finite rss and is rejected
-            with np.errstate(over="ignore", invalid="ignore"):
-                new_rss, new_resid = rss_of(candidate)
+            candidate = [t + d for t, d in zip(theta, delta)]
+            new_rss, new_resid = rss_of(candidate)
             if math.isfinite(new_rss) and new_rss <= rss:
-                step = float(np.max(np.abs(delta)))
+                step = max(map(abs, delta))
                 improvement = rss - new_rss
                 theta, rss, resid = candidate, new_rss, new_resid
                 lam = max(lam / 3.0, 1e-12)

@@ -25,6 +25,7 @@ a fixed derandomized sequence, so the test is deterministic.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from sweep_reference import reference_sweep_scan
 
 RUNS = 300
 N_GATES = 3000
-# per check; 48 checks run, so a correct kernel fails one about 0.5 % of the time
+# per check; 54 checks run, so a correct kernel fails one about 0.5 % of the time
 ALPHA = 1e-4
 SWEEP_BINS = 8
 
@@ -166,12 +167,25 @@ def test_latched_matches_reference(gates_per_pulse, p_photon, p_dark, q_ap,
 
 @pytest.mark.parametrize("ramped", [True, False], ids=["linear", "hold-off"])
 @ORACLE_SETTINGS
-@given(**common, ramp_shift=st.floats(0.5, 20.0), ramp_len=st.floats(1.0, 40.0))
+@given(**common, ramp_shift=st.floats(0.5, 20.0), ramp_len=st.floats(1.0, 40.0),
+       window_gates=st.none())
+# the kernel's windows cut to 97 gates, far shorter than the run, and sparse
+# fires with long trap delays and a long ramp: pending releases, hold-offs
+# and ramps cross many window ends, and releases make many of the clicks
+@example(gates_per_pulse=7, p_photon=0.1, p_dark=0.01, q_ap=0.7, detrap_gates=40.0,
+         dead_gates=12, ramp_shift=3.0, ramp_len=25.0, window_gates=97)
 def test_active_reset_matches_reference(ramped, gates_per_pulse, p_photon, p_dark, q_ap,
-                                        detrap_gates, dead_gates, ramp_shift, ramp_len):
+                                        detrap_gates, dead_gates, ramp_shift, ramp_len,
+                                        window_gates):
     # the efficiency ramp starts past the hold-off, so that it suppresses
     # avalanches; without it (ramp_len = 0) full efficiency returns at the
     # end of the hold-off
-    check_against_reference((N_GATES, gates_per_pulse, p_photon, p_dark, q_ap,
-                             detrap_gates, False, dead_gates, dead_gates + ramp_shift,
-                             ramp_len if ramped else 0.0))
+    args = (N_GATES, gates_per_pulse, p_photon, p_dark, q_ap, detrap_gates, False,
+            dead_gates, dead_gates + ramp_shift, ramp_len if ramped else 0.0)
+    if window_gates is None:
+        check_against_reference(args)
+        return
+    windows = _kernels._windows
+    with mock.patch.object(_kernels, "_windows",
+                           lambda n_gates, _: windows(n_gates, 2**_kernels._BLOCK_LEVELS / window_gates)):
+        check_against_reference(args)

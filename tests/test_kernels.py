@@ -3,6 +3,7 @@ reference, and the helpers."""
 
 import dataclasses
 import hashlib
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -110,21 +111,21 @@ PINNED = {
 }
 DIGESTS = {
     "lt": "4efbc010697a63d9a2b85c3bd5141251731c13959cb624b427862163769bb8be",
-    "lt-ar-bethune": "b1132f762ee000912e6ba5e9311fca0d8128fe10b14f2498f136e9750474d1df",
-    "lt-ar-ramp": "48e0438664c35ed8cfbcd21491125b25a06d01fdd4c98d1d5a58f1ce1a44baf3",
+    "lt-ar-bethune": "93c3ce3b558a76c35a9d55017b7bca254a18929824e5450d522e91c669a6a634",
+    "lt-ar-ramp": "318e48043a73c73551091bf6c0b2f4577c0bd07efaa9ab92dd1e7136078e830d",
     "lt-dense": "3f1f1c7309e2fa94f5cad885c52122d204824361c61d4bae2017f2ee47d2ff62",
-    "lt-ar-long-hold": "4d084b9a4c4c8247e904266f48f8abe06b2d3d2ad3d08d069e0a1b91ed121600",
-    "q0": "cf279b212d8df360503ae58ed9b701c8a9f185ac281e92b70fb2d52cde16a3f9",
+    "lt-ar-long-hold": "7e69661102792beb18257dbf82e1ddbd3261b0c522790017a9b162b440c1fba5",
+    "q0": "010d324db00cffbb9a0c21d7f917be8a0afe71fb7ed35d0c589f93ed59c3b5b9",
     "q1": "e3cbec75b3f06fa78d2a4830dec313ee654cc766eb93676dac9ea11de0d41f5f",
     "p-photon-1": "20d2c64234190c848406c64f822a691638a53a9fee10e24cd6f3c4eb00980ccb",
     "laser-every-gate": "52170f07900f0dd8332c07195cc3b9119a538f7566fb9344419e7c500357d2ed",
-    "no-dark": "8fed771ace66b87b07a7f55c2c20f9ebe92c9731c1698a8c630477ff5cac9744",
+    "no-dark": "be831746a59e4790243a22a67d1a6a43586769379c476e81d11fe5c2f2b0c144",
     "zero-state-seed": "fcfba3cfd6532bc66b15a0de0fadf305e982515da56ee3966393727a6205cd3d",
-    "lt-ar-10khz": "0a0296a21df01d22b796763b1672f5a2016841d37f5381760ad6a3ec6af61174",
+    "lt-ar-10khz": "f116b1dc826cc61fd193eb3b7ca341137b8fe137a4713016eae13b17a363a549",
 }
 # the sha256 of the "lt-ar-10khz" run's sweep histogram (the CLI's 25 us
 # sweep in 10 ns bins): its bins' bytes followed by c0 in decimal
-SWEEP_DIGEST = "85be85eb864bc1296b357096cf3a59cc8900a61f87ba5182bbd5a979a8eecde5"
+SWEEP_DIGEST = "e3db1bc368017319e737e748a0c22fd0bef887645253274a0d2ce69d8d7d54e3"
 
 
 def test_python_path_deterministic():
@@ -169,31 +170,46 @@ def test_releases_on_one_gate_make_one_avalanche():
     assert clicks.size > cfg.n_gates // 2
 
 
+def _selection(every, dead_gates):
+    """The first of ``every`` and then, each time, the first one
+    ``dead_gates`` or more after the last pick."""
+    picks, armed = [], 0
+    for gate in every.tolist():
+        if gate >= armed:
+            picks.append(gate)
+            armed = gate + dead_gates
+    return picks
+
+
 def test_latched_avalanches_do_not_depend_on_the_dead_time():
     # under the latched comparator the bias stays high, so a run grows the
-    # same avalanches whatever the dead time, and its clicks are the first
-    # avalanche and then, each time, the first one a dead time or more after
-    # the last click.  A one-gate dead time registers every avalanche
+    # same avalanches whatever the dead time, and its clicks are a dead-time
+    # selection over them.  A one-gate dead time registers every avalanche
     args = (2_000_000, 2, 0.3, 1e-6, 0.2, 312.5, True)
     runs = {d: _kernels.gate_loop(*args, d, 0.0, 0.0, 7) for d in (1, 3, 63, 313, 5000)}
     every, hidden = runs[1]
     assert hidden == 0
     for dead_gates, (clicks, hidden) in runs.items():
         assert clicks.size + hidden == every.size, dead_gates
-        picks, armed = [], 0
-        for gate in every.tolist():
-            if gate >= armed:
-                picks.append(gate)
-                armed = gate + dead_gates
-        assert np.array_equal(clicks, picks), dead_gates
+        assert np.array_equal(clicks, _selection(every, dead_gates)), dead_gates
 
 
-@pytest.mark.parametrize("n_gates", [500_000, 5_000_000])
-def test_latched_working_set_is_bounded(n_gates):
-    # a latched run holds one window at a time: past its click train (8
-    # bytes a click in the kernel's buffer, 8 in the array it returns) its
-    # memory must not grow with the gate count
-    cfg = dataclasses.replace(PINNED["lt-dense"], n_gates=n_gates)
+def test_active_reset_fires_do_not_depend_on_the_dead_time():
+    # under active reset the photon and dark fires are drawn ahead, and a
+    # hold-off only discards the ones inside it: with no trap fills a run's
+    # clicks are a dead-time selection over the same fires whatever the dead
+    # time.  A one-gate dead time registers every fire
+    args = (2_000_000, 2, 0.3, 1e-6, 0.0, 312.5, False)
+    runs = {d: _kernels.gate_loop(*args, d, float(d), 0.0, 7) for d in (1, 3, 63, 313, 5000)}
+    every = runs[1][0]
+    for dead_gates, (clicks, hidden) in runs.items():
+        assert hidden == 0
+        assert np.array_equal(clicks, _selection(every, dead_gates)), dead_gates
+
+
+def _peak_past_clicks(cfg):
+    """A run's tracemalloc peak less its click train: 8 bytes a click in
+    the kernel's buffer, 8 in the array it returns."""
     _kernels.gate_loop(*gate_loop_args(dataclasses.replace(cfg, n_gates=1000)))  # jump tables
     tracemalloc.start()
     try:
@@ -201,7 +217,23 @@ def test_latched_working_set_is_bounded(n_gates):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - 16 * clicks.size < 1e6
+    return peak - 16 * clicks.size
+
+
+@pytest.mark.parametrize("n_gates", [500_000, 5_000_000])
+def test_latched_working_set_is_bounded(n_gates):
+    # a latched run holds one window at a time: past its click train its
+    # memory must not grow with the gate count
+    assert _peak_past_clicks(dataclasses.replace(PINNED["lt-dense"], n_gates=n_gates)) < 1e6
+
+
+@pytest.mark.parametrize("n_gates", [500_000, 5_000_000])
+def test_active_reset_working_set_is_bounded(n_gates):
+    # an active-reset run draws its fires one window at a time, and at a
+    # half-rate laser and mu = 10 most of them fall inside a hold-off: past
+    # its click train its memory must not grow with the gate count
+    cfg = dataclasses.replace(PINNED["lt-ar-bethune"], n_gates=n_gates, mu=10.0)
+    assert _peak_past_clicks(cfg) < 1e6
 
 
 def _digest(clicks, hidden):
@@ -263,18 +295,19 @@ def test_stream_start_up_makes_one_jump_per_doubling(monkeypatch, n_draws, n_jum
         return jump(tab, states)
 
     monkeypatch.setattr(_kernels, "_jump", spy)
-    draws = _kernels._draws(_kernels._splitmix64(5))
+    take = _kernels._taker(_kernels._splitmix64(5))
     for _ in range(n_draws):
-        next(draws)
+        take(1)
     assert calls == [1] + [2**i for i in range(n_jumps - 1)]
 
 
 def test_block_stream_draws_the_scalar_stream():
-    # the scalar xorshift64* steps, on Python ints, against the block
-    # stream: the doubling start-up (blocks of 1, 1, 2, ..., 2048 states) and
-    # then three full blocks and a few draws of a fourth, so three full-block
-    # edges.  The scalar log is numpy's of one element, which has the same
-    # bits as inside a block
+    # the scalar xorshift64* steps, on Python ints, against the 53-bit draws
+    # that _taker hands out: the doubling start-up (blocks of 1, 1, 2, ...,
+    # 2048 states) and then three full blocks and a few draws of a fourth,
+    # taken in runs of 1 to 7 draws, so that runs straddle every block edge.
+    # The scalar log of u' = (x | 1) * 2**-53 is numpy's of one element,
+    # which has the same bits as inside a block
     mask = (1 << 64) - 1
 
     def step(s):
@@ -283,31 +316,23 @@ def test_block_stream_draws_the_scalar_stream():
         s ^= s >> 27
         return s, (s * 0x2545F4914F6CDD1D) & mask
 
-    def uniform(s):
-        s, x = step(s)
-        return s, float(x >> 11) * 2.0**-53
-
-    def log_uniform(s, scale):
-        s, x = step(s)
-        return s, scale * float(np.log((float(x >> 12) + 0.5) * 2.0**-52))
-
     cap = 2**_kernels._BLOCK_LEVELS
     n_draws = cap + 3 * cap + 5
-    scales = (-1.0, -3.7e3)
-    scalar, block = [], []
+    scalar, logs = [], []
     s = _kernels._splitmix64(2024)
-    draws = _kernels._draws(s)
-    for k in range(n_draws):
-        kind = k % 3
-        if kind == 0:
-            s, a = uniform(s)
-            b = next(draws)[0]
-        else:
-            s, a = log_uniform(s, scales[kind - 1])
-            b = scales[kind - 1] * next(draws)[1]
-        scalar.append(a)
-        block.append(b)
-    scalar, block = np.array(scalar), np.array(block)
-    assert np.array_equal(scalar, block)
-    assert np.all((scalar[0::3] >= 0.0) & (scalar[0::3] < 1.0))
-    assert np.all(scalar[1::3] > 0.0) and np.all(scalar[2::3] > 0.0)
+    for _ in range(n_draws):
+        s, x = step(s)
+        scalar.append(x >> 11)
+        logs.append(float(np.log((float(x >> 12) + 0.5) * 2.0**-52)))
+    take = _kernels._taker(_kernels._splitmix64(2024))
+    runs, block, n_taken = itertools.cycle(range(1, 8)), [], 0
+    while n_taken < n_draws:
+        block.append(take(min(next(runs), n_draws - n_taken)))
+        n_taken += block[-1].size
+    block = np.concatenate(block)
+    assert block.dtype == np.uint64
+    assert np.array_equal(np.array(scalar, np.uint64), block)
+    assert np.all(block < 2**53)
+    logs = np.array(logs)
+    assert np.array_equal(logs, _kernels._logs(block))
+    assert np.all(logs < 0.0)
