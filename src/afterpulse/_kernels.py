@@ -228,6 +228,44 @@ def _window_fires(take, w0, w1, gates_per_pulse, p_photon, p_dark):
     return (photon + k0) * gates_per_pulse, _fires(take, w1 - w0, p_dark, _inv_log1m(p_dark)) + w0
 
 
+def _isin(x, sorted_set):
+    """The mask of the values of ``x`` found in the sorted ``sorted_set``."""
+    if not sorted_set.size:
+        return np.zeros(x.size, bool)
+    i = sorted_set.searchsorted(x)
+    np.minimum(i, sorted_set.size - 1, out=i)
+    return sorted_set[i] == x
+
+
+def _dead_time_selection(x, dead):
+    """The clicks of a non-paralyzable dead time ``dead`` over the sorted
+    unique gates ``x``: the first, and then each time the first gate
+    ``dead`` or more after the last click."""
+    pick = np.empty(x.size, bool)
+    pick[:1] = True
+    # a gate ``dead`` or more after its predecessor is a click whatever came
+    # before it, and starts a run that the clicks before it cannot reach
+    np.greater_equal(x[1:] - x[:-1], dead, out=pick[1:])
+    cur = np.flatnonzero(pick)
+    end = np.append(cur, x.size)[1:]
+    succ = x.searchsorted(x + dead)
+    # chase every run at once while many are left, then the few in Python
+    while True:
+        cur = succ[cur]
+        live = cur < end
+        cur, end = cur[live], end[live]
+        if cur.size <= 32:
+            break
+        pick[cur] = True
+    succ, tail = memoryview(succ), []
+    for i, e in zip(cur.tolist(), end.tolist()):
+        while i < e:
+            tail.append(i)
+            i = succ[i]
+    pick[tail] = True
+    return x[pick]
+
+
 def _latched(n_gates, gates_per_pulse, p_photon, p_dark, q_ap, detrap_gates, dead_gates, s):
     """``gate_loop`` under the latched comparator, window by window in numpy.
 
@@ -252,16 +290,10 @@ def _latched(n_gates, gates_per_pulse, p_photon, p_dark, q_ap, detrap_gates, dea
         fires = _window_fires(take, w0, w1, gates_per_pulse, p_photon, p_dark)
         later = [carry[carry >= w1]]
         new = np.concatenate((*fires, carry[carry < w1]))
-        aval = _EMPTY  # twice each avalanche's gate
+        new.sort()
+        first = new = new[_firsts(new)]  # the first generation's avalanches
+        rest = _EMPTY  # the later generations', sorted
         while new.size:
-            # a code is twice a gate, plus one for a new event: sorted, a
-            # gate whose first code is odd had no avalanche yet
-            code = np.concatenate((aval, new * 2 + 1))
-            code.sort(kind="stable")
-            gate = code >> 1
-            first = _firsts(gate)
-            aval = gate[first] * 2
-            new = gate[first & (code & 1).astype(bool)]
             trap = new[_fires(take, new.size, q_ap, inv_lp_q)]
             # the next whole gate after an exponential delay: floor + 1 is
             # max(1, ceil) for every delay but a whole number
@@ -273,18 +305,18 @@ def _latched(n_gates, gates_per_pulse, p_photon, p_dark, q_ap, detrap_gates, dea
             rel.sort(kind="stable")
             cut = np.searchsorted(rel, (w1, n_gates))
             later.append(rel[cut[0] : cut[1]])
+            # a gate that has had an avalanche makes no new one
             new = rel[: cut[0]]
+            new = new[_firsts(new) & ~_isin(new, first) & ~_isin(new, rest)]
+            rest = np.concatenate((rest, new))
+            rest.sort(kind="stable")  # a merge of two sorted runs
         carry = np.concatenate(later)
-        aval = aval >> 1
+        aval = np.concatenate((first, rest))
+        aval.sort(kind="stable")
         n_aval += aval.size
-        n, i = aval.size, int(np.searchsorted(aval, armed))
-        if i < n:
-            succ = memoryview(np.searchsorted(aval, aval + dead_gates))
-            picks = array.array("q")
-            while i < n:
-                picks.append(i)
-                i = succ[i]
-            clicks.frombytes(aval[np.frombuffer(picks, np.int64)].tobytes())
+        picks = _dead_time_selection(aval[aval.searchsorted(armed) :], dead_gates)
+        if picks.size:
+            clicks.frombytes(picks.tobytes())
             armed = clicks[-1] + dead_gates
     return np.frombuffer(clicks, np.int64).copy(), n_aval - len(clicks)
 
@@ -376,30 +408,38 @@ def gate_loop(n_gates, gates_per_pulse, p_photon, p_dark, q_ap, detrap_gates, is
                 to_trap -= 1
             else:
                 to_trap = trapped(e)
+            pos = e + dead_gates
             if f == e:
                 i = after[i]
-            else:  # a release registered
-                i = first_at(fire, e + dead_gates, i)
-                if fire[i] - e < ramp_end:
-                    i = -1
+            else:  # a release registered: step on from the fire before it
+                j = after[i - 1] if i else i
+                if j < 0:
+                    j = first_at(fire, pos, i)
+                while fire[j] < pos:
+                    j += 1
+                i = j if fire[j] - e >= ramp_end else -1
             # chase the first fire past each hold-off, until a pending
-            # release comes first or that fire is in the ramp
+            # release comes first or that fire is in the ramp; a release lost
+            # in the last click's hold-off is dropped on the way
             f = fire[i]
-            while rel[0] < e + dead_gates:
-                pop(rel)  # lost in the hold-off
-            stop = rel[0] if rel[0] < w1 else w1 - 1
-            while f <= stop:
-                add(f)
-                if to_trap:
-                    to_trap -= 1
-                else:
-                    to_trap = trapped(f)
-                    if rel[0] < stop:
-                        stop = rel[0]
-                i = after[i]
-                f = fire[i]
-            last = clicks[-1]
-            pos = last + dead_gates
+            while True:
+                while rel[0] < pos:
+                    pop(rel)  # lost in the hold-off
+                stop = rel[0] if rel[0] < w1 else w1 - 1
+                while f <= stop:
+                    add(f)
+                    if to_trap:
+                        to_trap -= 1
+                    else:
+                        to_trap = trapped(f)
+                        if rel[0] < stop:
+                            stop = rel[0]
+                    i = after[i]
+                    f = fire[i]
+                pos = clicks[-1] + dead_gates
+                if rel[0] >= pos:
+                    break
+            last = pos - dead_gates
             if i < 0:
                 i = first_at(fire, pos)
 

@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from afterpulse import _kernels
 from afterpulse.simulator import (
@@ -179,6 +181,27 @@ def _selection(every, dead_gates):
             picks.append(gate)
             armed = gate + dead_gates
     return picks
+
+
+def _runs_past_first_click(n_runs):
+    """Gaps of gates that, at a dead time of 10, make ``n_runs`` runs (a
+    gate 10 or more after its predecessor starts one), each with a second
+    click one dead time after its first."""
+    return [5] + [5, 5, 10] * (n_runs - 1) + [5, 5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(gaps=st.lists(st.integers(1, 20) | st.integers(1, 10_000), max_size=400),
+       dead=st.integers(1, 5000))
+# 32 runs are left after the runs' first step, all chased in Python; 33 take
+# one more numpy step
+@example(gaps=_runs_past_first_click(32), dead=10)
+@example(gaps=_runs_past_first_click(33), dead=10)
+def test_dead_time_selection_matches_the_loop(gaps, dead):
+    gates = np.cumsum(np.array(gaps, np.int64))
+    picks = _kernels._dead_time_selection(gates, dead)
+    assert picks.dtype == np.int64
+    assert picks.tolist() == _selection(gates, dead)
 
 
 def test_latched_avalanches_do_not_depend_on_the_dead_time():
