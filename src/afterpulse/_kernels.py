@@ -5,43 +5,35 @@ without visiting every gate: each source fires at a gate with a fixed
 probability, so the gaps between fires are geometric and are drawn whole,
 which is distribution-exact and makes the cost proportional to the number
 of events instead of the gate count.  The two dead-time schemes take two
-paths:
+paths, both window by window:
 
-* active reset: a hold-off only discards the fires inside it and does not
-  change them (a non-paralyzable dead time; J. W. Müller, NIM 112, 1973),
-  so each window draws its photon and dark fires ahead, and one stable
-  merge gives each fire its first successor past a hold-off from it.  A
-  Python loop chases those successors, one step per click, and steps out
-  only where a pending trap release comes first or a fire is inside the
-  efficiency ramp, which takes one uniform draw.  The trap marks of
-  successive clicks are kept as a geometric count of unmarked clicks
-  before the next marked one: a click costs a decrement, a trap fill two
-  draws.  Pending releases sit in a min-heap across windows (the priority
-  queue of Gibson & Bruck's next-reaction method, 2000): a ``heapq`` list
-  that always holds the sentinel ``_FAR``.  A release inside a hold-off is
-  lost, and releases and fires due at one gate make one avalanche.
+* active reset: a hold-off only discards the fires inside it (a
+  non-paralyzable dead time; J. W. Müller, NIM 112, 1973), so each window
+  draws its photon and dark fires ahead, and one stable merge gives each
+  fire its first successor past a hold-off (``_successors``).  A Python
+  loop chases those successors, one step per click, drops the pending trap
+  releases lost in a hold-off on the way, and steps out only where a
+  release comes first or a fire is in the efficiency ramp, which takes one
+  uniform draw.  A trap fill costs two draws; the trap marks of successive
+  clicks are a geometric count of unmarked clicks.  Pending releases sit in
+  a ``heapq`` list over the sentinel ``_FAR`` (the priority queue of Gibson
+  & Bruck's next-reaction method, 2000).
 * latched comparator: the bias stays high through a latch window, so the
-  avalanches do not depend on which of them the comparator registers.
-  ``_latched`` grows them in numpy, window by window, as a branching
-  process: a window draws its photon and dark fires, each generation's
-  avalanches trap with probability ``q`` and release the next generation,
-  and a release past the window waits for the next one.  The clicks are a
-  non-paralyzable dead-time selection over the window's sorted avalanches,
-  and ``hidden_avalanches`` counts the others.
+  avalanches do not depend on which of them register.  ``_grow`` grows a
+  window's avalanches in numpy as a branching process, one generation of
+  trap releases at a time; the clicks are a non-paralyzable dead-time
+  selection over them, and ``hidden_avalanches`` counts the others.
 
-A window of either path expects one block of draws, so a run's working set
-does not grow with its gate count or its pulse energy.  Randomness comes
-from one xorshift64* stream, seeded by splitmix64 on Python ints masked to
-64 bits.  ``_blocks`` turns the seeded state into numpy blocks of draws:
-the shift-xor step is linear over GF(2)^64, and byte tables of its powers
-advance a whole block of states at once.  Both paths take the draws as
-arrays (``_taker``), and the active-reset loop its trap and ramp draws one
-log at a time (``_log_stream``).  numpy's log of u' in (0, 1), always
-taken by ``_logs``, gives the geometric gaps, the exponential detrap delays
-and the ramp's draws, which compare it with the log of the efficiency.  A
-train reads a log only through the whole part or the ceiling of a scaled
-value, or that comparison, so a last-bit difference from libm's log moves
-it only within an ulp of a whole number or of the efficiency's log.
+In both, fires and releases due at one gate make one avalanche, and a
+window expects one block of draws, so a run's working set does not grow
+with its gate count or its pulse energy.  Randomness comes from one
+xorshift64* stream, seeded by splitmix64 on Python ints masked to 64 bits
+and drawn in numpy blocks (``_blocks``, ``_taker``); the active-reset loop
+takes its trap and ramp draws one log at a time (``_log_stream``).  Every
+log comes from ``_logs``, and a train reads one only through the whole part
+or the ceiling of a scaled value, or a comparison with the log of the
+ramp's efficiency, so a last-bit difference from libm's log moves a train
+only within an ulp.
 
 ``sweep_scan`` folds a click train into oscilloscope sweeps in numpy: every
 laser-coincident click triggers, since no sweep outlasts the laser period,
@@ -91,10 +83,8 @@ _BLOCK_LEVELS = 12
 
 
 def _byte_tables(images):
-    """The (8, 256) lookup tables of a linear map, from its 64 unit images.
-
-    Row j, column b holds the image of ``b << 8j``.
-    """
+    """The (8, 256) lookup tables of a linear map, from its 64 unit images:
+    row j, column b holds the image of ``b << 8j``."""
     tab = np.zeros((8, 1), np.uint64)
     per_byte = images.reshape(8, 8)
     for k in range(8):
@@ -126,18 +116,14 @@ def _jump_tables():
 
 
 def _logs(x):
-    """numpy's log of u' = (x | 1) * 2**-53 in (0, 1), for draws ``x``.
-
-    Every log either kernel path reads comes from here.
-    """
+    """numpy's log of u' = (x | 1) * 2**-53 in (0, 1), for draws ``x``:
+    every log either kernel path reads."""
     return np.log((x | 1) * _TWO53INV)
 
 
 def _blocks(s):
-    """The stream after state ``s`` in blocks of 53-bit draws (uint64 arrays).
-
-    A state s gives the draw (s * MULT) >> 11.
-    """
+    """The stream after state ``s`` in blocks of 53-bit draws (uint64
+    arrays): a state s gives the draw (s * MULT) >> 11."""
     jumps = _jump_tables()
     states = _jump(jumps[0], np.array([s], np.uint64))
     yield (states * _MULT) >> 11
@@ -196,9 +182,7 @@ def _firsts(x):
 
 def _inv_log1m(p):
     """``1 / log(1 - p)``, the scale of geometric gaps; 0 unless 0 < p < 1."""
-    if 0.0 < p < 1.0:
-        return 1.0 / math.log1p(-p)
-    return 0.0
+    return 1.0 / math.log1p(-p) if 0.0 < p < 1.0 else 0.0
 
 
 def _fires(take, n, p, inv_lp):
@@ -228,27 +212,23 @@ def _window_fires(take, w0, w1, gates_per_pulse, p_photon, p_dark):
     return (photon + k0) * gates_per_pulse, _fires(take, w1 - w0, p_dark, _inv_log1m(p_dark)) + w0
 
 
-def _isin(x, sorted_set):
-    """The mask of the values of ``x`` found in the sorted ``sorted_set``."""
-    if not sorted_set.size:
-        return np.zeros(x.size, bool)
-    i = sorted_set.searchsorted(x)
-    np.minimum(i, sorted_set.size - 1, out=i)
-    return sorted_set[i] == x
+def _successors(x, dead):
+    """Each of the sorted unique ``x``'s first successor ``dead`` or more
+    after it, as its index (``x.size`` for none): the count of ``x`` below
+    its hold-off's end, from a stable merge of the ends ahead of ``x``."""
+    ends = np.concatenate((x + dead, x)).argsort(kind="stable")
+    return np.flatnonzero(ends < x.size) - np.arange(x.size)
 
 
 def _dead_time_selection(x, dead):
-    """The clicks of a non-paralyzable dead time ``dead`` over the sorted
-    unique gates ``x``: the first, and then each time the first gate
-    ``dead`` or more after the last click."""
-    pick = np.empty(x.size, bool)
-    pick[:1] = True
+    """The clicks of a non-paralyzable dead time ``dead`` over the sorted unique
+    gates ``x``: the first, then each first gate ``dead`` or more after the last."""
     # a gate ``dead`` or more after its predecessor is a click whatever came
     # before it, and starts a run that the clicks before it cannot reach
-    np.greater_equal(x[1:] - x[:-1], dead, out=pick[1:])
+    pick = np.diff(x, prepend=x[:1] - dead) >= dead
     cur = np.flatnonzero(pick)
     end = np.append(cur, x.size)[1:]
-    succ = x.searchsorted(x + dead)
+    succ = _successors(x, dead)
     # chase every run at once while many are left, then the few in Python
     while True:
         cur = succ[cur]
@@ -266,53 +246,53 @@ def _dead_time_selection(x, dead):
     return x[pick]
 
 
-def _latched(n_gates, gates_per_pulse, p_photon, p_dark, q_ap, detrap_gates, dead_gates, s):
-    """``gate_loop`` under the latched comparator, window by window in numpy.
-
-    Each window of gates draws its photon and dark fires, then grows its
-    avalanches one generation at a time: a gate with fires or releases is
-    one avalanche, each new avalanche traps with probability ``q_ap``, and
-    a release past the window waits for the next one.  The clicks are the
-    first avalanche and then, each time, the first one ``dead_gates`` or
-    more after the last click.
-    """
-    take = _taker(s)
+def _grow(take, new, w1, n_gates, q_ap, detrap_gates, later):
+    """The sorted avalanches of a latched window ending at ``w1``, grown
+    from its fires and carried releases (``new``) one generation at a time:
+    a gate with fires or releases is one avalanche, each new one traps with
+    probability ``q_ap``, and releases past the window go to ``later``."""
     inv_lp_q = _inv_log1m(q_ap)
+    new.sort()
+    aval = new = new[_firsts(new)]  # the first generation
+    while new.size:
+        trap = new[_fires(take, new.size, q_ap, inv_lp_q)]
+        # the next whole gate after an exponential delay: floor + 1 is
+        # max(1, ceil) for every delay but a whole number
+        delay = _logs(take(trap.size))
+        delay *= -detrap_gates
+        np.minimum(delay, n_gates, out=delay)
+        rel = delay.astype(np.int64) + 1
+        rel += trap
+        rel.sort(kind="stable")
+        cut = rel.searchsorted((w1, n_gates))
+        later.append(rel[cut[0] : cut[1]])
+        # a gate that has had an avalanche makes no new one
+        new = rel[: cut[0]]
+        seen = np.minimum(aval.searchsorted(new), aval.size - 1)
+        new = new[_firsts(new) & (aval[seen] != new)]
+        aval = np.concatenate((aval, new))
+        aval.sort(kind="stable")  # a merge of two sorted runs
+    return aval
+
+
+def _latched(n_gates, gates_per_pulse, p_photon, p_dark, q_ap, detrap_gates, dead_gates, s):
+    """``gate_loop`` under the latched comparator: each window of gates
+    draws its photon and dark fires, grows its avalanches and selects its
+    clicks, the first avalanche ``dead_gates`` or more after the last."""
+    take = _taker(s)
     # a window expects one block of draws: one per fire, and a trap costs
     # two, its mark's gap and its delay
     fire_rate = p_photon / gates_per_pulse + p_dark
     aval_rate = min(1.0, fire_rate / (1.0 - q_ap)) if q_ap < 1.0 else 1.0
     clicks = array.array("q")
-    n_aval = 0
-    armed = 0  # the first gate a click may register at
+    n_aval, armed = 0, 0  # avalanches so far; the first gate a click may register at
     carry = _EMPTY  # releases past the window, before n_gates
     for w0, w1 in _windows(n_gates, fire_rate + 2.0 * q_ap * aval_rate):
-        fires = _window_fires(take, w0, w1, gates_per_pulse, p_photon, p_dark)
         later = [carry[carry >= w1]]
-        new = np.concatenate((*fires, carry[carry < w1]))
-        new.sort()
-        first = new = new[_firsts(new)]  # the first generation's avalanches
-        rest = _EMPTY  # the later generations', sorted
-        while new.size:
-            trap = new[_fires(take, new.size, q_ap, inv_lp_q)]
-            # the next whole gate after an exponential delay: floor + 1 is
-            # max(1, ceil) for every delay but a whole number
-            delay = _logs(take(trap.size))
-            delay *= -detrap_gates
-            np.minimum(delay, n_gates, out=delay)
-            rel = delay.astype(np.int64) + 1
-            rel += trap
-            rel.sort(kind="stable")
-            cut = np.searchsorted(rel, (w1, n_gates))
-            later.append(rel[cut[0] : cut[1]])
-            # a gate that has had an avalanche makes no new one
-            new = rel[: cut[0]]
-            new = new[_firsts(new) & ~_isin(new, first) & ~_isin(new, rest)]
-            rest = np.concatenate((rest, new))
-            rest.sort(kind="stable")  # a merge of two sorted runs
+        fires = _window_fires(take, w0, w1, gates_per_pulse, p_photon, p_dark)
+        aval = _grow(take, np.concatenate((*fires, carry[carry < w1])), w1, n_gates, q_ap,
+                     detrap_gates, later)
         carry = np.concatenate(later)
-        aval = np.concatenate((first, rest))
-        aval.sort(kind="stable")
         n_aval += aval.size
         picks = _dead_time_selection(aval[aval.searchsorted(armed) :], dead_gates)
         if picks.size:
@@ -375,12 +355,7 @@ def gate_loop(n_gates, gates_per_pulse, p_photon, p_dark, q_ap, detrap_gates, is
                                 (_FAR,)))
         fires.sort(kind="stable")  # merges the two sorted streams
         fires = fires[_firsts(fires)]
-        n = fires.size - 1
-        # each fire's first successor past a hold-off from it is the count of
-        # fires before the hold-off's end: a stable merge of the ends, ahead
-        # of the fires, costs less than a binary search per fire
-        ends = np.argsort(np.concatenate((fires[:-1] + dead_gates, fires)), kind="stable")
-        after = np.flatnonzero(ends < n) - np.arange(n)
+        after = _successors(fires[:-1], dead_gates)
         # the chase leaves at -1, the sentinel's index, where that successor
         # is still in the ramp
         if ramp_len > 0.0:
@@ -412,12 +387,11 @@ def gate_loop(n_gates, gates_per_pulse, p_photon, p_dark, q_ap, detrap_gates, is
             if f == e:
                 i = after[i]
             else:  # a release registered: step on from the fire before it
-                j = after[i - 1] if i else i
-                if j < 0:
-                    j = first_at(fire, pos, i)
-                while fire[j] < pos:
-                    j += 1
-                i = j if fire[j] - e >= ramp_end else -1
+                i = after[i - 1] if i and after[i - 1] >= 0 else first_at(fire, pos, i)
+                while fire[i] < pos:
+                    i += 1
+                if fire[i] - e < ramp_end:
+                    i = -1
             # chase the first fire past each hold-off, until a pending
             # release comes first or that fire is in the ramp; a release lost
             # in the last click's hold-off is dropped on the way

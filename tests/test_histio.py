@@ -7,6 +7,7 @@ files), on one hand-written file per malformed kind, and on files one step
 off the writer's own form, which the reader takes in whole-file array passes.
 """
 
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -714,6 +715,9 @@ def test_writer_matches_reference_where_starts_gain_a_digit(tmp_path):
     width_ns=st.sampled_from([1.0, 10.0, 0.32, 1 / 30]),
 )
 def test_writer_property(tmp_path, counts, width_ns):
+    # every example writes fresh files: truncating and rewriting the last
+    # example's files makes some file systems flush each one on close
+    tmp_path = Path(tempfile.mkdtemp(dir=tmp_path))
     bins = np.array(counts, dtype=np.int64)
     writer_matches_reference(tmp_path, bins, width_ns)
     h = make_hist(bins, bin_width=width_ns * 1e-9, c0=11)

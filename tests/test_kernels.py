@@ -4,6 +4,7 @@ reference, and the helpers."""
 import dataclasses
 import hashlib
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -93,6 +94,10 @@ PINNED = {
     "q0": dataclasses.replace(CONFIGS[1], p_ap_internal=0.0),
     "q1": dataclasses.replace(CONFIGS[0], n_gates=200_000, p_ap_internal=1.0),
     "p-photon-1": dataclasses.replace(CONFIGS[4], n_gates=200_000, mu=200.0),
+    # the same edge below certainty: the first laser gate past a hold-off
+    # misses one time in ten, so which gate clicks follows the stream, as
+    # "p-photon-1"'s train cannot
+    "p-photon-0.9": dataclasses.replace(CONFIGS[4], n_gates=200_000, mu=math.log(10.0) / 0.2),
     "laser-every-gate": dataclasses.replace(
         CONFIGS[3], n_gates=200_000, f_l=312.5e6, mu=0.05
     ),
@@ -120,6 +125,7 @@ DIGESTS = {
     "q0": "010d324db00cffbb9a0c21d7f917be8a0afe71fb7ed35d0c589f93ed59c3b5b9",
     "q1": "e3cbec75b3f06fa78d2a4830dec313ee654cc766eb93676dac9ea11de0d41f5f",
     "p-photon-1": "20d2c64234190c848406c64f822a691638a53a9fee10e24cd6f3c4eb00980ccb",
+    "p-photon-0.9": "5aa2dcb1dca0d5d6cddef94c85a53d9f6cfd1e61f401106c17829a1eab26006b",
     "laser-every-gate": "52170f07900f0dd8332c07195cc3b9119a538f7566fb9344419e7c500357d2ed",
     "no-dark": "be831746a59e4790243a22a67d1a6a43586769379c476e81d11fe5c2f2b0c144",
     "zero-state-seed": "fcfba3cfd6532bc66b15a0de0fadf305e982515da56ee3966393727a6205cd3d",
@@ -267,6 +273,7 @@ def _digest(clicks, hidden):
 
 def test_pinned_configs_cover_the_edge_cases():
     assert PINNED["p-photon-1"].p_photon == 1.0
+    assert PINNED["p-photon-0.9"].p_photon == pytest.approx(0.9, abs=1e-15)
     assert PINNED["laser-every-gate"].gates_per_pulse == 1
     assert _kernels._splitmix64(ZERO_STATE_SEED) == 0
     # the laser period outlasts the 25 us sweep, so every laser click triggers
