@@ -24,9 +24,10 @@ paths, both window by window:
   trap releases at a time; the clicks are a non-paralyzable dead-time
   selection over them, and ``hidden_avalanches`` counts the others.
 
-In both, fires and releases due at one gate make one avalanche, and a
-window expects one block of draws, so a run's working set does not grow
-with its gate count or its pulse energy.  Randomness comes from one
+In both, fires and releases due at one gate make one avalanche.  An
+active-reset window expects one block of draws, a latched window four
+(each generation has a fixed numpy cost), so a run's working set does not
+grow with its gate count or its pulse energy.  Randomness comes from one
 xorshift64* stream, seeded by splitmix64 on Python ints masked to 64 bits
 and drawn in numpy blocks (``_blocks``, ``_taker``); the active-reset loop
 takes its trap and ramp draws one log at a time (``_log_stream``).  Every
@@ -280,14 +281,15 @@ def _latched(n_gates, gates_per_pulse, p_photon, p_dark, q_ap, detrap_gates, dea
     draws its photon and dark fires, grows its avalanches and selects its
     clicks, the first avalanche ``dead_gates`` or more after the last."""
     take = _taker(s)
-    # a window expects one block of draws: one per fire, and a trap costs
-    # two, its mark's gap and its delay
+    # a window expects four blocks of draws (one per fire, and a trap costs
+    # two, its mark's gap and its delay): each generation has a fixed numpy
+    # cost, so fewer, larger windows pay it fewer times
     fire_rate = p_photon / gates_per_pulse + p_dark
     aval_rate = min(1.0, fire_rate / (1.0 - q_ap)) if q_ap < 1.0 else 1.0
     clicks = array.array("q")
     n_aval, armed = 0, 0  # avalanches so far; the first gate a click may register at
     carry = _EMPTY  # releases past the window, before n_gates
-    for w0, w1 in _windows(n_gates, fire_rate + 2.0 * q_ap * aval_rate):
+    for w0, w1 in _windows(n_gates, (fire_rate + 2.0 * q_ap * aval_rate) / 4.0):
         later = [carry[carry >= w1]]
         fires = _window_fires(take, w0, w1, gates_per_pulse, p_photon, p_dark)
         aval = _grow(take, np.concatenate((*fires, carry[carry < w1])), w1, n_gates, q_ap,

@@ -22,6 +22,7 @@ import numpy as np
 
 from .estimators import (
     ModelEstimate,
+    _dead_time_in_the_window,
     _window_bins,
     derive_all,
     estimate_bethune,
@@ -171,7 +172,7 @@ def dcr_window(cfg: Config) -> tuple[float, float]:
 def _refuse_dead_time_in_the_window(cfg: Config, tau_s: float, what: str) -> None:
     """Refuse before any run a dead time that ends at or past the baseline window start."""
     start = cfg["estimation", "dcr_window_start_s"]
-    if tau_s >= start:
+    if _dead_time_in_the_window(tau_s, start):
         raise ConfigError(f"{what}: dead time tau_s = {tau_s!r} must stay below the baseline "
                           f"window start, [estimation] dcr_window_start_s = {start!r}")
 

@@ -173,6 +173,11 @@ def _window_bins(h: SweepHistogram, window: tuple[float, float]) -> np.ndarray:
     return mask
 
 
+def _dead_time_in_the_window(tau_s: float, window_start: float) -> bool:
+    """Whether the dead time ends at or past the baseline window start."""
+    return tau_s >= window_start
+
+
 def estimate_custom(
     h: SweepHistogram,
     tau_s: float,
@@ -192,7 +197,7 @@ def estimate_custom(
         raise DegenerateDataError(
             f"tau_s = {tau_s!r} must be below the sweep {h.sweep!r}"
         )
-    if tau_s >= window[0]:
+    if _dead_time_in_the_window(tau_s, window[0]):
         raise DegenerateDataError(
             f"tau_s = {tau_s!r} must be below the baseline window start "
             f"{window[0]!r}; the afterpulse region would be the window itself"

@@ -120,15 +120,15 @@ DIGESTS = {
     "lt": "4efbc010697a63d9a2b85c3bd5141251731c13959cb624b427862163769bb8be",
     "lt-ar-bethune": "93c3ce3b558a76c35a9d55017b7bca254a18929824e5450d522e91c669a6a634",
     "lt-ar-ramp": "318e48043a73c73551091bf6c0b2f4577c0bd07efaa9ab92dd1e7136078e830d",
-    "lt-dense": "3f1f1c7309e2fa94f5cad885c52122d204824361c61d4bae2017f2ee47d2ff62",
+    "lt-dense": "967cca719d2e25da4371077a9e3b330c7ec3897964aea5ce34e702687b9cfb2b",
     "lt-ar-long-hold": "7e69661102792beb18257dbf82e1ddbd3261b0c522790017a9b162b440c1fba5",
     "q0": "010d324db00cffbb9a0c21d7f917be8a0afe71fb7ed35d0c589f93ed59c3b5b9",
-    "q1": "e3cbec75b3f06fa78d2a4830dec313ee654cc766eb93676dac9ea11de0d41f5f",
+    "q1": "1b6e51a4736710866b734e020a42de59613a38167c1dabe488d1b782023b0b7c",
     "p-photon-1": "20d2c64234190c848406c64f822a691638a53a9fee10e24cd6f3c4eb00980ccb",
     "p-photon-0.9": "5aa2dcb1dca0d5d6cddef94c85a53d9f6cfd1e61f401106c17829a1eab26006b",
     "laser-every-gate": "52170f07900f0dd8332c07195cc3b9119a538f7566fb9344419e7c500357d2ed",
     "no-dark": "be831746a59e4790243a22a67d1a6a43586769379c476e81d11fe5c2f2b0c144",
-    "zero-state-seed": "fcfba3cfd6532bc66b15a0de0fadf305e982515da56ee3966393727a6205cd3d",
+    "zero-state-seed": "db78bf59769cbd7d211396f3f187a1ed3812f0ebe25b17ba08a9a07ffe4aac76",
     "lt-ar-10khz": "f116b1dc826cc61fd193eb3b7ca341137b8fe137a4713016eae13b17a363a549",
 }
 # the sha256 of the "lt-ar-10khz" run's sweep histogram (the CLI's 25 us
