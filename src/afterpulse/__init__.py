@@ -3,8 +3,8 @@
 Submodules: ``models`` (click-probability model inversions), ``simulator``
 (seeded Monte Carlo of the gated detector), ``estimators`` (Bethune / Yuan /
 coincidence / sweep-histogram methods), ``fitting`` (dead-time decay-law
-fits), ``histio`` (sweep and gate histogram containers and their file
-format) and ``cli`` (command-line front end).
+fits), ``histio`` (``Histogram``, the one container of sweep and gate
+histograms, and their file format) and ``cli`` (command-line front end).
 """
 
 from .estimators import (
@@ -17,7 +17,7 @@ from .estimators import (
     estimate_yuan,
 )
 from .fitting import FitLaw, FitResult, fit_curve
-from .histio import GateHistogram, SweepHistogram, read_histogram, write_histogram
+from .histio import Histogram, read_histogram, write_histogram
 from .simulator import (
     ClickTrace,
     DeadTimeScheme,
@@ -41,8 +41,7 @@ __all__ = [
     "ClickTrace",
     "run_simulation",
     "build_sweep_histogram",
-    "SweepHistogram",
-    "GateHistogram",
+    "Histogram",
     "SweepCounts",
     "ModelEstimate",
     "read_histogram",

@@ -428,7 +428,7 @@ def sweep_scan(click_gates, gates_per_pulse, sweep_gates, binw_gates, n_bins):
     Every laser-coincident click triggers, and every other click less than
     ``sweep_gates`` after the last trigger before it is binned at its offset
     over ``binw_gates``, truncated, with any overshoot in the last of
-    ``n_bins`` bins.  ``SweepHistogram`` holds the sweep to one laser period
+    ``n_bins`` bins.  ``Histogram`` holds a sweep to one laser period
     up to float noise, so ``sweep_gates`` is at most ``gates_per_pulse + 1``:
     a click ``gates_per_pulse`` gates after a trigger is itself a trigger,
     at offset 0, so no window bins the next pulse's clicks.

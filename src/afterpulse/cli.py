@@ -33,9 +33,8 @@ from .estimators import (
 from .fitting import FitInputError, FitLaw, fit_curve
 from .histio import (
     DegenerateDataError,
-    GateHistogram,
+    Histogram,
     HistogramFormatError,
-    SweepHistogram,
     read_histogram,
     write_histogram,
 )
@@ -148,11 +147,11 @@ def sim_config(cfg: Config, seed: int | None = None) -> SimConfig:
     )
 
 
-def _empty_sweep(cfg: Config, f_l: float | None = None) -> SweepHistogram:
+def _empty_sweep(cfg: Config, f_l: float | None = None) -> Histogram:
     """A sweep histogram of the configured layout, with no counts."""
     sweep, bin_width = cfg["histogram", "sweep_s"], cfg["histogram", "bin_width_s"]
     bins = np.zeros(round(sweep / bin_width), np.int64)
-    return SweepHistogram(bin_width, sweep, bins, 0, f_l=f_l)
+    return Histogram(bin_width, sweep, bins, 0, f_l=f_l)
 
 
 def _refuse_sweep_past_the_next_pulse(cfg: Config, sim: SimConfig) -> None:
@@ -245,8 +244,8 @@ def load_config(path: str | Path) -> Config:
     return cfg
 
 
-def _gate_histogram(hist: SweepHistogram | GateHistogram, path) -> GateHistogram:
-    if not isinstance(hist, GateHistogram):
+def _gate_histogram(hist: Histogram, path) -> Histogram:
+    if hist.gates_per_period is None:
         raise DegenerateDataError(
             f"{path}: not a gate histogram (missing 'kind = gate' metadata)"
         )
@@ -254,7 +253,7 @@ def _gate_histogram(hist: SweepHistogram | GateHistogram, path) -> GateHistogram
 
 
 def _custom_estimate(
-    hist: SweepHistogram, rate: float, tau_s: float, window: tuple[float, float], row: str
+    hist: Histogram, rate: float, tau_s: float, window: tuple[float, float], row: str
 ) -> ModelEstimate:
     """The model conversions of the sweep-histogram estimate.
 
@@ -272,7 +271,7 @@ def _custom_estimate(
         raise type(exc)(f"{row}: {exc}") from None
 
 
-def _sweep_histogram(cfg: Config, trace: ClickTrace) -> SweepHistogram:
+def _sweep_histogram(cfg: Config, trace: ClickTrace) -> Histogram:
     return build_sweep_histogram(
         trace,
         sweep=cfg[("histogram", "sweep_s")],
@@ -327,7 +326,7 @@ def cmd_estimate(args) -> int:
         raise ConfigError(f"method '{args.method}' needs --dark HISTOGRAM")
     hist = read_histogram(args.hist)
     if args.method == "custom":
-        if isinstance(hist, GateHistogram):
+        if hist.gates_per_period is not None:
             raise DegenerateDataError(
                 f"{args.hist}: the custom method needs a sweep histogram, "
                 "not a gate histogram"
@@ -357,7 +356,7 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def _folded_estimate(method: str, lit: GateHistogram, dark: GateHistogram, gate: int) -> float:
+def _folded_estimate(method: str, lit: Histogram, dark: Histogram, gate: int) -> float:
     """``P_ap`` of one folded-gate method; ``gate`` is Yuan's gate index.
 
     The estimators are looked up by name at each call, so that a wrapper
@@ -380,7 +379,7 @@ def cmd_compare(args) -> int:
     yuan_gate = cfg[("estimation", "yuan_gate_index")]
     rows = []
     # (gates per period, mu index) -> lit and dark folds, on the first method's streams
-    pairs: dict[tuple[int, int], list[GateHistogram]] = {}
+    pairs: dict[tuple[int, int], list[Histogram]] = {}
     for method in METHODS:
         for i, mu in enumerate(args.mu):
             seed = stream(base.seed, method, i)

@@ -17,9 +17,11 @@ the dark baseline (``estimate_custom`` returns ``SweepCounts``).  Their ratio
 internal afterpulse probabilities with the inversions of ``models``
 (``derive_all`` returns ``ModelEstimate``).
 
-Every method reads histograms only: ``simulator`` builds both kinds from a
-click train and ``histio`` reads them from files.  A folded method takes its
-gate-to-laser ratio ``f_g/f_l`` from the fold's gates per period.
+Every method reads histograms only, of the one container ``Histogram``:
+``simulator`` builds both kinds from a click train and ``histio`` reads them
+from files.  A folded method refuses a sweep and the sweep method a fold.  A
+folded method takes its gate-to-laser ratio ``f_g/f_l`` from the fold's
+gates per period.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .histio import DegenerateDataError, GateHistogram, SweepHistogram
+from .histio import DegenerateDataError, Histogram
 
 __all__ = [
     "SweepCounts",
@@ -86,21 +88,30 @@ class ModelEstimate:
     p_universal: float
 
 
-def _matched(lit: GateHistogram, dark: GateHistogram) -> None:
-    if lit.gates_per_period != dark.gates_per_period:
+def _gates(h: Histogram) -> int:
+    """The gates per period of a fold; a sweep is refused."""
+    if h.gates_per_period is None:
+        raise DegenerateDataError("the folded methods need a gate histogram, not a sweep histogram")
+    return h.gates_per_period
+
+
+def _matched(lit: Histogram, dark: Histogram) -> int:
+    """The gates per period that the lit and dark folds share."""
+    if _gates(lit) != _gates(dark):
         raise DegenerateDataError(
             "lit and dark histograms cover different period structures "
             f"({lit.gates_per_period} vs {dark.gates_per_period} gates)"
         )
+    return lit.gates_per_period
 
 
-def estimate_bethune(lit: GateHistogram, dark: GateHistogram) -> float:
+def estimate_bethune(lit: Histogram, dark: Histogram) -> float:
     """Afterpulse probability from a half-rate-laser two-gate histogram.
 
     (R_ni - R_dark) / R_de with R_ni the non-illuminated-gate rate, R_de the
     rate over both gates and R_dark the matching dark-gate rate.
     """
-    if lit.gates_per_period != 2:
+    if _gates(lit) != 2:
         raise DegenerateDataError(
             "the half-rate method needs exactly two gates per laser period, "
             f"got {lit.gates_per_period}"
@@ -116,7 +127,7 @@ def estimate_bethune(lit: GateHistogram, dark: GateHistogram) -> float:
     return float((r_ni - r_dark) / r_de)
 
 
-def estimate_yuan(lit: GateHistogram, dark: GateHistogram, ni_gate_index: int = 1) -> float:
+def estimate_yuan(lit: Histogram, dark: Histogram, ni_gate_index: int = 1) -> float:
     """Afterpulse probability from one designated post-trigger gate.
 
     (R_ni - R_dark) / (R_c_de - R_ni) * m, with m = f_g/f_l the gates per
@@ -124,8 +135,7 @@ def estimate_yuan(lit: GateHistogram, dark: GateHistogram, ni_gate_index: int = 
     after the illuminated gate.  Later gates give smaller estimates because
     the afterpulse density decays with gate number.
     """
-    _matched(lit, dark)
-    m = lit.gates_per_period
+    m = _matched(lit, dark)
     if not 1 <= ni_gate_index < m:
         raise DegenerateDataError(
             f"ni_gate_index must be in [1, {m}), got {ni_gate_index}"
@@ -143,28 +153,28 @@ def estimate_yuan(lit: GateHistogram, dark: GateHistogram, ni_gate_index: int = 
     return float((r_ni - r_dark) / (r_cde - r_ni) * m)
 
 
-def estimate_coincidence(lit: GateHistogram, dark: GateHistogram) -> float:
+def estimate_coincidence(lit: Histogram, dark: Histogram) -> float:
     """Afterpulse probability from all non-coincident counts per laser period.
 
     (R_de - R_c_de - (1 - 1/m) * R_dark) / R_c_de, with m = f_g/f_l the gates
     per laser period, R_de the total rate over the period and R_dark the
     total dark rate.
     """
-    _matched(lit, dark)
+    m = _matched(lit, dark)
     ill = lit.illuminated_gate()
     r_de = lit.total_counts / lit.live_time
     r_cde = lit.gate_counts()[ill] / lit.live_time
     r_dark = dark.total_counts / dark.live_time
     if r_cde <= 0.0:
         raise DegenerateDataError("no coincident counts")
-    return float((r_de - r_cde - (1.0 - 1.0 / lit.gates_per_period) * r_dark) / r_cde)
+    return float((r_de - r_cde - (1.0 - 1.0 / m) * r_dark) / r_cde)
 
 
-def _window_bins(h: SweepHistogram, window: tuple[float, float]) -> np.ndarray:
+def _window_bins(h: Histogram, window: tuple[float, float]) -> np.ndarray:
     start, end = window
-    if not 0.0 <= start < end <= h.sweep + 0.5 * h.bin_width:
+    if not 0.0 <= start < end <= h.span + 0.5 * h.bin_width:
         raise DegenerateDataError(
-            f"window {window!r} does not fit inside the {h.sweep!r} s sweep"
+            f"window {window!r} does not fit inside the {h.span!r} s sweep"
         )
     starts = h.bin_starts
     mask = (starts >= start - 1e-15) & (starts < end - 1e-15)
@@ -179,7 +189,7 @@ def _dead_time_in_the_window(tau_s: float, window_start: float) -> bool:
 
 
 def estimate_custom(
-    h: SweepHistogram,
+    h: Histogram,
     tau_s: float,
     window: tuple[float, float] = (20e-6, 25e-6),
 ) -> SweepCounts:
@@ -189,13 +199,15 @@ def estimate_custom(
     time to the end of the sweep, C_ap = sum(C_i - C_dcr), for the ratio
     p_exp = C_ap / C0.  Bins inside (0, tau_s) are excluded, and ``tau_s``
     must end before the baseline window starts.  Per-bin differences are
-    summed unclamped.
+    summed unclamped.  A fold is refused.
     """
+    if h.gates_per_period is not None:
+        raise DegenerateDataError("the custom method needs a sweep histogram, not a gate histogram")
     if h.c0 <= 0:
         raise DegenerateDataError("histogram has no trigger counts")
-    if not tau_s < h.sweep:
+    if not tau_s < h.span:
         raise DegenerateDataError(
-            f"tau_s = {tau_s!r} must be below the sweep {h.sweep!r}"
+            f"tau_s = {tau_s!r} must be below the sweep {h.span!r}"
         )
     if _dead_time_in_the_window(tau_s, window[0]):
         raise DegenerateDataError(

@@ -8,18 +8,19 @@ appear anywhere, and the first bad line is named.  Writing then reading is a
 bit-exact identity on the counts.  The writer formats the records in a few
 array passes over the bins and always ends lines in ``\n``; that form is read
 in a few whole-file array passes, any other file in one pass over its lines.
-A sweep file's optional ``tau_s_ns`` (> 0), ``rate_hz`` (>= 0) and ``f_l_hz``
-(> 0, its period no shorter than the sweep) become the ``SweepHistogram``
-fields ``tau_s``, ``rate`` and ``f_l``, None where absent, which the
-container holds to the same ranges.
+Both kinds of histogram share the format and the one container,
+``Histogram``.  A file's optional ``tau_s_ns``, ``rate_hz`` (>= 0) and
+``f_l_hz`` (> 0) become its fields ``tau_s``, ``rate`` and ``f_l``, None
+where absent, which the container holds to the same ranges.  A sweep's
+``tau_s_ns`` is > 0 and its laser period no shorter than the sweep.
 
-Gate-folded histograms share the format: ``kind = gate`` marks them, the
-period takes the place of the sweep, ``c0`` is 0, and ``gates_per_period``,
-``acquisition_gates`` (integers >= 1) and ``tau_s_ns`` (>= 0, default 0) carry
-the period structure.  Optional ``f_g_hz`` and ``f_l_hz`` must give a whole
-``f_g/f_l`` equal to ``gates_per_period``; each defaults to agree with it.
-The reader checks every one of these keys, and ``rate_hz`` (>= 0) of either
-kind, naming the file and the key.
+Gate-folded histograms are marked ``kind = gate``, the only kind a file may
+name: the period takes the place of the sweep, ``c0`` is 0, and
+``gates_per_period``, ``acquisition_gates`` (integers >= 1) and
+``tau_s_ns`` (>= 0; absent, no dead time) carry the period structure.
+Optional ``f_g_hz`` and ``f_l_hz`` must give a whole ``f_g/f_l`` equal to
+``gates_per_period``; each defaults to agree with it.  The reader checks
+every one of these keys, naming the file and the key.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ import numpy as np
 __all__ = [
     "DegenerateDataError",
     "HistogramFormatError",
-    "GateHistogram",
-    "SweepHistogram",
+    "Histogram",
     "read_histogram",
     "write_histogram",
 ]
@@ -68,89 +68,87 @@ def _layout(bins, width: float, span: float, name: str, error: type[Exception]) 
 
 
 @dataclass
-class SweepHistogram:
-    """Binned click counts relative to a trigger click.
+class Histogram:
+    """Binned click counts: a sweep after trigger clicks, or a fold of the gate grid.
 
-    The trigger bin count ``c0`` is carried separately from ``bins``; the
-    binned counts start at the first offset after the trigger.
+    A histogram is a fold exactly when ``gates_per_period`` is set.  A sweep
+    bins the clicks after each trigger click at their offset, over ``span``
+    s; the trigger count ``c0`` is carried separately from ``bins``, which
+    start at the first offset after the trigger.  A fold bins every click
+    over one laser period, its ``span``; it has no trigger click, so its
+    ``c0`` is 0 as the simulator builds it and no estimate reads it.  Its
+    ``bins`` span ``gates_per_period * bins_per_gate`` bins: the simulator's
+    fold has one per gate, and an instrument file may resolve each gate into
+    several.  The folded estimators read only ``gate_counts()``, the
+    per-gate sums, and ``acquisition_gates`` is the total number of gates
+    observed.
     """
 
     bin_width: float  # seconds
-    sweep: float  # seconds
+    span: float  # seconds: the sweep, or the fold's laser period
     bins: np.ndarray  # integer counts
-    c0: int
+    c0: int = 0
     meta: dict[str, str] = field(default_factory=dict)
     # the dead time (s), click rate and laser rate (Hz); None where the source
     # does not record them, as in an instrument export
     tau_s: float | None = None
     rate: float | None = None
     f_l: float | None = None
+    # the fold's period structure; None for a sweep
+    gates_per_period: int | None = None
+    acquisition_gates: int | None = None
 
     def __post_init__(self) -> None:
-        self.bins = _layout(self.bins, self.bin_width, self.sweep, "sweep", HistogramFormatError)
+        fold = self.gates_per_period is not None
+        # a fold's layout faults are degenerate data, a sweep's format faults
+        name, error = ("period", DegenerateDataError) if fold else ("sweep", HistogramFormatError)
+        self.bins = _layout(self.bins, self.bin_width, self.span, name, error)
         if self.c0 < 0:
             raise HistogramFormatError("c0 must be >= 0")
-        # the reader's ranges for tau_s_ns, rate_hz and f_l_hz
-        for name, zero_ok in (("tau_s", False), ("rate", True), ("f_l", False)):
-            value = getattr(self, name)
+        if fold:
+            for key in ("gates_per_period", "acquisition_gates"):
+                if (getattr(self, key) or 0) < 1:
+                    raise DegenerateDataError(f"{key} must be >= 1")
+        elif self.acquisition_gates is not None:
+            raise DegenerateDataError("a sweep histogram has no acquisition_gates")
+        # the reader's ranges for tau_s_ns, rate_hz and f_l_hz; a fold may have no dead time
+        for key, zero_ok in (("tau_s", fold), ("rate", True), ("f_l", False)):
+            value = getattr(self, key)
             if value is not None and not (0.0 <= value < math.inf and (zero_ok or value > 0.0)):
                 raise DegenerateDataError(
-                    f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {value!r}"
+                    f"{key} must be finite and {'>=' if zero_ok else '>'} 0, got {value!r}"
                 )
-        # a sweep of one whole laser period is allowed, up to float noise
-        if self.f_l is not None and self.sweep * self.f_l > 1.0 + 1e-9:
+        # a sweep of one whole laser period is allowed, up to float noise; a
+        # fold's span is that period
+        if not fold and self.f_l is not None and self.span * self.f_l > 1.0 + 1e-9:
             raise DegenerateDataError(
-                f"sweep_ns = {self.sweep * 1e9:g} outlasts the laser period of f_l_hz = "
+                f"sweep_ns = {self.span * 1e9:g} outlasts the laser period of f_l_hz = "
                 f"{self.f_l!r}: the next pulse's clicks would be counted as afterpulses"
             )
-
-    @property
-    def bin_starts(self) -> np.ndarray:
-        """Left edge of every bin, in seconds after the trigger."""
-        return np.arange(len(self.bins)) * self.bin_width
-
-
-@dataclass
-class GateHistogram:
-    """Click counts folded onto one analysis period of the gate grid.
-
-    ``bins`` spans ``gates_per_period * bins_per_gate`` bins: the simulator's
-    fold has one per gate, and an instrument file may resolve each gate into
-    several.  The estimators read only ``gate_counts()``, the per-gate sums.
-    ``acquisition_gates`` is the total number of gates observed and
-    ``tau_s`` the statistical dead time used to convert counts into live
-    rates.
-    """
-
-    bins: np.ndarray
-    bin_width: float  # seconds
-    period: float  # seconds, one analysis period
-    gates_per_period: int
-    acquisition_gates: int
-    tau_s: float = 0.0
-    meta: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.gates_per_period < 1:
-            raise DegenerateDataError("gates_per_period must be >= 1")
-        if self.acquisition_gates < 1:
-            raise DegenerateDataError("acquisition_gates must be >= 1")
-        if not 0.0 <= self.tau_s < math.inf:
-            raise DegenerateDataError(f"tau_s must be finite and >= 0, got {self.tau_s!r}")
-        self.bins = _layout(self.bins, self.bin_width, self.period, "period", DegenerateDataError)
-        if len(self.bins) % self.gates_per_period != 0:
+        if fold and len(self.bins) % self.gates_per_period != 0:
             raise DegenerateDataError(
                 f"{len(self.bins)} bins do not resolve "
                 f"{self.gates_per_period} gates"
             )
 
     @property
+    def bin_starts(self) -> np.ndarray:
+        """Left edge of every bin, in seconds after the trigger or the period start."""
+        return np.arange(len(self.bins)) * self.bin_width
+
+    def _gates(self) -> int:
+        """The fold's gates per period; a sweep has none."""
+        if self.gates_per_period is None:
+            raise DegenerateDataError("a sweep histogram has no gates")
+        return self.gates_per_period
+
+    @property
     def bins_per_gate(self) -> int:
-        return len(self.bins) // self.gates_per_period
+        return len(self.bins) // self._gates()
 
     @property
     def f_g(self) -> float:
-        return self.gates_per_period / self.period
+        return self._gates() / self.span
 
     @property
     def total_counts(self) -> int:
@@ -160,16 +158,14 @@ class GateHistogram:
     def live_time(self) -> float:
         """Acquisition time minus the dead time spent after each click."""
         duration = self.acquisition_gates / self.f_g
-        live = duration - self.total_counts * self.tau_s
+        live = duration - self.total_counts * (self.tau_s or 0.0)
         if live <= 0.0:
             raise DegenerateDataError("dead time exceeds the acquisition time")
         return live
 
     def gate_counts(self) -> np.ndarray:
         """Counts aggregated per gate within the period."""
-        return self.bins.reshape(self.gates_per_period, self.bins_per_gate).sum(
-            axis=1
-        )
+        return self.bins.reshape(self._gates(), self.bins_per_gate).sum(axis=1)
 
     def illuminated_gate(self) -> int:
         """Index of the gate with maximal counts, taken as illuminated."""
@@ -184,26 +180,20 @@ def _format_ns(value_s: float) -> str:
     return repr(ns)
 
 
-def write_histogram(h: SweepHistogram | GateHistogram, path: str | Path) -> None:
+def write_histogram(h: Histogram, path: str | Path) -> None:
     """Write the text-table format; deterministic byte-for-byte per input."""
-    if isinstance(h, GateHistogram):
-        span, c0 = h.period, 0
-        meta = {
-            "kind": "gate",
-            "gates_per_period": str(h.gates_per_period),
-            "acquisition_gates": str(h.acquisition_gates),
-            "tau_s_ns": _format_ns(h.tau_s),
-            **h.meta,
-        }
-    else:
-        span, c0 = h.sweep, h.c0
-        typed = (("tau_s_ns", h.tau_s, _format_ns), ("rate_hz", h.rate, repr),
-                 ("f_l_hz", h.f_l, repr))
-        meta = {**h.meta, **{key: fmt(float(v)) for key, v, fmt in typed if v is not None}}
+    meta = dict(h.meta)
+    if h.gates_per_period is not None:
+        meta.update(kind="gate", gates_per_period=str(h.gates_per_period),
+                    acquisition_gates=str(h.acquisition_gates))
+    for key, value, fmt in (("tau_s_ns", h.tau_s, _format_ns), ("rate_hz", h.rate, repr),
+                            ("f_l_hz", h.f_l, repr)):
+        if value is not None:
+            meta[key] = fmt(float(value))
     lines = [
         f"# bin_width_ns = {_format_ns(h.bin_width)}",
-        f"# sweep_ns = {_format_ns(span)}",
-        f"# c0 = {c0}",
+        f"# sweep_ns = {_format_ns(h.span)}",
+        f"# c0 = {h.c0}",
     ]
     lines += [f"# {key} = {meta[key]}" for key in sorted(meta) if key not in _MANDATORY_KEYS]
     if h.bins.min(initial=0) < 0:  # bins is a mutable array: checked where written
@@ -329,20 +319,19 @@ def _meta_float(meta: dict[str, str], key: str, path: str | Path) -> float:
     return value
 
 
-def _as_gate(hist: SweepHistogram, meta: dict[str, str], typed: dict, path) -> GateHistogram:
-    """The gate histogram of a ``kind = gate`` file, its gate keys checked."""
-    del meta["kind"]
-    counts = []
+def _gate_keys(meta: dict[str, str], f_l: float | None, period: float, path) -> dict[str, int]:
+    """The period structure of a ``kind = gate`` file, taken out of ``meta`` and checked."""
+    counts = {}
     for key in ("gates_per_period", "acquisition_gates"):
         if key not in meta:
             raise DegenerateDataError(f"{path}: incomplete gate metadata: {key!r}")
         text = meta.pop(key)
-        counts.append(int(text) if text.isdecimal() else 0)
-        if counts[-1] < 1:
+        counts[key] = int(text) if text.isdecimal() else 0
+        if counts[key] < 1:
             raise DegenerateDataError(f"{path}: {key} = {text!r} is not an integer >= 1")
-    gates, acq = counts
-    f_g = _meta_float(meta, "f_g_hz", path) if "f_g_hz" in meta else gates / hist.sweep
-    ratio = f_g / typed.get("f_l", f_g / gates)
+    gates = counts["gates_per_period"]
+    f_g = _meta_float(meta, "f_g_hz", path) if "f_g_hz" in meta else gates / period
+    ratio = f_g / (f_g / gates if f_l is None else f_l)
     if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-6:
         raise DegenerateDataError(
             f"{path}: f_g must be an integer multiple of f_l (f_g/f_l = {ratio!r})"
@@ -351,16 +340,13 @@ def _as_gate(hist: SweepHistogram, meta: dict[str, str], typed: dict, path) -> G
         raise DegenerateDataError(
             f"{path}: histogram has {gates} gates per period, f_g/f_l = {round(ratio)}"
         )
-    return GateHistogram(
-        bins=hist.bins, bin_width=hist.bin_width, period=hist.sweep, gates_per_period=gates,
-        acquisition_gates=acq, tau_s=typed.get("tau_s", 0.0), meta=meta,
-    )
+    return counts
 
 
-def read_histogram(path: str | Path) -> SweepHistogram | GateHistogram:
+def read_histogram(path: str | Path) -> Histogram:
     """Parse the text-table format; raises with a line number on bad input.
 
-    A file with ``kind = gate`` metadata comes back as a ``GateHistogram``.
+    A file with ``kind = gate`` metadata comes back as a fold.
     """
     data = Path(path).read_bytes()
     notes, values = _writer_form(data) or _line_by_line(data, path)
@@ -393,8 +379,11 @@ def read_histogram(path: str | Path) -> SweepHistogram | GateHistogram:
             f"{path}: bin {i} starts at {starts[i]} ns, expected {i * width_ns:.0f} ns"
         )
     extra = {k: v for k, v in meta.items() if k not in _MANDATORY_KEYS}
-    gate = extra.get("kind") == "gate"
-    # the model inputs, in s and Hz; a fold may have no dead time and keeps its rates as text
+    kind = extra.pop("kind", None)
+    if kind not in (None, "gate"):
+        raise DegenerateDataError(f"{path}: metadata kind = {kind!r} is not 'gate'")
+    gate = kind == "gate"
+    # the model inputs, in s and Hz; a fold may have no dead time
     typed = {}
     for name, key, per_unit, zero_ok in (
         ("tau_s", "tau_s_ns", 1e9, gate), ("rate", "rate_hz", 1, True), ("f_l", "f_l_hz", 1, False),
@@ -405,14 +394,15 @@ def read_histogram(path: str | Path) -> SweepHistogram | GateHistogram:
                 problem = "negative" if zero_ok else "not positive"
                 raise DegenerateDataError(f"{path}: metadata {key} = {extra[key]} is {problem}")
             typed[name] = value / per_unit  # so that 200 ns reads back as 2e-07
-            if not gate or name == "tau_s":
-                del extra[key]
-    # the sweep container's layout checks apply to gate files as well
+            del extra[key]
+    width, span = width_ns / 1e9, sweep_ns / 1e9
+    bins = values[:, 1].copy()
+    if gate:
+        # a gate file's bins must cover its span, a format fault as in a sweep
+        # file, before its gate keys are read
+        _layout(bins, width, span, "sweep", HistogramFormatError)
+        typed.update(_gate_keys(extra, typed.get("f_l"), span, path))
     try:
-        hist = SweepHistogram(
-            bin_width=width_ns / 1e9, sweep=sweep_ns / 1e9, bins=values[:, 1].copy(), c0=c0,
-            meta=extra, **({} if gate else typed),
-        )
+        return Histogram(width, span, bins, c0, extra, **typed)
     except DegenerateDataError as exc:
         raise DegenerateDataError(f"{path}: {exc}") from None
-    return _as_gate(hist, extra, typed, path) if gate else hist

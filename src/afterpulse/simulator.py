@@ -45,7 +45,7 @@ from enum import Enum
 import numpy as np
 
 from . import _kernels
-from .histio import GateHistogram, SweepHistogram
+from .histio import Histogram
 
 __all__ = [
     "SchemeKind",
@@ -242,11 +242,11 @@ def run_simulation(cfg: SimConfig) -> ClickTrace:
     return ClickTrace(config=cfg, click_gates=clicks, hidden_avalanches=int(hidden))
 
 
-def build_sweep_histogram(trace: ClickTrace, sweep: float, bin_width: float) -> SweepHistogram:
+def build_sweep_histogram(trace: ClickTrace, sweep: float, bin_width: float) -> Histogram:
     """Collect oscilloscope-style sweeps from a click train.
 
     Each laser-coincident click triggers a sweep of length ``sweep``, at most
-    one laser period (``SweepHistogram`` raises ``DegenerateDataError`` on a
+    one laser period (``Histogram`` raises ``DegenerateDataError`` on a
     longer one); later clicks in the window are histogrammed at their offset
     with ``bin_width`` resolution, and a click a whole sweep after the
     trigger is outside it.  The trigger itself is counted in ``c0`` only.
@@ -272,35 +272,30 @@ def build_sweep_histogram(trace: ClickTrace, sweep: float, bin_width: float) -> 
         "seed": str(cfg.seed),
         "config_sha1": cfg.config_digest(),
     }
-    return SweepHistogram(
-        bin_width=bin_width, sweep=sweep, bins=bins, c0=int(c0), meta=meta,
+    return Histogram(
+        bin_width=bin_width, span=sweep, bins=bins, c0=int(c0), meta=meta,
         tau_s=cfg.scheme.tau_s, rate=trace.rate, f_l=cfg.f_l,
     )
 
 
-def fold_gate_histogram(trace: ClickTrace) -> GateHistogram:
+def fold_gate_histogram(trace: ClickTrace) -> Histogram:
     """Fold a click train onto one laser period, one bin per gate.
 
     Clicks are resolved on the gate grid, so a gate is the finest bin the
-    fold has.  The metadata records the gate and laser rates, the click
-    rate and the seed, as the histogram file format stores them.
+    fold has.  The fold carries the run's dead time, click rate and laser
+    rate, and its metadata the gate rate and the seed.
     """
     cfg = trace.config
     m = cfg.gates_per_pulse
     gate_time = 1.0 / cfg.f_g
-    meta = {
-        "source": "simulator",
-        "f_g_hz": repr(cfg.f_g),
-        "rate_hz": repr(trace.rate),
-        "f_l_hz": repr(cfg.f_l),
-        "seed": str(cfg.seed),
-    }
-    return GateHistogram(
-        bins=np.bincount(trace.click_gates % m, minlength=m),
+    return Histogram(
         bin_width=gate_time,
-        period=m * gate_time,
+        span=m * gate_time,
+        bins=np.bincount(trace.click_gates % m, minlength=m),
+        meta={"source": "simulator", "f_g_hz": repr(cfg.f_g), "seed": str(cfg.seed)},
+        tau_s=cfg.scheme.tau_s,
+        rate=trace.rate,
+        f_l=cfg.f_l,
         gates_per_period=m,
         acquisition_gates=cfg.n_gates,
-        tau_s=cfg.scheme.tau_s,
-        meta=meta,
     )

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from afterpulse.histio import HistogramFormatError, SweepHistogram
+from afterpulse.histio import Histogram, HistogramFormatError
 from afterpulse.models import (
     _ROUNDING,
     DomainError,
@@ -179,7 +179,7 @@ def p0_from_observed(p_total: float, model: str, p_ap: float) -> float:
     raise DomainError(f"unknown model {model!r}, expected one of {MODEL_NAMES}")
 
 
-def merge_bins(h: SweepHistogram, factor: int) -> SweepHistogram:
+def merge_bins(h: Histogram, factor: int) -> Histogram:
     """Merge consecutive bins by an integer factor, conserving all counts."""
     if factor < 1:
         raise HistogramFormatError(f"merge factor must be >= 1, got {factor}")
@@ -188,9 +188,9 @@ def merge_bins(h: SweepHistogram, factor: int) -> SweepHistogram:
             f"{len(h.bins)} bins are not divisible by factor {factor}"
         )
     merged = h.bins.reshape(-1, factor).sum(axis=1)
-    return SweepHistogram(
+    return Histogram(
         bin_width=h.bin_width * factor,
-        sweep=h.sweep,
+        span=h.span,
         bins=merged,
         c0=h.c0,
         meta=dict(h.meta),

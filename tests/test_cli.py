@@ -23,7 +23,7 @@ from afterpulse.cli import (
     main,
 )
 from afterpulse.estimators import SweepCounts
-from afterpulse.histio import DegenerateDataError, SweepHistogram, read_histogram, write_histogram
+from afterpulse.histio import DegenerateDataError, Histogram, read_histogram, write_histogram
 from afterpulse.simulator import (
     ClickTrace,
     SchemeKind,
@@ -1047,7 +1047,7 @@ class TestSweepPastTheNextPulse:
         )
         cfg = load_config(path)
         sim = cli.sim_config(cfg)
-        hist = SweepHistogram(10e-9, float(sweep), np.ones(round(float(sweep) / 10e-9), int), 5)
+        hist = Histogram(10e-9, float(sweep), np.ones(round(float(sweep) / 10e-9), int), 5)
         hist.f_l = sim.f_l  # set after construction, which would refuse a sweep too long
         write_histogram(hist, tmp_path / "h.csv")
 
@@ -1068,8 +1068,8 @@ class TestSweepPastTheNextPulse:
     @pytest.mark.parametrize("value", ["0.0", "-50000.0", "nan"])
     def test_estimate_refuses_a_laser_rate_that_is_not_positive(self, tmp_path, capsys, value):
         path = tmp_path / "h.csv"
-        write_histogram(SweepHistogram(
-            bin_width=10e-9, sweep=25e-6, bins=np.ones(2500, dtype=np.int64), c0=100,
+        write_histogram(Histogram(
+            bin_width=10e-9, span=25e-6, bins=np.ones(2500, dtype=np.int64), c0=100,
             meta={"f_l_hz": value, "tau_s_ns": "200", "rate_hz": "1000.0"},
         ), path)
         code, _, err = run_cli(capsys, "estimate", "--hist", path, "--method", "custom")

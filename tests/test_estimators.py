@@ -15,8 +15,7 @@ from afterpulse.estimators import (
 )
 from afterpulse.histio import (
     DegenerateDataError,
-    GateHistogram,
-    SweepHistogram,
+    Histogram,
     read_histogram,
     write_histogram,
 )
@@ -76,10 +75,10 @@ class TestGateHistogram:
     def test_live_time_excludes_dead_time(self):
         bins = np.zeros(20, dtype=np.int64)
         bins[5] = 1000
-        hist = GateHistogram(
+        hist = Histogram(
             bins=bins,
             bin_width=(1 / F_G) / 10,
-            period=2 / F_G,
+            span=2 / F_G,
             gates_per_period=2,
             acquisition_gates=10_000_000,
             tau_s=1e-6,
@@ -89,10 +88,10 @@ class TestGateHistogram:
 
     def test_invalid_structures(self):
         with pytest.raises(DegenerateDataError):
-            GateHistogram(
+            Histogram(
                 bins=np.zeros(7, dtype=np.int64),
                 bin_width=1e-9,
-                period=7e-9,
+                span=7e-9,
                 gates_per_period=2,
                 acquisition_gates=100,
             )
@@ -172,8 +171,7 @@ def test_laser_rate_must_match_the_folded_period(estimate, tmp_path):
     for name, hist in (("lit", lit), ("dark", dark)):
         for f_l in (F_G / 2, F_G / 50):
             path = tmp_path / f"{name}_{round(F_G / f_l)}.csv"
-            meta = {"f_g_hz": repr(F_G), "f_l_hz": repr(f_l)}
-            write_histogram(replace(hist, meta=meta), path)
+            write_histogram(replace(hist, f_l=f_l, meta={"f_g_hz": repr(F_G)}), path)
             paths.append(path)
     for path in paths[0::2]:
         with pytest.raises(DegenerateDataError, match="gates per period"):
@@ -198,9 +196,9 @@ def test_sub_gate_files_estimate_as_their_per_gate_sums(tmp_path):
             for per_gate, hists in forms.items():
                 path = tmp_path / f"{name}-{m}-{per_gate}.csv"
                 write_histogram(
-                    GateHistogram(
+                    Histogram(
                         bins=sub.reshape(-1, 10 // per_gate).sum(axis=1),
-                        bin_width=1 / F_G / per_gate, period=m / F_G, gates_per_period=m,
+                        bin_width=1 / F_G / per_gate, span=m / F_G, gates_per_period=m,
                         acquisition_gates=2_000_000_000, tau_s=0.2e-6,
                         meta={"f_g_hz": repr(F_G), "f_l_hz": repr(F_G / m)},
                     ),
@@ -214,9 +212,30 @@ def test_sub_gate_files_estimate_as_their_per_gate_sums(tmp_path):
 
 def make_sweep(bins, bin_width=10e-9, c0=1000):
     bins = np.asarray(bins, dtype=np.int64)
-    return SweepHistogram(
-        bin_width=bin_width, sweep=bin_width * len(bins), bins=bins, c0=c0
+    return Histogram(
+        bin_width=bin_width, span=bin_width * len(bins), bins=bins, c0=c0
     )
+
+
+@pytest.mark.parametrize(
+    "estimate", [estimate_bethune, estimate_yuan, estimate_coincidence, estimate_custom],
+    ids=["bethune", "yuan", "coincidence", "custom"],
+)
+def test_each_method_refuses_the_other_kind_of_histogram(estimate):
+    # a folded method reads gates that a sweep does not have, and the custom
+    # method trigger counts that a fold does not have
+    sweep = make_sweep(np.ones(2500))
+    fold = Histogram(1e-9, 2e-9, [30, 5], gates_per_period=2, acquisition_gates=1000)
+    if estimate is estimate_custom:
+        calls = [(fold, 0.21e-6)]
+        message = "the custom method needs a sweep histogram, not a gate histogram"
+    else:
+        calls = [(sweep, fold), (fold, sweep), (sweep, sweep)]
+        message = "the folded methods need a gate histogram, not a sweep histogram"
+    for args in calls:
+        with pytest.raises(DegenerateDataError) as info:
+            estimate(*args)
+        assert str(info.value) == message
 
 
 class TestDcrBaseline:

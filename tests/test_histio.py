@@ -19,9 +19,8 @@ from hypothesis import strategies as st
 from afterpulse import cli, histio
 from afterpulse.histio import (
     DegenerateDataError,
-    GateHistogram,
+    Histogram,
     HistogramFormatError,
-    SweepHistogram,
     read_histogram,
     write_histogram,
 )
@@ -33,9 +32,9 @@ NAN, INF = float("nan"), float("inf")
 
 def make_hist(bins, bin_width=10e-9, c0=100, **meta):
     bins = np.asarray(bins, dtype=np.int64)
-    return SweepHistogram(
+    return Histogram(
         bin_width=bin_width,
-        sweep=bin_width * len(bins),
+        span=bin_width * len(bins),
         bins=bins,
         c0=c0,
         meta={k: str(v) for k, v in meta.items()},
@@ -49,7 +48,7 @@ class TestContainer:
 
     def test_rejects_inconsistent_sweep(self):
         with pytest.raises(HistogramFormatError):
-            SweepHistogram(bin_width=1e-9, sweep=1e-6, bins=np.ones(5, int), c0=1)
+            Histogram(bin_width=1e-9, span=1e-6, bins=np.ones(5, int), c0=1)
 
     def test_bin_starts(self):
         h = make_hist([0, 0, 0, 0])
@@ -60,7 +59,7 @@ class TestContainer:
     ])
     def test_refuses_a_width_or_sweep_that_is_not_finite_and_positive(self, bin_width, sweep):
         with pytest.raises(HistogramFormatError) as info:
-            SweepHistogram(bin_width=bin_width, sweep=sweep, bins=[1], c0=0)
+            Histogram(bin_width=bin_width, span=sweep, bins=[1], c0=0)
         assert str(info.value) == (
             f"bin_width and sweep must be finite and positive, "
             f"got {bin_width!r} and {sweep!r}"
@@ -79,19 +78,32 @@ class TestContainer:
     ])
     def test_refuses_what_the_reader_refuses_in_a_file(self, fields, message):
         with pytest.raises(DegenerateDataError) as info:
-            SweepHistogram(1e-9, 2e-9, [3, 5], 0, **fields)
+            Histogram(1e-9, 2e-9, [3, 5], 0, **fields)
         assert str(info.value) == message
 
     def test_accepts_a_zero_rate(self):
-        h = SweepHistogram(1e-9, 2e-9, [3, 5], 0, tau_s=1e-9, rate=0.0, f_l=1e4)
+        h = Histogram(1e-9, 2e-9, [3, 5], 0, tau_s=1e-9, rate=0.0, f_l=1e4)
         assert (h.tau_s, h.rate, h.f_l) == (1e-9, 0.0, 1e4)
+
+    @pytest.mark.parametrize("read", [
+        lambda h: h.gate_counts(), lambda h: h.illuminated_gate(), lambda h: h.live_time,
+        lambda h: h.bins_per_gate, lambda h: h.f_g,
+    ], ids=["gate_counts", "illuminated_gate", "live_time", "bins_per_gate", "f_g"])
+    def test_a_sweep_has_no_gates(self, read):
+        with pytest.raises(DegenerateDataError, match="^a sweep histogram has no gates$"):
+            read(make_hist([3, 5]))
+
+    def test_a_sweep_has_no_acquisition_gates(self):
+        with pytest.raises(DegenerateDataError) as info:
+            Histogram(1e-9, 2e-9, [3, 5], 0, acquisition_gates=1000)
+        assert str(info.value) == "a sweep histogram has no acquisition_gates"
 
 
 def make_gate(bins=(3, 5), **fields):
     """A two-gate fold; ``fields`` override its constructor arguments."""
-    args = dict(bins=bins, bin_width=1e-9, period=2e-9, gates_per_period=2,
+    args = dict(bins=bins, bin_width=1e-9, span=2e-9, gates_per_period=2,
                 acquisition_gates=1000, tau_s=0.2e-6)
-    return GateHistogram(**{**args, **fields})
+    return Histogram(**{**args, **fields})
 
 
 class TestGateContainer:
@@ -116,7 +128,7 @@ class TestGateContainer:
     ])
     def test_refuses_a_width_or_period_that_is_not_finite_and_positive(self, bin_width, period):
         with pytest.raises(DegenerateDataError) as info:
-            make_gate(bin_width=bin_width, period=period)
+            make_gate(bin_width=bin_width, span=period)
         assert str(info.value) == (
             f"bin_width and period must be finite and positive, "
             f"got {bin_width!r} and {period!r}"
@@ -182,7 +194,7 @@ class TestFileRoundTrip:
         assert np.array_equal(back.bins, h.bins)
         assert back.c0 == h.c0
         assert back.bin_width == pytest.approx(h.bin_width)
-        assert back.sweep == pytest.approx(h.sweep)
+        assert back.span == pytest.approx(h.span)
         assert back.meta["seed"] == "42"
         assert back.meta["source"] == "simulator"
 
@@ -208,7 +220,7 @@ class TestFileRoundTrip:
         path = tmp_path / "hist.csv"
         write_histogram(h, path)
         back = read_histogram(path)
-        assert (back.bin_width, back.sweep) == (h.bin_width, h.sweep)
+        assert (back.bin_width, back.span) == (h.bin_width, h.span)
 
     def test_write_is_deterministic(self, tmp_path):
         h = make_hist([1, 2, 3], c0=7, b="2", a="1")
@@ -293,10 +305,10 @@ class TestFileRoundTrip:
 
 class TestGateFiles:
     def make_gate(self, **meta):
-        return GateHistogram(
+        return Histogram(
             bins=np.arange(20),
             bin_width=0.32e-9,
-            period=6.4e-9,
+            span=6.4e-9,
             gates_per_period=2,
             acquisition_gates=1_000_000,
             tau_s=0.2e-6,
@@ -310,12 +322,11 @@ class TestGateFiles:
         text = path.read_text()
         assert "# kind = gate\n" in text and "# c0 = 0\n" in text
         back = read_histogram(path)
-        assert isinstance(back, GateHistogram)
         assert np.array_equal(back.bins, h.bins)
         # the default absolute tolerance, 1e-12, would hide a six-digit writer
         assert back.bin_width == pytest.approx(h.bin_width, rel=1e-15, abs=0.0)
-        assert back.period == pytest.approx(h.period, rel=1e-15, abs=0.0)
-        assert (back.gates_per_period, back.acquisition_gates) == (2, 1_000_000)
+        assert back.span == pytest.approx(h.span, rel=1e-15, abs=0.0)
+        assert (back.c0, back.gates_per_period, back.acquisition_gates) == (0, 2, 1_000_000)
         assert back.tau_s == pytest.approx(h.tau_s, rel=1e-15, abs=0.0)
         assert back.meta == h.meta
 
@@ -342,6 +353,15 @@ class TestGateFiles:
             "acquisition_gates", "gates_per_period", "kind", "source", "tau_s_ns",
         }
 
+    def test_rates_read_back_as_fields(self, tmp_path):
+        # a fold's click and laser rates are typed fields, as a sweep's are
+        h = replace(self.make_gate(f_g_hz="312500000.0"), rate=1234.5678, f_l=312.5e6 / 2)
+        path = tmp_path / "gate.csv"
+        write_histogram(h, path)
+        assert "# f_g_hz = 312500000.0\n# f_l_hz = 156250000.0\n" in path.read_text()
+        back = read_histogram(path)
+        assert (back.rate, back.f_l, back.meta) == (h.rate, h.f_l, {"f_g_hz": "312500000.0"})
+
     def test_incomplete_metadata_is_degenerate(self, tmp_path):
         path = tmp_path / "gate.csv"
         write_histogram(self.make_gate(), path)
@@ -349,12 +369,55 @@ class TestGateFiles:
         with pytest.raises(DegenerateDataError, match="incomplete gate metadata"):
             read_histogram(path)
 
+    def hand_made(self, tmp_path, name="gate.csv", n_bins=20, **keys):
+        """A two-gate file of ``n_bins`` 1 ns bins; ``keys`` override its metadata."""
+        meta = {"bin_width_ns": "1", "sweep_ns": str(n_bins), "c0": "0", "kind": "gate",
+                "gates_per_period": "2", "acquisition_gates": "1000", **keys}
+        path = tmp_path / name
+        path.write_text("".join(f"# {k} = {v}\n" for k, v in meta.items())
+                        + "".join(f"{i},{i % 3}\n" for i in range(n_bins)))
+        return path
+
+    def test_bins_that_do_not_resolve_the_gates_name_the_file(self, tmp_path, capsys):
+        path = self.hand_made(tmp_path, n_bins=5)
+        dark = self.hand_made(tmp_path, "dark.csv")
+        message = f"{path}: 5 bins do not resolve 2 gates"
+        with pytest.raises(DegenerateDataError) as info:
+            read_histogram(path)
+        assert str(info.value) == message
+        argv = ["estimate", "--method", "bethune", "--hist", str(path), "--dark", str(dark)]
+        code = cli.main(argv)
+        assert code == cli.EXIT_NUMERIC
+        assert capsys.readouterr().err == f"afterpulse: {message}\n"
+
+    @pytest.mark.parametrize("kind", ["Gate", "sweep", "gates", ""])
+    @pytest.mark.parametrize("method", ["bethune", "custom"])
+    def test_an_unknown_kind_is_refused(self, tmp_path, capsys, kind, method):
+        # a misspelled kind is refused, not read as a sweep
+        path = self.hand_made(tmp_path, kind=kind, tau_s_ns="200", rate_hz="1000.0")
+        message = f"{path}: metadata kind = {kind!r} is not 'gate'"
+        with pytest.raises(DegenerateDataError) as info:
+            read_histogram(path)
+        assert str(info.value) == message
+        code = cli.main(["estimate", "--method", method, "--hist", str(path), "--dark", str(path)])
+        assert code == cli.EXIT_NUMERIC
+        assert capsys.readouterr().err == f"afterpulse: {message}\n"
+
+    @pytest.mark.parametrize("keys,message", [
+        ({"sweep_ns": 25}, "20 bins of 1e-09 s do not cover a 2.5e-08 s sweep"),
+        ({"c0": "-1"}, "c0 must be >= 0"),
+    ])
+    def test_a_format_fault_is_refused_as_in_a_sweep_file(self, tmp_path, keys, message):
+        with pytest.raises(HistogramFormatError) as info:
+            read_histogram(self.hand_made(tmp_path, **keys))
+        assert str(info.value) == message
+
     def fifty_gate_file(self, tmp_path, f_l_hz):
         """A 50-gate fold of the 312.5 MHz gate grid with the given laser rate."""
         path = tmp_path / "gate.csv"
         meta = {"f_g_hz": repr(312.5e6), "f_l_hz": repr(f_l_hz)}
-        write_histogram(GateHistogram(
-            bins=np.arange(500), bin_width=0.32e-9, period=160e-9, gates_per_period=50,
+        write_histogram(Histogram(
+            bins=np.arange(500), bin_width=0.32e-9, span=160e-9, gates_per_period=50,
             acquisition_gates=10**6, tau_s=0.2e-6, meta=meta,
         ), path)
         return path
@@ -386,19 +449,19 @@ def reference_write(h, path):
         value = value_s * 1e9
         return str(int(round(value))) if abs(value - round(value)) < 1e-6 else repr(value)
 
-    if isinstance(h, GateHistogram):
-        span, c0 = h.period, 0
-        meta = {
-            "kind": "gate",
-            "gates_per_period": str(h.gates_per_period),
-            "acquisition_gates": str(h.acquisition_gates),
-            "tau_s_ns": ns(h.tau_s),
-            **h.meta,
-        }
-    else:
-        span, c0, meta = h.sweep, h.c0, h.meta
+    meta = dict(h.meta)
+    if h.gates_per_period is not None:  # a fold
+        meta["kind"] = "gate"
+        meta["gates_per_period"] = str(h.gates_per_period)
+        meta["acquisition_gates"] = str(h.acquisition_gates)
+    if h.tau_s is not None:
+        meta["tau_s_ns"] = ns(h.tau_s)
+    if h.rate is not None:
+        meta["rate_hz"] = repr(float(h.rate))
+    if h.f_l is not None:
+        meta["f_l_hz"] = repr(float(h.f_l))
 
-    lines = [f"# bin_width_ns = {ns(h.bin_width)}", f"# sweep_ns = {ns(span)}", f"# c0 = {c0}"]
+    lines = [f"# bin_width_ns = {ns(h.bin_width)}", f"# sweep_ns = {ns(h.span)}", f"# c0 = {h.c0}"]
     for key in sorted(meta):
         if key not in ("bin_width_ns", "sweep_ns", "c0"):
             lines.append(f"# {key} = {meta[key]}")
@@ -462,8 +525,8 @@ def reference_read(path):
             raise HistogramFormatError(
                 f"{path}: bin {i} starts at {start} ns, expected {i * width_ns:.0f} ns"
             )
-    return SweepHistogram(
-        bin_width=width_ns / 1e9, sweep=sweep_ns / 1e9, bins=counts, c0=c0, meta=meta
+    return Histogram(
+        bin_width=width_ns / 1e9, span=sweep_ns / 1e9, bins=counts, c0=c0, meta=meta
     )
 
 
@@ -473,7 +536,7 @@ def outcome(read, path):
         h = read(path)
     except HistogramFormatError as exc:
         return "error", str(exc)
-    return "ok", h.bins.tolist(), h.bin_width, h.sweep, h.c0, h.meta
+    return "ok", h.bins.tolist(), h.bin_width, h.span, h.c0, h.meta
 
 
 WIDTHS_NS = ["1", "10", "0.32", repr(1 / 30), "2.5"]
@@ -621,15 +684,15 @@ def test_writer_output_takes_the_whole_file_path(tmp_path, monkeypatch):
     bins = rng.integers(0, 10**6, 25_000)
     bins[-1] = 10**18 - 1
     sweep = make_hist(bins, bin_width=1e-9, c0=12, seed=3)
-    gate = GateHistogram(
-        bins=bins[:20_000], bin_width=0.32e-9, period=6.4e-6, gates_per_period=2000,
+    gate = Histogram(
+        bins=bins[:20_000], bin_width=0.32e-9, span=6.4e-6, gates_per_period=2000,
         acquisition_gates=10**6, tau_s=0.2e-6, meta={"f_g_hz": "312500000.0"},
     )
     for h in (sweep, gate):
         path = tmp_path / "out.csv"
         write_histogram(h, path)
         back = read_histogram(path)
-        assert type(back) is type(h)
+        assert back.gates_per_period == h.gates_per_period
         assert np.array_equal(back.bins, h.bins)
         assert back.meta == h.meta
 
@@ -657,11 +720,11 @@ def writer_matches_reference(tmp_path, bins, width_ns):
     reference formatter, and check the two files of each are byte-identical."""
     n_bins = len(bins)
     width = width_ns * 1e-9
-    sweep = SweepHistogram(bin_width=width, sweep=width * n_bins, bins=bins, c0=9, meta={"seed": "3"})
-    gate = GateHistogram(
+    sweep = Histogram(bin_width=width, span=width * n_bins, bins=bins, c0=9, meta={"seed": "3"})
+    gate = Histogram(
         bins=np.repeat(bins, 2)[: 2 * n_bins],
         bin_width=width,
-        period=width * 2 * n_bins,
+        span=width * 2 * n_bins,
         gates_per_period=2,
         acquisition_gates=10**6,
         tau_s=0.2e-6,
