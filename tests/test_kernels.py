@@ -103,6 +103,12 @@ PINNED = {
     ),
     "no-dark": dataclasses.replace(CONFIGS[2], dcr_per_gate=0.0),
     "zero-state-seed": dataclasses.replace(CONFIGS[3], seed=ZERO_STATE_SEED),
+    # a half-rate laser with a 0.1 us ramp: the first laser gate past a
+    # hold-off is in the ramp, so fires as well as releases register there
+    "lt-ar-ramp-half-rate": dataclasses.replace(
+        CONFIGS[1],
+        scheme=DeadTimeScheme(SchemeKind.LT_AR, tau_l=0.2e-6, tau_c=0.2e-6, tau_er=0.1e-6),
+    ),
     # deadtime-sweep's regime: a 10 kHz laser under active reset, with laser
     # clicks a period apart, four sweeps
     "lt-ar-10khz": SimConfig(
@@ -129,6 +135,7 @@ DIGESTS = {
     "laser-every-gate": "52170f07900f0dd8332c07195cc3b9119a538f7566fb9344419e7c500357d2ed",
     "no-dark": "be831746a59e4790243a22a67d1a6a43586769379c476e81d11fe5c2f2b0c144",
     "zero-state-seed": "db78bf59769cbd7d211396f3f187a1ed3812f0ebe25b17ba08a9a07ffe4aac76",
+    "lt-ar-ramp-half-rate": "3b3acbf25615442c266b2f710f6798e39425040515df78381487c566da2abec1",
     "lt-ar-10khz": "f116b1dc826cc61fd193eb3b7ca341137b8fe137a4713016eae13b17a363a549",
 }
 # the sha256 of the "lt-ar-10khz" run's sweep histogram (the CLI's 25 us
@@ -276,6 +283,11 @@ def test_pinned_configs_cover_the_edge_cases():
     assert PINNED["p-photon-0.9"].p_photon == pytest.approx(0.9, abs=1e-15)
     assert PINNED["laser-every-gate"].gates_per_pulse == 1
     assert _kernels._splitmix64(ZERO_STATE_SEED) == 0
+    # the first laser gate past a hold-off lies inside its efficiency ramp
+    _, gates_per_pulse, *_, dead_gates, ramp_start, ramp_len, _ = gate_loop_args(
+        PINNED["lt-ar-ramp-half-rate"])
+    laser = -(-dead_gates // gates_per_pulse) * gates_per_pulse
+    assert ramp_start < laser < ramp_start + ramp_len
     # the laser period outlasts the 25 us sweep, so every laser click triggers
     assert 1.0 / PINNED["lt-ar-10khz"].f_l > 25e-6
 
