@@ -10,14 +10,17 @@ paths, both window by window:
 * active reset: a hold-off only discards the fires inside it (a
   non-paralyzable dead time; J. W. Müller, NIM 112, 1973), so each window
   draws its photon and dark fires ahead, and one stable merge gives each
-  fire its first successor past a hold-off (``_successors``).  A Python
-  loop chases those successors, one step per click, drops the pending trap
-  releases lost in a hold-off on the way, and steps out only where a
-  release comes first or a fire is in the efficiency ramp, which takes one
-  uniform draw.  A trap fill costs two draws; the trap marks of successive
-  clicks are a geometric count of unmarked clicks.  Pending releases sit in
-  a ``heapq`` list over the sentinel ``_FAR`` (the priority queue of Gibson
-  & Bruck's next-reaction method, 2000).
+  fire its first successor past a hold-off (``_successors``).  One Python
+  loop takes the next event, a fire or a pending release, after dropping
+  the releases spent or lost in the last hold-off; an event in the
+  efficiency ramp takes one uniform draw.  A release registers and the
+  loop resumes at the first fire past its hold-off; a fire registers in a
+  chase along those successors, one step per click, until a release comes
+  first or a successor is in the ramp.  A trap fill costs two draws; the
+  trap marks of successive clicks are a geometric count of unmarked
+  clicks.  Pending releases sit in a ``heapq`` list over the sentinel
+  ``_FAR`` (the priority queue of Gibson & Bruck's next-reaction method,
+  2000).
 * latched comparator: the bias stays high through a latch window, so the
   avalanches do not depend on which of them register.  ``_grow`` grows a
   window's avalanches in numpy as a branching process, one generation of
@@ -366,7 +369,7 @@ def gate_loop(n_gates, gates_per_pulse, p_photon, p_dark, q_ap, detrap_gates, is
         i = first_at(fire, pos)  # the first fire left to see
         while True:
             while rel[0] < pos:
-                pop(rel)  # spent, or lost in the hold-off
+                pop(rel)  # spent, or lost in the last click's hold-off
             f, r = fire[i], rel[0]
             e = f if f <= r else r  # coincident sources make one avalanche
             if e >= w1:
@@ -380,42 +383,35 @@ def gate_loop(n_gates, gates_per_pulse, p_photon, p_dark, q_ap, detrap_gates, is
                     pos = e + 1  # its fire is spent, the releases due there lost
                     i += f == e
                     continue
-            add(e)
-            if to_trap:
-                to_trap -= 1
-            else:
-                to_trap = trapped(e)
-            pos = e + dead_gates
-            if f == e:
-                i = after[i]
-            else:  # a release registered: step on from the fire before it
+            if f != e:
+                # a release registered: resume at the first fire past its
+                # hold-off, stepping on from the fire before it
+                add(e)
+                if to_trap:
+                    to_trap -= 1
+                else:
+                    to_trap = trapped(e)
+                last, pos = e, e + dead_gates
                 i = after[i - 1] if i and after[i - 1] >= 0 else first_at(fire, pos, i)
                 while fire[i] < pos:
                     i += 1
-                if fire[i] - e < ramp_end:
-                    i = -1
-            # chase the first fire past each hold-off, until a pending
-            # release comes first or that fire is in the ramp; a release lost
-            # in the last click's hold-off is dropped on the way
-            f = fire[i]
-            while True:
-                while rel[0] < pos:
-                    pop(rel)  # lost in the hold-off
-                stop = rel[0] if rel[0] < w1 else w1 - 1
-                while f <= stop:
-                    add(f)
-                    if to_trap:
-                        to_trap -= 1
-                    else:
-                        to_trap = trapped(f)
-                        if rel[0] < stop:
-                            stop = rel[0]
-                    i = after[i]
-                    f = fire[i]
-                pos = clicks[-1] + dead_gates
-                if rel[0] >= pos:
-                    break
-            last = pos - dead_gates
+                continue
+            # a fire registered: chase the first fire past each hold-off until
+            # a pending release comes first, lost in the hold-off or not, or
+            # that fire is in the ramp; the loop's top takes either from there
+            stop = r if r < w1 else w1 - 1
+            while f <= stop:
+                add(f)
+                if to_trap:
+                    to_trap -= 1
+                else:
+                    to_trap = trapped(f)
+                    if rel[0] < stop:
+                        stop = rel[0]
+                i = after[i]
+                f = fire[i]
+            last = clicks[-1]
+            pos = last + dead_gates
             if i < 0:
                 i = first_at(fire, pos)
 

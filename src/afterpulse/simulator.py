@@ -20,14 +20,15 @@ but take effect at the next gate.  The kernel (``_kernels``, plain
 Python drawing one xorshift64* stream in numpy blocks) skips the gates
 where nothing can change.  Under ``LT_AR`` a hold-off only discards the
 photon and dark fires inside it, so numpy draws them window by window and
-a loop chases each click's first fire past its hold-off, with the carriers
-released inside it lost; pending releases wait in a binary heap.  Under
-``LT`` the avalanches do not depend on the clicks, so numpy grows them
-window by window and registers the clicks by a dead-time selection over
-them: ``hidden_avalanches`` counts every avalanche the latch hid.  A run
-is deterministic for a fixed seed, and simulations with independent
-configs are safe to run concurrently.  ``stream`` derives the seeds of
-the several runs one command makes from its one seed.
+one event loop takes the next fire or pending trap release: it drops the
+carriers released inside the last hold-off, and from a fire it chases each
+click's first fire past its hold-off; pending releases wait in a binary
+heap.  Under ``LT`` the avalanches do not depend on the clicks, so numpy
+grows them window by window and registers the clicks by a dead-time
+selection over them: ``hidden_avalanches`` counts every avalanche the
+latch hid.  A run is deterministic for a fixed seed, and simulations with
+independent configs are safe to run concurrently.  ``stream`` derives the
+seeds of the several runs one command makes from its one seed.
 
 ``build_sweep_histogram`` and ``fold_gate_histogram`` turn a run's
 ``ClickTrace`` into the two histogram kinds, reading the gate grid from the
