@@ -343,6 +343,14 @@ def _gate_keys(meta: dict[str, str], f_l: float | None, period: float, path) -> 
     return counts
 
 
+def _named(path, check, *args, **kwargs):
+    """``check(*args, **kwargs)``, its refusal re-raised naming the file."""
+    try:
+        return check(*args, **kwargs)
+    except (HistogramFormatError, DegenerateDataError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def read_histogram(path: str | Path) -> Histogram:
     """Parse the text-table format; raises with a line number on bad input.
 
@@ -400,9 +408,6 @@ def read_histogram(path: str | Path) -> Histogram:
     if gate:
         # a gate file's bins must cover its span, a format fault as in a sweep
         # file, before its gate keys are read
-        _layout(bins, width, span, "sweep", HistogramFormatError)
+        _named(path, _layout, bins, width, span, "sweep", HistogramFormatError)
         typed.update(_gate_keys(extra, typed.get("f_l"), span, path))
-    try:
-        return Histogram(width, span, bins, c0, extra, **typed)
-    except DegenerateDataError as exc:
-        raise DegenerateDataError(f"{path}: {exc}") from None
+    return _named(path, Histogram, width, span, bins, c0, extra, **typed)

@@ -284,6 +284,23 @@ class TestFileRoundTrip:
         assert code == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"afterpulse: {message}\n"
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("sweep_ns", "50", "2 bins of 1e-08 s do not cover a 5e-08 s sweep"),
+        ("c0", "-1", "c0 must be >= 0"),
+    ])
+    def test_a_container_refusal_names_the_file(self, tmp_path, capsys, key, value, message):
+        meta = {"bin_width_ns": "10", "sweep_ns": "20", "c0": "5", key: value}
+        path = tmp_path / "refused.csv"
+        path.write_text("".join(f"# {k} = {v}\n" for k, v in meta.items()) + "0,1\n10,2\n")
+        message = f"{path}: {message}"
+        with pytest.raises(HistogramFormatError) as info:
+            read_histogram(path)
+        assert str(info.value) == message
+        assert outcome(reference_read, path) == ("error", message)
+        code = cli.main(["estimate", "--hist", str(path), "--method", "custom"])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"afterpulse: {message}\n"
+
     @pytest.mark.parametrize(
         "key,value",
         [("bin_width_ns", "0"), ("bin_width_ns", "-10"), ("sweep_ns", "-5"), ("sweep_ns", "-0")],
@@ -408,9 +425,22 @@ class TestGateFiles:
         ({"c0": "-1"}, "c0 must be >= 0"),
     ])
     def test_a_format_fault_is_refused_as_in_a_sweep_file(self, tmp_path, keys, message):
+        path = self.hand_made(tmp_path, **keys)
         with pytest.raises(HistogramFormatError) as info:
-            read_histogram(self.hand_made(tmp_path, **keys))
-        assert str(info.value) == message
+            read_histogram(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("keys,message", [
+        ({"sweep_ns": 25}, "20 bins of 1e-09 s do not cover a 2.5e-08 s sweep"),
+        ({"c0": "-1"}, "c0 must be >= 0"),
+    ])
+    def test_a_bad_dark_file_is_named(self, tmp_path, capsys, keys, message):
+        # the signal file reads, so the refusal must say which of the two is at fault
+        path = self.hand_made(tmp_path)
+        dark = self.hand_made(tmp_path, "dark.csv", **keys)
+        argv = ["estimate", "--method", "bethune", "--hist", str(path), "--dark", str(dark)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"afterpulse: {dark}: {message}\n"
 
     def fifty_gate_file(self, tmp_path, f_l_hz):
         """A 50-gate fold of the 312.5 MHz gate grid with the given laser rate."""
@@ -525,9 +555,12 @@ def reference_read(path):
             raise HistogramFormatError(
                 f"{path}: bin {i} starts at {start} ns, expected {i * width_ns:.0f} ns"
             )
-    return Histogram(
-        bin_width=width_ns / 1e9, span=sweep_ns / 1e9, bins=counts, c0=c0, meta=meta
-    )
+    try:
+        return Histogram(
+            bin_width=width_ns / 1e9, span=sweep_ns / 1e9, bins=counts, c0=c0, meta=meta
+        )
+    except HistogramFormatError as exc:
+        raise HistogramFormatError(f"{path}: {exc}") from None
 
 
 def outcome(read, path):
