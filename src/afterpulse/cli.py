@@ -103,13 +103,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     },
 }
 
-# float keys that reach no SimConfig, which names its own non-finite fields;
-# NaN passes every comparison downstream
-_FINITE_KEYS = (
-    ("histogram", "sweep_s"), ("histogram", "bin_width_s"),
-    ("estimation", "dcr_window_start_s"), ("estimation", "dcr_window_end_s"),
-)
-
 
 # a loaded config: every schema key, by (section, key), with defaults applied
 Config = dict[tuple[str, str], object]
@@ -229,17 +222,16 @@ def load_config(path: str | Path) -> Config:
                         f"{raw!r} is not an integer"
                     )
                 value = int(value)
+            elif cast is float and not math.isfinite(value):
+                # NaN passes every comparison downstream
+                raise ConfigError(
+                    f"{path}: key '{key}' in [{section}]: must be a finite number, got {value!r}"
+                )
             cfg[section, key] = value
     scheme = cfg["deadtime", "scheme"]
     if scheme not in {kind.value for kind in SchemeKind}:
         allowed = ", ".join(kind.value for kind in SchemeKind)
         raise ConfigError(f"{path}: key 'scheme' in [deadtime]: {scheme!r} is not one of {allowed}")
-    for section, key in _FINITE_KEYS:
-        value = cfg[section, key]
-        if not math.isfinite(value):
-            raise ConfigError(
-                f"{path}: key '{key}' in [{section}]: must be a finite number, got {value!r}"
-            )
     _check_sweep(cfg, path)
     return cfg
 
