@@ -27,6 +27,7 @@ from afterpulse.histio import DegenerateDataError, Histogram, read_histogram, wr
 from afterpulse.simulator import (
     ClickTrace,
     SchemeKind,
+    SimulationConfigError,
     _span_gates,
     build_sweep_histogram,
     run_simulation,
@@ -1254,22 +1255,23 @@ class TestNonFiniteConfig:
     """NaN passes every range check, so a non-finite value is refused first."""
 
     @pytest.mark.parametrize(
-        "section,key",
+        "section,key,field",
         [
-            ("source", "mean_photons"),
-            ("source", "laser_frequency_hz"),
-            ("detector", "pde"),
-            ("detector", "afterpulse_probability"),
-            ("detector", "dcr_hz"),
-            ("detector", "detrap_time_s"),
-            ("detector", "gate_frequency_hz"),
-            ("deadtime", "latch_time_s"),
-            ("deadtime", "hold_time_s"),
-            ("deadtime", "recovery_time_s"),
+            ("source", "mean_photons", "mu"),
+            ("source", "laser_frequency_hz", "f_l"),
+            ("detector", "pde", "pde"),
+            ("detector", "afterpulse_probability", "p_ap_internal"),
+            ("detector", "dcr_hz", "dcr_per_gate"),
+            ("detector", "detrap_time_s", "tau_detrap"),
+            ("detector", "gate_frequency_hz", "f_g"),
+            ("deadtime", "latch_time_s", "tau_l"),
+            ("deadtime", "hold_time_s", "tau_c"),
+            ("deadtime", "recovery_time_s", "tau_er"),
         ],
     )
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_simulate_names_the_field(self, tmp_path, capsys, monkeypatch, section, key, value):
+    def test_simulate_names_the_field(self, tmp_path, capsys, monkeypatch, section, key, field,
+                                      value):
         runs = []
         real = cli.run_simulation
         monkeypatch.setattr(cli, "run_simulation", lambda cfg: runs.append(cfg) or real(cfg))
@@ -1284,6 +1286,13 @@ class TestNonFiniteConfig:
         )
         assert runs == []
         assert not out.exists()
+        # a library caller that skips the loader is refused by the simulator's field
+        path.write_text("[run]\nn_gates = 1000\nseed = 3\n")
+        cfg = cli.load_config(path)
+        cfg[section, key] = float(value)
+        with pytest.raises(SimulationConfigError) as info:
+            cli.sim_config(cfg)
+        assert str(info.value) == f"{field} must be a finite number, got {float(value)!r}"
 
 
 class TestNonFiniteHistogramKey:
