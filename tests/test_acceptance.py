@@ -111,7 +111,7 @@ def union_by_enumeration(p0, p_ap, order_max):
 
 @pytest.fixture(scope="module")
 def closed_loop_run():
-    cfg = sim_config(50_000_000, seed=4)
+    cfg = sim_config(2_000_000_000, seed=4)
     return cfg, *custom_pipeline(cfg)
 
 
@@ -250,14 +250,15 @@ def test_criterion_04_rate_relation_identity():
 
 def test_criterion_05_simulator_estimator_closed_loop(closed_loop_run):
     cfg, trace, hist, bundle = closed_loop_run
-    assert cfg.n_gates == 50_000_000
+    assert cfg.n_gates == 2_000_000_000
     assert hist.c0 > 0
-    assert abs(bundle.p2 - 0.10) <= 0.02
-    _pass(
-        5,
-        f"(p2 = {bundle.p2:.4f} vs injected 0.10, c0 = {hist.c0}; "
-        "hold-off carrier loss exp(-0.2) bounds the expectation at 0.082)",
-    )
+    # the carriers released inside the 0.2 us hold-off are lost, so p2
+    # expects q * exp(-tau_c / tau_detrap).  At 2e9 gates p2 has an SD of
+    # about 0.0025 over seeds: 0.01 is 4 SD, and a kernel that kept the
+    # carriers through the hold-off (p2 near q = 0.10) sits 7 SD away
+    expected = cfg.p_ap_internal * math.exp(-cfg.scheme.tau_c / cfg.tau_detrap)
+    assert abs(bundle.p2 - expected) <= 0.01
+    _pass(5, f"(p2 = {bundle.p2:.4f} vs q exp(-tau_c/tau_detrap) = {expected:.4f}, c0 = {hist.c0})")
 
 
 def test_criterion_06_intensity_robustness():
