@@ -117,7 +117,7 @@ def closed_loop_run():
 
 @pytest.fixture(scope="module")
 def scheme_comparison_runs():
-    seeds = range(800, 808)
+    seeds = range(800, 848)
     out = {}
     for tau, sweep, window in (
         (1e-6, 25e-6, (20e-6, 25e-6)),
@@ -304,32 +304,35 @@ def test_criterion_06_intensity_robustness():
 
 
 def test_criterion_07_markovian_null():
+    # at q = 0 every method's campaign mean is 0 within 5 standard errors.
+    # Over other seeds the four checks together fail 0.09 % of 20-seed
+    # campaigns with no defect: the Bethune and Yuan values are few counts,
+    # skewed, and Yuan reads exactly 0 in 60 % of runs
     campaigns = {
         "custom": [
             custom_pipeline(sim_config(400_000_000, 700 + i, q=0.0))[2].p_exp
-            for i in range(10)
+            for i in range(20)
         ],
         "bethune": [
             classical_pipeline("bethune", 1.0, 20_000_000, 720 + i, q=0.0)[0]
-            for i in range(10)
+            for i in range(20)
         ],
         "yuan": [
             classical_pipeline("yuan", 1.0, 50_000_000, 740 + i, q=0.0)[0]
-            for i in range(10)
+            for i in range(20)
         ],
         "coincidence": [
             classical_pipeline("coincidence", 1.0, 50_000_000, 760 + i, q=0.0)[0]
-            for i in range(10)
+            for i in range(20)
         ],
     }
     worst = {}
     for name, values in campaigns.items():
         values = np.asarray(values)
-        sigma = values.std(ddof=1)
-        assert sigma > 0.0, name
-        assert np.all(np.abs(values) <= 3.0 * sigma), (name, values, sigma)
-        worst[name] = float(np.max(np.abs(values)) / sigma)
-    detail = ", ".join(f"{k}: max|v|/sigma={v:.2f}" for k, v in worst.items())
+        se = values.std(ddof=1) / math.sqrt(values.size)
+        assert abs(values.mean()) <= 5.0 * se, (name, values)
+        worst[name] = float(abs(values.mean()) / se) if se > 0.0 else 0.0
+    detail = ", ".join(f"{k}: |mean|/se={v:.2f}" for k, v in worst.items())
     _pass(7, f"({detail})")
 
 
@@ -344,11 +347,15 @@ def test_criterion_08_scheme_separation(scheme_comparison_runs):
     separation = (lt.mean() - ar.mean()) / se
     assert separation >= 5.0
 
+    # at 20 us the schemes agree.  With no defect |t| passes 3.8 with
+    # probability 3e-4 at 48 seeds a scheme (Student's t, about 94 degrees
+    # of freedom); a 3-standard-error bound fails 0.27 % of streams at any
+    # number of seeds
     long = scheme_comparison_runs[20e-6]
     lt20 = p_exps(long[SchemeKind.LT])
     ar20 = p_exps(long[SchemeKind.LT_AR])
     se20 = math.sqrt(lt20.var(ddof=1) / len(lt20) + ar20.var(ddof=1) / len(ar20))
-    assert abs(lt20.mean() - ar20.mean()) <= 3.0 * se20
+    assert abs(lt20.mean() - ar20.mean()) <= 3.8 * se20
     _pass(
         8,
         f"(1 us: {separation:.1f} sigma apart; 20 us: "
@@ -370,7 +377,7 @@ def test_criterion_09_dead_time_invariants(closed_loop_run, scheme_comparison_ru
             min_gap_s = np.diff(trace.click_gates).min() / trace.config.f_g
             assert min_gap_s >= tau_s - 1e-12  # tau_l <= tau_s in both schemes
         checked += 1
-    assert checked == 33  # closed loop + 2 dead times x 2 schemes x 8 seeds
+    assert checked == 193  # closed loop + 2 dead times x 2 schemes x 48 seeds
     _pass(9, f"({checked} traces/histograms checked, exact assertions)")
 
 
