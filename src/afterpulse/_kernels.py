@@ -30,14 +30,14 @@ paths, both window by window:
 In both, fires and releases due at one gate make one avalanche.  An
 active-reset window expects one block of draws, a latched window four
 (each generation has a fixed numpy cost), so a run's working set does not
-grow with its gate count or its pulse energy.  Randomness comes from one
-xorshift64* stream, seeded by splitmix64 on Python ints masked to 64 bits
-and drawn in numpy blocks (``_blocks``, ``_taker``); the active-reset loop
-takes its trap and ramp draws one log at a time (``_log_stream``).  Every
-log comes from ``_logs``, and a train reads one only through the whole part
-or the ceiling of a scaled value, or a comparison with the log of the
-ramp's efficiency, so a last-bit difference from libm's log moves a train
-only within an ulp.
+grow with its gate count or its pulse energy.  Randomness comes from
+numpy's PCG64 bit generator (O'Neill, 2014), whose raw 64-bit outputs,
+shifted to 53 bits, are drawn in blocks of ``_BLOCK`` (``_taker``); the
+active-reset loop takes its trap and ramp draws one log at a time
+(``_log_stream``).  Every log comes from ``_logs``, and a train reads one
+only through the whole part or the ceiling of a scaled value, or a
+comparison with the log of the ramp's efficiency, so a last-bit difference
+from libm's log moves a train only within an ulp.
 
 ``sweep_scan`` folds a click train into oscilloscope sweeps in numpy: every
 laser-coincident click triggers, since no sweep outlasts the laser period,
@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import array
 import bisect
-import functools
 import heapq
 import math
 
@@ -57,66 +56,11 @@ import numpy as np
 
 __all__ = ["gate_loop", "sweep_scan"]
 
-# xorshift64* / splitmix64 constants
-_MASK64 = (1 << 64) - 1
-_MULT = 0x2545F4914F6CDD1D
-_SM_GAMMA = 0x9E3779B97F4A7C15
-_SM_M1 = 0xBF58476D1CE4E5B9
-_SM_M2 = 0x94D049BB133111EB
 _TWO53INV = 1.0 / 9007199254740992.0  # 2**-53
+_BLOCK = 4096  # draws a block
 
 _FAR = 1 << 62  # gate index sentinel: no further event of this kind
 _EMPTY = np.empty(0, np.int64)
-
-
-def _splitmix64(x):
-    """The splitmix64 output for state ``x``, an integer below 2**64."""
-    z = (int(x) + _SM_GAMMA) & _MASK64
-    z = ((z ^ (z >> 30)) * _SM_M1) & _MASK64
-    z = ((z ^ (z >> 27)) * _SM_M2) & _MASK64
-    return z ^ (z >> 31)
-
-
-# The stream is drawn in numpy blocks.  The xorshift step T is linear over
-# GF(2)^64 (Marsaglia, 2003), so T^(2^i) advances a whole block of states
-# by 2^i steps at once, as the XOR of 8 byte-table lookups per state (jump
-# ahead, Haramoto et al., 2008).  T^n of the first n states gives the next n
-# until blocks reach 2**_BLOCK_LEVELS: a run that draws a few computes a few.
-# uint64 arrays wrap around silently, which is the algorithm.
-_BLOCK_LEVELS = 12
-
-
-def _byte_tables(images):
-    """The (8, 256) lookup tables of a linear map, from its 64 unit images:
-    row j, column b holds the image of ``b << 8j``."""
-    tab = np.zeros((8, 1), np.uint64)
-    per_byte = images.reshape(8, 8)
-    for k in range(8):
-        tab = np.concatenate([tab, tab ^ per_byte[:, k : k + 1]], axis=1)
-    return tab
-
-
-def _jump(tab, states):
-    """The linear map with byte tables ``tab`` applied to each state."""
-    planes = np.asarray(states, "<u8").view(np.uint8).reshape(-1, 8).T.copy()
-    out = tab[0].take(planes[0])
-    for j in range(1, 8):
-        out ^= tab[j].take(planes[j])
-    return out
-
-
-@functools.cache
-def _jump_tables():
-    """Byte tables of T^(2^i) for i = 0 .. _BLOCK_LEVELS, built on first use."""
-    images = np.uint64(1) << np.arange(64, dtype=np.uint64)
-    images ^= images >> 12
-    images ^= images << 25
-    images ^= images >> 27
-    tables = [_byte_tables(images)]
-    for _ in range(_BLOCK_LEVELS):
-        images = _jump(tables[-1], images)  # T^(2^(i+1)) is T^(2^i) twice
-        tables.append(_byte_tables(images))
-    return tables
 
 
 def _logs(x):
@@ -125,24 +69,10 @@ def _logs(x):
     return np.log((x | 1) * _TWO53INV)
 
 
-def _blocks(s):
-    """The stream after state ``s`` in blocks of 53-bit draws (uint64
-    arrays): a state s gives the draw (s * MULT) >> 11."""
-    jumps = _jump_tables()
-    states = _jump(jumps[0], np.array([s], np.uint64))
-    yield (states * _MULT) >> 11
-    for tab in jumps[:-1]:
-        ahead = _jump(tab, states)
-        yield (ahead * _MULT) >> 11
-        states = np.concatenate([states, ahead])
-    while True:
-        states = _jump(jumps[-1], states)
-        yield (states * _MULT) >> 11
-
-
-def _taker(s):
-    """``take(n)``: the next ``n`` draws after state ``s``, as one array."""
-    blocks = _blocks(s)
+def _taker(seed):
+    """``take(n)``: the next ``n`` 53-bit draws (a uint64 array) of numpy's
+    PCG64 stream seeded by ``seed``, drawn in blocks of ``_BLOCK``."""
+    raw = np.random.PCG64(seed).random_raw
     buf, pos = np.empty(0, np.uint64), 0
 
     def take(n):
@@ -151,7 +81,8 @@ def _taker(s):
         while n > buf.size - pos:
             parts.append(buf[pos:])
             n -= buf.size - pos
-            buf, pos = next(blocks), 0
+            buf, pos = raw(_BLOCK), 0
+            buf >>= 11
         pos += n
         parts.append(buf[pos - n : pos])
         return np.concatenate(parts) if len(parts) > 1 else parts[0]
@@ -165,13 +96,13 @@ def _log_stream(take):
     n = 1
     while True:
         yield from _logs(take(n)).tolist()
-        n = min(2 * n, 2**_BLOCK_LEVELS)
+        n = min(2 * n, _BLOCK)
 
 
 def _windows(n_gates, draw_rate):
     """``(w0, w1)`` windows over the run, each expecting one block of draws
     at ``draw_rate`` draws a gate."""
-    span = max(1, int(2**_BLOCK_LEVELS / draw_rate)) if draw_rate > 0.0 else n_gates
+    span = max(1, int(_BLOCK / draw_rate)) if draw_rate > 0.0 else n_gates
     for w0 in range(0, n_gates, span):
         yield w0, min(w0 + span, n_gates)
 
@@ -279,11 +210,11 @@ def _grow(take, new, w1, n_gates, q_ap, detrap_gates, later):
     return aval
 
 
-def _latched(n_gates, gates_per_pulse, p_photon, p_dark, q_ap, detrap_gates, dead_gates, s):
+def _latched(n_gates, gates_per_pulse, p_photon, p_dark, q_ap, detrap_gates, dead_gates, seed):
     """``gate_loop`` under the latched comparator: each window of gates
     draws its photon and dark fires, grows its avalanches and selects its
     clicks, the first avalanche ``dead_gates`` or more after the last."""
-    take = _taker(s)
+    take = _taker(seed)
     # a window expects four blocks of draws (one per fire, and a trap costs
     # two, its mark's gap and its delay): each generation has a fixed numpy
     # cost, so fewer, larger windows pay it fewer times
@@ -326,12 +257,10 @@ def gate_loop(n_gates, gates_per_pulse, p_photon, p_dark, q_ap, detrap_gates, is
 
     Returns (click_gates int64 array, hidden_avalanches).
     """
-    # xorshift's fixed point 0 gives way to the splitmix64 increment
-    s = _splitmix64(seed) or _SM_GAMMA
     dead_gates = max(dead_gates, 1)
     if is_lt:
-        return _latched(n_gates, gates_per_pulse, p_photon, p_dark, q_ap, detrap_gates, dead_gates, s)
-    take = _taker(s)
+        return _latched(n_gates, gates_per_pulse, p_photon, p_dark, q_ap, detrap_gates, dead_gates, seed)
+    take = _taker(seed)
     step = _log_stream(take).__next__  # the trap marks' gaps, the delays, the ramp's draws
     push, pop, first_at = heapq.heappush, heapq.heappop, bisect.bisect_left
     rel = [_FAR]  # min-heap of pending release gates, over the sentinel

@@ -17,7 +17,7 @@ detector, producing afterpulses.  Two dead-time circuits are modelled:
 
 Events are resolved on the gate grid; trap-release instants are continuous
 but take effect at the next gate.  The kernel (``_kernels``, plain
-Python drawing one xorshift64* stream in numpy blocks) skips the gates
+Python drawing numpy's PCG64 stream in blocks) skips the gates
 where nothing can change.  Under ``LT_AR`` a hold-off only discards the
 photon and dark fires inside it, so numpy draws them window by window and
 one event loop takes the next fire or pending trap release: it drops the
@@ -203,14 +203,14 @@ class ClickTrace:
 def stream(seed: int, purpose: str, index: int) -> int:
     """Seed of stream ``index`` of the named ``purpose`` under a run's seed.
 
-    Two splitmix64 rounds, keyed by a hash of the purpose and by the index,
-    turn any valid seed into a valid seed, and distinct streams of one seed
-    into unrelated kernel streams: counter-based streams, after Salmon et
-    al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11).
+    numpy's ``SeedSequence`` hashes the seed, with a key of the purpose
+    and the index as its spawn key, into a 63-bit seed: distinct streams of
+    one seed get unrelated PCG64 streams, and any valid seed a valid seed.
     """
     digest = hashlib.blake2b(purpose.encode("utf-8"), digest_size=8).digest()
-    x = _kernels._splitmix64(seed ^ int.from_bytes(digest, "little"))
-    return _kernels._splitmix64(x ^ index) >> 1
+    key = int.from_bytes(digest, "little")
+    seq = np.random.SeedSequence(seed, spawn_key=(key, index))
+    return int(seq.generate_state(1, np.uint64)[0]) >> 1
 
 
 def _span_gates(span: float, f_g: float) -> int:

@@ -11,8 +11,8 @@ scheme suppresses it, losing the releases.  Every avalanche fills a trap
 with probability ``q``, released after an exponential delay at the next
 whole gate.
 
-The kernel skips gates and draws from its own xorshift stream, so the two
-agree in distribution only.  For each drawn configuration, a few hundred
+The kernel skips gates and draws from numpy's PCG64 in its own order, so
+the two agree in distribution only.  For each drawn configuration, a few hundred
 seeded runs of each are compared by chi-square tests on the click count,
 the hidden-avalanche count and the shape of the sweep histogram.  The
 sweeps span eight dead windows, often several laser periods, so both
@@ -135,7 +135,7 @@ def check_against_reference(args, window_gates=None):
     else:
         windows = _kernels._windows
         with mock.patch.object(_kernels, "_windows",
-                               lambda n_gates, _: windows(n_gates, 2**_kernels._BLOCK_LEVELS / window_gates)):
+                               lambda n_gates, _: windows(n_gates, _kernels._BLOCK / window_gates)):
             kernel = samples(args, range(RUNS), run)
     rng = np.random.default_rng(20211)
     reference = samples(args, range(RUNS),

@@ -1,5 +1,5 @@
-"""Kernel tests: pinned click trains, the block stream against a scalar
-reference, and the helpers."""
+"""Kernel tests: pinned click trains, the block stream against numpy's
+PCG64, and the helpers."""
 
 import dataclasses
 import hashlib
@@ -83,10 +83,6 @@ CONFIGS = [
 ]
 IDS = ["lt", "lt-ar-bethune", "lt-ar-ramp", "lt-dense", "lt-ar-long-hold"]
 
-# 2**64 - 0x9E3779B97F4A7C15: splitmix64 maps this seed to the state 0,
-# which the kernel replaces by the splitmix64 increment
-ZERO_STATE_SEED = 0x61C8864680B583EB
-
 # the CONFIGS plus edge cases, each with the sha256 of its click train's
 # bytes followed by its hidden count in decimal
 PINNED = {
@@ -102,7 +98,6 @@ PINNED = {
         CONFIGS[3], n_gates=200_000, f_l=312.5e6, mu=0.05
     ),
     "no-dark": dataclasses.replace(CONFIGS[2], dcr_per_gate=0.0),
-    "zero-state-seed": dataclasses.replace(CONFIGS[3], seed=ZERO_STATE_SEED),
     # a half-rate laser with a 0.1 us ramp: the first laser gate past a
     # hold-off is in the ramp, so fires as well as releases register there
     "lt-ar-ramp-half-rate": dataclasses.replace(
@@ -123,24 +118,23 @@ PINNED = {
     ),
 }
 DIGESTS = {
-    "lt": "4efbc010697a63d9a2b85c3bd5141251731c13959cb624b427862163769bb8be",
-    "lt-ar-bethune": "93c3ce3b558a76c35a9d55017b7bca254a18929824e5450d522e91c669a6a634",
-    "lt-ar-ramp": "318e48043a73c73551091bf6c0b2f4577c0bd07efaa9ab92dd1e7136078e830d",
-    "lt-dense": "967cca719d2e25da4371077a9e3b330c7ec3897964aea5ce34e702687b9cfb2b",
-    "lt-ar-long-hold": "7e69661102792beb18257dbf82e1ddbd3261b0c522790017a9b162b440c1fba5",
-    "q0": "010d324db00cffbb9a0c21d7f917be8a0afe71fb7ed35d0c589f93ed59c3b5b9",
-    "q1": "1b6e51a4736710866b734e020a42de59613a38167c1dabe488d1b782023b0b7c",
+    "lt": "522563a0c69acfdc0fd2d071b738d12ddde565290d3931e8827d2798ded74c44",
+    "lt-ar-bethune": "5900af392549544681eb7f24dc73d74a6ea917465af6f5e0f45a137211c7b8bb",
+    "lt-ar-ramp": "78cf944450b0b392646f311eb3d000d6748f68bdba0477954f57df1f7dbb961d",
+    "lt-dense": "70b193f82581f8e4086e6fef0d80ca4c031d14a2a2f0031669b98f718533f160",
+    "lt-ar-long-hold": "a177653fab967f313a41ed0db3b7070a804e0ead1f1ce33c9c915cb2fca8281d",
+    "q0": "5188fc71fd97ec2baba2c3c9c4aa5dc863270c66e5640de747cc984aa99bb871",
+    "q1": "d3b21201540f9327d5e0a480169ea34c1317b0ef3c72c8f4e62aabd054a42215",
     "p-photon-1": "20d2c64234190c848406c64f822a691638a53a9fee10e24cd6f3c4eb00980ccb",
-    "p-photon-0.9": "5aa2dcb1dca0d5d6cddef94c85a53d9f6cfd1e61f401106c17829a1eab26006b",
-    "laser-every-gate": "52170f07900f0dd8332c07195cc3b9119a538f7566fb9344419e7c500357d2ed",
-    "no-dark": "be831746a59e4790243a22a67d1a6a43586769379c476e81d11fe5c2f2b0c144",
-    "zero-state-seed": "db78bf59769cbd7d211396f3f187a1ed3812f0ebe25b17ba08a9a07ffe4aac76",
-    "lt-ar-ramp-half-rate": "3b3acbf25615442c266b2f710f6798e39425040515df78381487c566da2abec1",
-    "lt-ar-10khz": "f116b1dc826cc61fd193eb3b7ca341137b8fe137a4713016eae13b17a363a549",
+    "p-photon-0.9": "d5ac124445762f0e1bff44ed8cd5dec44fb18a78330e2e37e7904ecd7ac08757",
+    "laser-every-gate": "5dec9e2e9ba2b3500f58e8985898afbb963ed37ff8b49f97ee0517c78b295587",
+    "no-dark": "6a9a13adbc53d90e3965435ae633b04ceb19f370828e3bf362eee5ce8674e0e8",
+    "lt-ar-ramp-half-rate": "3373838cbe69794f08eb536386bd71f395bc8ca87d4250c0a2aaad74d7e2f710",
+    "lt-ar-10khz": "5fa6dbe828cefd188561d9f6b233ee35770c72e53bb14cf4a85ab1f366afa6ef",
 }
 # the sha256 of the "lt-ar-10khz" run's sweep histogram (the CLI's 25 us
 # sweep in 10 ns bins): its bins' bytes followed by c0 in decimal
-SWEEP_DIGEST = "e3db1bc368017319e737e748a0c22fd0bef887645253274a0d2ce69d8d7d54e3"
+SWEEP_DIGEST = "40bf7dac0574985fccbb5d4d88c23ee530e49d41f381c95f2b06147c1d1c703e"
 
 
 def test_python_path_deterministic():
@@ -246,7 +240,7 @@ def test_active_reset_fires_do_not_depend_on_the_dead_time():
 def _peak_past_clicks(cfg):
     """A run's tracemalloc peak less its click train: 8 bytes a click in
     the kernel's buffer, 8 in the array it returns."""
-    _kernels.gate_loop(*gate_loop_args(dataclasses.replace(cfg, n_gates=1000)))  # jump tables
+    _kernels.gate_loop(*gate_loop_args(dataclasses.replace(cfg, n_gates=1000)))  # numpy.random
     tracemalloc.start()
     try:
         clicks, _ = _kernels.gate_loop(*gate_loop_args(cfg))
@@ -282,7 +276,6 @@ def test_pinned_configs_cover_the_edge_cases():
     assert PINNED["p-photon-1"].p_photon == 1.0
     assert PINNED["p-photon-0.9"].p_photon == pytest.approx(0.9, abs=1e-15)
     assert PINNED["laser-every-gate"].gates_per_pulse == 1
-    assert _kernels._splitmix64(ZERO_STATE_SEED) == 0
     # the first laser gate past a hold-off lies inside its efficiency ramp
     _, gates_per_pulse, *_, dead_gates, ramp_start, ramp_len, _ = gate_loop_args(
         PINNED["lt-ar-ramp-half-rate"])
@@ -325,56 +318,17 @@ def test_pinned_trains_hold_with_every_log_one_ulp_off(monkeypatch, toward):
     assert _digest(hist.bins, hist.c0) == SWEEP_DIGEST
 
 
-@pytest.mark.parametrize("n_draws,n_jumps", [(2000, 12), (4097, 14)])
-def test_stream_start_up_makes_one_jump_per_doubling(monkeypatch, n_draws, n_jumps):
-    # one jump for the first state, then one per doubling of the states
-    # drawn (T^n of the first n), then one per full block of 4096
-    _kernels._jump_tables()  # built once per process, by jumps of its own
-    jump, calls = _kernels._jump, []
-
-    def spy(tab, states):
-        calls.append(len(states))
-        return jump(tab, states)
-
-    monkeypatch.setattr(_kernels, "_jump", spy)
-    take = _kernels._taker(_kernels._splitmix64(5))
-    for _ in range(n_draws):
-        take(1)
-    assert calls == [1] + [2**i for i in range(n_jumps - 1)]
-
-
-def test_block_stream_draws_the_scalar_stream():
-    # the scalar xorshift64* steps, on Python ints, against the 53-bit draws
-    # that _taker hands out: the doubling start-up (blocks of 1, 1, 2, ...,
-    # 2048 states) and then three full blocks and a few draws of a fourth,
-    # taken in runs of 1 to 7 draws, so that runs straddle every block edge.
-    # The scalar log of u' = (x | 1) * 2**-53 is numpy's of one element,
-    # which has the same bits as inside a block
-    mask = (1 << 64) - 1
-
-    def step(s):
-        s ^= s >> 12
-        s = (s ^ (s << 25)) & mask
-        s ^= s >> 27
-        return s, (s * 0x2545F4914F6CDD1D) & mask
-
-    cap = 2**_kernels._BLOCK_LEVELS
-    n_draws = cap + 3 * cap + 5
-    scalar, logs = [], []
-    s = _kernels._splitmix64(2024)
-    for _ in range(n_draws):
-        s, x = step(s)
-        scalar.append(x >> 11)
-        logs.append(float(np.log((float(x >> 12) + 0.5) * 2.0**-52)))
-    take = _kernels._taker(_kernels._splitmix64(2024))
+def test_block_stream_draws_pcg64():
+    # numpy's PCG64 raw outputs shifted to 53 bits, against what _taker hands
+    # out in runs of 1 to 7 draws, so that runs straddle four block edges
+    n_draws = 4 * _kernels._BLOCK + 5
+    take = _kernels._taker(2024)
     runs, block, n_taken = itertools.cycle(range(1, 8)), [], 0
     while n_taken < n_draws:
         block.append(take(min(next(runs), n_draws - n_taken)))
         n_taken += block[-1].size
     block = np.concatenate(block)
     assert block.dtype == np.uint64
-    assert np.array_equal(np.array(scalar, np.uint64), block)
+    assert np.array_equal(np.random.PCG64(2024).random_raw(n_draws) >> 11, block)
     assert np.all(block < 2**53)
-    logs = np.array(logs)
-    assert np.array_equal(logs, _kernels._logs(block))
-    assert np.all(logs < 0.0)
+    assert np.all(_kernels._logs(block) < 0.0)
