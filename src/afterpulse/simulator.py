@@ -203,9 +203,9 @@ class ClickTrace:
 def stream(seed: int, purpose: str, index: int) -> int:
     """Seed of stream ``index`` of the named ``purpose`` under a run's seed.
 
-    numpy's ``SeedSequence`` hashes the seed, with a key of the purpose
-    and the index as its spawn key, into a 63-bit seed: distinct streams of
-    one seed get unrelated PCG64 streams, and any valid seed a valid seed.
+    numpy's ``SeedSequence`` hashes the seed, with the purpose's key and
+    the index as its spawn key, into a 63-bit seed: any valid seed gives a
+    valid seed, and distinct streams of one seed unrelated PCG64 streams.
     """
     digest = hashlib.blake2b(purpose.encode("utf-8"), digest_size=8).digest()
     key = int.from_bytes(digest, "little")
