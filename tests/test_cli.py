@@ -696,9 +696,7 @@ def first_seed_without_a_trigger(path, mu):
     base = cli.sim_config(cfg)
     for seed in range(1, 51):
         trace = run_simulation(replace(base, mu=mu, seed=stream(seed, "custom", 0)))
-        hist = build_sweep_histogram(trace, cfg[("histogram", "sweep_s")],
-                                     cfg[("histogram", "bin_width_s")])
-        if hist.c0 == 0:
+        if cli._sweep_histogram(cfg, trace).c0 == 0:
             return seed
     raise AssertionError(f"every seed of 1 to 50 registers a trigger at mu = {mu}")
 

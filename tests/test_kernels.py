@@ -320,7 +320,8 @@ def test_pinned_trains_hold_with_every_log_one_ulp_off(monkeypatch, toward):
 
 def test_block_stream_draws_pcg64():
     # numpy's PCG64 raw outputs shifted to 53 bits, against what _taker hands
-    # out in runs of 1 to 7 draws, so that runs straddle four block edges
+    # out in runs of 1 to 7 draws, so that runs straddle four block edges;
+    # _logs over the block has the bits of each draw's log of u' taken alone
     n_draws = 4 * _kernels._BLOCK + 5
     take = _kernels._taker(2024)
     runs, block, n_taken = itertools.cycle(range(1, 8)), [], 0
@@ -331,4 +332,6 @@ def test_block_stream_draws_pcg64():
     assert block.dtype == np.uint64
     assert np.array_equal(np.random.PCG64(2024).random_raw(n_draws) >> 11, block)
     assert np.all(block < 2**53)
-    assert np.all(_kernels._logs(block) < 0.0)
+    logs = np.array([np.log((float(int(x) >> 1) + 0.5) * 2.0**-52) for x in block])
+    assert np.array_equal(_kernels._logs(block), logs)
+    assert np.all(logs < 0.0)
