@@ -28,14 +28,14 @@ paths, both window by window:
   selection over them, and ``hidden_avalanches`` counts the others.
 
 In both, fires and releases due at one gate make one avalanche.  An
-active-reset window expects one block of draws, a latched window four
-(each generation has a fixed numpy cost), so a run's working set does not
-grow with its gate count or its pulse energy.  Randomness comes from
-numpy's PCG64 bit generator (O'Neill, 2014), whose raw 64-bit outputs,
-shifted to 53 bits, are drawn in blocks of ``_BLOCK`` (``_taker``); the
-active-reset loop takes its trap and ramp draws one log at a time
-(``_log_stream``).  Every log comes from ``_logs``, and a train reads one
-only through the whole part or the ceiling of a scaled value, or a
+active-reset window expects ``_BLOCK`` draws, a latched window four times
+that (each generation has a fixed numpy cost), so a run's working set does
+not grow with its gate count or its pulse energy.  Randomness comes from
+numpy's PCG64 bit generator (O'Neill, 2014): each kernel takes the raw
+64-bit outputs of ``random_raw(n)``, ``n`` at a time, and ``_logs`` turns
+them into numbers, the only place that does; the active-reset loop takes
+its trap and ramp draws one log at a time (``_log_stream``).  A train reads
+a log only through the whole part or the ceiling of a scaled value, or a
 comparison with the log of the ramp's efficiency, so a last-bit difference
 from libm's log moves a train only within an ulp.
 
@@ -57,42 +57,21 @@ import numpy as np
 __all__ = ["gate_loop", "sweep_scan"]
 
 _TWO53INV = 1.0 / 9007199254740992.0  # 2**-53
-_BLOCK = 4096  # draws a block
+_BLOCK = 4096  # draws an active-reset window expects; a log stream's longest run
 
 _FAR = 1 << 62  # gate index sentinel: no further event of this kind
 _EMPTY = np.empty(0, np.int64)
 
 
 def _logs(x):
-    """numpy's log of u' = (x | 1) * 2**-53 in (0, 1), for draws ``x``:
-    every log either kernel path reads."""
-    return np.log((x | 1) * _TWO53INV)
-
-
-def _taker(seed):
-    """``take(n)``: the next ``n`` 53-bit draws (a uint64 array) of numpy's
-    PCG64 stream seeded by ``seed``, drawn in blocks of ``_BLOCK``."""
-    raw = np.random.PCG64(seed).random_raw
-    buf, pos = np.empty(0, np.uint64), 0
-
-    def take(n):
-        nonlocal buf, pos
-        parts = []
-        while n > buf.size - pos:
-            parts.append(buf[pos:])
-            n -= buf.size - pos
-            buf, pos = raw(_BLOCK), 0
-            buf >>= 11
-        pos += n
-        parts.append(buf[pos - n : pos])
-        return np.concatenate(parts) if len(parts) > 1 else parts[0]
-
-    return take
+    """numpy's log of u' = ((x >> 11) | 1) * 2**-53 in (0, 1), for raw
+    64-bit draws ``x``: the one map from a draw to a number."""
+    return np.log(((x >> 11) | 1) * _TWO53INV)
 
 
 def _log_stream(take):
     """numpy's logs of the draws ``take`` gives, one at a time, taken in
-    blocks that double up to one full block."""
+    runs of 1, 2, 4, ... up to ``_BLOCK`` draws."""
     n = 1
     while True:
         yield from _logs(take(n)).tolist()
@@ -100,7 +79,7 @@ def _log_stream(take):
 
 
 def _windows(n_gates, draw_rate):
-    """``(w0, w1)`` windows over the run, each expecting one block of draws
+    """``(w0, w1)`` windows over the run, each expecting ``_BLOCK`` draws
     at ``draw_rate`` draws a gate."""
     span = max(1, int(_BLOCK / draw_rate)) if draw_rate > 0.0 else n_gates
     for w0 in range(0, n_gates, span):
@@ -120,12 +99,13 @@ def _inv_log1m(p):
     return 1.0 / math.log1p(-p) if 0.0 < p < 1.0 else 0.0
 
 
-def _fires(take, n, p, inv_lp):
+def _fires(take, n, p):
     """The indices below ``n`` where a stream fires with probability ``p``
     each, from geometric gaps drawn until one passes ``n``.
 
     Gaps are memoryless, so the next call starts the stream afresh.
     """
+    inv_lp = _inv_log1m(p)
     parts = [_EMPTY]
     last = -1
     while p > 0.0 and last < n - 1:
@@ -143,8 +123,8 @@ def _fires(take, n, p, inv_lp):
 def _window_fires(take, w0, w1, gates_per_pulse, p_photon, p_dark):
     """The photon fires' gates in ``[w0, w1)``, then the dark fires'."""
     k0 = -(-w0 // gates_per_pulse)
-    photon = _fires(take, -(-w1 // gates_per_pulse) - k0, p_photon, _inv_log1m(p_photon))
-    return (photon + k0) * gates_per_pulse, _fires(take, w1 - w0, p_dark, _inv_log1m(p_dark)) + w0
+    photon = _fires(take, -(-w1 // gates_per_pulse) - k0, p_photon)
+    return (photon + k0) * gates_per_pulse, _fires(take, w1 - w0, p_dark) + w0
 
 
 def _successors(x, dead):
@@ -186,11 +166,10 @@ def _grow(take, new, w1, n_gates, q_ap, detrap_gates, later):
     from its fires and carried releases (``new``) one generation at a time:
     a gate with fires or releases is one avalanche, each new one traps with
     probability ``q_ap``, and releases past the window go to ``later``."""
-    inv_lp_q = _inv_log1m(q_ap)
     new.sort()
     aval = new = new[_firsts(new)]  # the first generation
     while new.size:
-        trap = new[_fires(take, new.size, q_ap, inv_lp_q)]
+        trap = new[_fires(take, new.size, q_ap)]
         # the next whole gate after an exponential delay: floor + 1 is
         # max(1, ceil) for every delay but a whole number
         delay = _logs(take(trap.size))
@@ -214,8 +193,8 @@ def _latched(n_gates, gates_per_pulse, p_photon, p_dark, q_ap, detrap_gates, dea
     """``gate_loop`` under the latched comparator: each window of gates
     draws its photon and dark fires, grows its avalanches and selects its
     clicks, the first avalanche ``dead_gates`` or more after the last."""
-    take = _taker(seed)
-    # a window expects four blocks of draws (one per fire, and a trap costs
+    take = np.random.PCG64(seed).random_raw
+    # a window expects 4 * _BLOCK draws (one per fire, and a trap costs
     # two, its mark's gap and its delay): each generation has a fixed numpy
     # cost, so fewer, larger windows pay it fewer times
     fire_rate = p_photon / gates_per_pulse + p_dark
@@ -260,7 +239,7 @@ def gate_loop(n_gates, gates_per_pulse, p_photon, p_dark, q_ap, detrap_gates, is
     dead_gates = max(dead_gates, 1)
     if is_lt:
         return _latched(n_gates, gates_per_pulse, p_photon, p_dark, q_ap, detrap_gates, dead_gates, seed)
-    take = _taker(seed)
+    take = np.random.PCG64(seed).random_raw
     step = _log_stream(take).__next__  # the trap marks' gaps, the delays, the ramp's draws
     push, pop, first_at = heapq.heappush, heapq.heappop, bisect.bisect_left
     rel = [_FAR]  # min-heap of pending release gates, over the sentinel

@@ -221,7 +221,8 @@ def load_config(path: str | Path) -> Config:
                         f"{path}: key '{key}' in [{section}]: "
                         f"{raw!r} is not an integer"
                     )
-                value = int(value)
+                # digits are read exactly, past 2**53, and a form like 2e8 as a float
+                value = int(raw) if raw.lstrip("+-").isdecimal() else int(value)
             elif cast is float and not math.isfinite(value):
                 # NaN passes every comparison downstream
                 raise ConfigError(
@@ -343,22 +344,27 @@ def cmd_estimate(args) -> int:
         lit = _gate_histogram(hist, args.hist)
         dark = _gate_histogram(read_histogram(args.dark), args.dark)
         columns = ("method", "P_ap")
-        est = {"P_ap": _folded_estimate(args.method, lit, dark, args.ni_gate)}
+        row = f"{args.hist} (dark {args.dark})"
+        est = {"P_ap": _folded_estimate(args.method, lit, dark, args.ni_gate, row)}
     print(_table(columns, [{"method": args.method, **est}]), end="")
     return EXIT_OK
 
 
-def _folded_estimate(method: str, lit: Histogram, dark: Histogram, gate: int) -> float:
-    """``P_ap`` of one folded-gate method; ``gate`` is Yuan's gate index.
+def _folded_estimate(method: str, lit: Histogram, dark: Histogram, gate: int, row: str) -> float:
+    """``P_ap`` of one folded-gate method; ``gate`` is Yuan's gate index,
+    and ``row`` names the row in a refusal, as in ``_custom_estimate``.
 
     The estimators are looked up by name at each call, so that a wrapper
     installed on this module sees every call.
     """
-    if method == "bethune":
-        return estimate_bethune(lit, dark)
-    if method == "yuan":
-        return estimate_yuan(lit, dark, ni_gate_index=gate)
-    return estimate_coincidence(lit, dark)
+    try:
+        if method == "bethune":
+            return estimate_bethune(lit, dark)
+        if method == "yuan":
+            return estimate_yuan(lit, dark, ni_gate_index=gate)
+        return estimate_coincidence(lit, dark)
+    except _NUMERIC_ERRORS as exc:
+        raise type(exc)(f"{row}: {exc}") from None
 
 
 def cmd_compare(args) -> int:
@@ -388,7 +394,7 @@ def cmd_compare(args) -> int:
                     fold_gate_histogram(run_simulation(replace(base, f_l=f_l, mu=m, seed=s)))
                     for m, s in ((mu, seed), (0.0, stream(seed, "dark", 0)))
                 ]
-            value = _folded_estimate(method, *pairs[layout, i], yuan_gate)
+            value = _folded_estimate(method, *pairs[layout, i], yuan_gate, f"{method}, mu = {mu!r}")
             rows.append({"method": method, "mu": mu, "P_ap": value})
     table = _table(("method", "mu", *_MODEL_COLUMNS), rows)
     Path(args.out).write_text(table, encoding="utf-8")

@@ -17,7 +17,7 @@ detector, producing afterpulses.  Two dead-time circuits are modelled:
 
 Events are resolved on the gate grid; trap-release instants are continuous
 but take effect at the next gate.  The kernel (``_kernels``, plain
-Python drawing numpy's PCG64 stream in blocks) skips the gates
+Python over numpy's raw PCG64 outputs) skips the gates
 where nothing can change.  Under ``LT_AR`` a hold-off only discards the
 photon and dark fires inside it, so numpy draws them window by window and
 one event loop takes the next fire or pending trap release: it drops the

@@ -116,6 +116,36 @@ class TestConfigLoading:
         path.write_text("[run]\nn_gates = 2e8\n")
         assert load_config(path)[("run", "n_gates")] == 200_000_000
 
+    @pytest.mark.parametrize("text,message", [
+        ("[run]\nn_gates = ten\n", "key 'n_gates' in [run]: cannot parse 'ten'"),
+        ("[run]\nseed = 0x10\n", "key 'seed' in [run]: cannot parse '0x10'"),
+        ("[detector]\npde = high\n", "key 'pde' in [detector]: cannot parse 'high'"),
+        ("n_gates = 10\n", "File contains no section headers"),
+    ], ids=["int", "hex-int", "float", "no-section"])
+    def test_unparsable_text_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert message in str(info.value)
+
+    @pytest.mark.parametrize("seed", [12345678901234567, 2**63 - 1])
+    def test_a_seed_past_2_to_the_53_is_read_exactly(self, tmp_path, capsys, seed):
+        # an int key is not read through a float, which would round it
+        path, out = tmp_path / "seed.ini", tmp_path / "h.csv"
+        path.write_text(f"[run]\nn_gates = 1000\nseed = {seed}\n")
+        code, _, err = run_cli(capsys, "simulate", "--config", path, "--out", out)
+        assert (code, err) == (EXIT_OK, "")
+        assert f"# seed = {seed}\n" in out.read_text()
+
+    def test_a_seed_of_2_to_the_63_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "seed.ini"
+        path.write_text(f"[run]\nn_gates = 1000\nseed = {2**63}\n")
+        code, out, err = run_cli(capsys, "simulate", "--config", path, "--out", tmp_path / "h.csv")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert f"got {2**63}" in err
+
     def test_zero_gates_rejected_at_load(self, tmp_path, capsys):
         path = tmp_path / "zero.ini"
         path.write_text("[run]\nn_gates = 0\n")
@@ -1238,6 +1268,53 @@ class TestGateMetadata:
         assert code == EXIT_NUMERIC
         assert out == ""
         assert err == f"afterpulse: {lit}: histogram has 2 gates per period, f_g/f_l = 50\n"
+
+
+class TestFoldedRefusals:
+    """A folded estimator's refusal names its row: the lit and the dark file
+    under ``estimate``, the method and pulse energy under ``compare``."""
+
+    EMPTY = gate_file().replace("5,9\n", "5,0\n")
+
+    @pytest.mark.parametrize("method,lit,dark,extra,message", [
+        ("coincidence", gate_file(), gate_file(gates_per_period="4"), (),
+         "lit and dark histograms cover different period structures (2 vs 4 gates)"),
+        ("bethune", EMPTY, gate_file(), (), "no counts in the illuminated histogram"),
+        ("yuan", gate_file(), gate_file(), ("--ni-gate", "5"),
+         "ni_gate_index must be in [1, 2), got 5"),
+        ("yuan", EMPTY, gate_file(), (),
+         "coincident rate does not exceed the designated gate rate"),
+        ("coincidence", EMPTY, gate_file(), (), "no coincident counts"),
+    ], ids=["periods", "bethune-counts", "yuan-gate", "yuan-rates", "coincidence-counts"])
+    def test_estimate_names_both_files(self, tmp_path, capsys, method, lit, dark, extra,
+                                       message):
+        lit_path, dark_path = tmp_path / "lit.csv", tmp_path / "dark.csv"
+        lit_path.write_text(lit)
+        dark_path.write_text(dark)
+        code, out, err = run_cli(capsys, "estimate", "--method", method, "--hist", lit_path,
+                                 "--dark", dark_path, *extra)
+        assert (code, out) == (EXIT_NUMERIC, "")
+        assert err == f"afterpulse: {lit_path} (dark {dark_path}): {message}\n"
+
+    @pytest.mark.parametrize("method", ["bethune", "yuan", "coincidence"])
+    def test_estimate_needs_a_dark_file(self, tmp_path, capsys, method):
+        lit = tmp_path / "lit.csv"
+        lit.write_text(gate_file())
+        code, out, err = run_cli(capsys, "estimate", "--method", method, "--hist", lit)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == f"afterpulse: method '{method}' needs --dark HISTOGRAM\n"
+
+    def test_compare_names_the_method_and_mu(self, tmp_path, capsys):
+        # compare's Yuan runs fold 50 gates a period, so gate 50 is past it
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(SHORT_SWEEP.replace("n_gates = 2000000", "n_gates = 1000000")
+                       + "yuan_gate_index = 50\n")
+        out = tmp_path / "cmp.csv"
+        code, stdout, err = run_cli(capsys, "compare", "--config", cfg, "--mu", "1",
+                                    "--out", out)
+        assert (code, stdout) == (EXIT_NUMERIC, "")
+        assert err == "afterpulse: yuan, mu = 1.0: ni_gate_index must be in [1, 50), got 50\n"
+        assert not out.exists()
 
 
 class TestNonUtf8Input:

@@ -140,6 +140,17 @@ class TestGateContainer:
             make_gate(bins=bins)
         assert str(info.value) == "bins must be a non-empty 1-d array"
 
+    @pytest.mark.parametrize("bins,refused", [((3, 3), True), ((2, 2), False)])
+    def test_live_time_must_be_positive(self, bins, refused):
+        # 1000 gates at 1 GHz last 1 us: six clicks of 0.2 us dead time
+        # outlast it, and four leave 0.2 us
+        h = make_gate(bins=bins, tau_s=0.2e-6)
+        if refused:
+            with pytest.raises(DegenerateDataError, match="^dead time exceeds the acquisition time$"):
+                h.live_time
+        else:
+            assert h.live_time == pytest.approx(0.2e-6)
+
     def test_accepts_zero_dead_time_and_one_gate(self):
         h = make_gate(tau_s=0.0, acquisition_gates=1, bins=[0, 0])
         assert (h.tau_s, h.acquisition_gates, h.total_counts) == (0.0, 1, 0)

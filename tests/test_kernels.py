@@ -1,10 +1,11 @@
-"""Kernel tests: pinned click trains, the block stream against numpy's
-PCG64, and the helpers."""
+"""Kernel tests: pinned click trains, the logs of numpy's raw PCG64
+draws, and the helpers."""
 
 import dataclasses
 import hashlib
-import itertools
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -318,20 +319,22 @@ def test_pinned_trains_hold_with_every_log_one_ulp_off(monkeypatch, toward):
     assert _digest(hist.bins, hist.c0) == SWEEP_DIGEST
 
 
-def test_block_stream_draws_pcg64():
-    # numpy's PCG64 raw outputs shifted to 53 bits, against what _taker hands
-    # out in runs of 1 to 7 draws, so that runs straddle four block edges;
-    # _logs over the block has the bits of each draw's log of u' taken alone
-    n_draws = 4 * _kernels._BLOCK + 5
-    take = _kernels._taker(2024)
-    runs, block, n_taken = itertools.cycle(range(1, 8)), [], 0
-    while n_taken < n_draws:
-        block.append(take(min(next(runs), n_draws - n_taken)))
-        n_taken += block[-1].size
-    block = np.concatenate(block)
+def test_logs_map_raw_pcg64_draws():
+    # _logs over a whole run of numpy's raw PCG64 outputs has the bits of
+    # each draw's log of u', its top 53 bits plus a half, taken alone
+    block = np.random.PCG64(2024).random_raw(4 * _kernels._BLOCK + 5)
     assert block.dtype == np.uint64
-    assert np.array_equal(np.random.PCG64(2024).random_raw(n_draws) >> 11, block)
-    assert np.all(block < 2**53)
-    logs = np.array([np.log((float(int(x) >> 1) + 0.5) * 2.0**-52) for x in block])
+    logs = np.array([np.log((float(int(x) >> 12) + 0.5) * 2.0**-52) for x in block])
     assert np.array_equal(_kernels._logs(block), logs)
     assert np.all(logs < 0.0)
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                    reason="numpy 1.x imports numpy.random with numpy")
+def test_importing_the_cli_leaves_numpy_random_unloaded(subprocess_env):
+    # the kernels reach numpy.random only when they run, so that startup
+    # does not pay for it
+    code = "import sys, afterpulse.cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=subprocess_env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

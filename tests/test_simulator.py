@@ -73,6 +73,21 @@ class TestConfigValidation:
             DeadTimeScheme(SchemeKind.LT, tau_l=0.0)
         with pytest.raises(SimulationConfigError):
             DeadTimeScheme(SchemeKind.LT_AR, tau_l=1e-6, tau_c=0.0)
+        with pytest.raises(SimulationConfigError, match=r"^tau_er must be >= 0, got -1e-09$"):
+            DeadTimeScheme(SchemeKind.LT_AR, tau_l=1e-6, tau_c=1e-6, tau_er=-1e-9)
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"f_g": 0.0}, "f_g and f_l must be positive"),
+        ({"f_g": -F_G}, "f_g and f_l must be positive"),
+        ({"f_l": 0.0}, "f_g and f_l must be positive"),
+        ({"f_l": -1e4}, "f_g and f_l must be positive"),
+        ({"tau_detrap": 0.0}, "tau_detrap must be > 0, got 0.0"),
+        ({"tau_detrap": -1e-6}, "tau_detrap must be > 0, got -1e-06"),
+    ])
+    def test_out_of_range_config_value_named(self, fields, message):
+        with pytest.raises(SimulationConfigError) as info:
+            base_cfg(**fields)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize(
         "field", ["f_g", "f_l", "mu", "pde", "dcr_per_gate", "p_ap_internal", "tau_detrap"]
@@ -278,6 +293,15 @@ class TestSweepHistogram:
         trace = hand_made_trace([0, m, 10 * m], f_l=1e5, n_gates=1_000_000)
         with pytest.raises(DegenerateDataError, match="outlasts the laser period"):
             build_sweep_histogram(trace, 25e-6, 10e-9)
+
+    @pytest.mark.parametrize("sweep,bin_width", [(10e-9, 10e-9), (5e-9, 10e-9), (25e-6, 0.0)])
+    def test_a_sweep_not_longer_than_its_bins_is_refused(self, sweep, bin_width):
+        trace = hand_made_trace([0, 5])
+        with pytest.raises(SimulationConfigError) as info:
+            build_sweep_histogram(trace, sweep, bin_width)
+        assert str(info.value) == (
+            f"need sweep > bin_width > 0, got sweep={sweep!r}, bin_width={bin_width!r}"
+        )
 
     @pytest.mark.parametrize("f_l, sweep", [(5e4, 20e-6), (86206.89655172414, 11.6e-6)])
     def test_a_sweep_of_one_laser_period_builds(self, f_l, sweep):
