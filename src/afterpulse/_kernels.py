@@ -13,12 +13,15 @@ paths, both window by window:
   fire its first successor past a hold-off (``_successors``).  One Python
   loop takes the next event, a fire or a pending release, after dropping
   the releases spent or lost in the last hold-off; an event in the
-  efficiency ramp takes one uniform draw.  A release registers and the
-  loop resumes at the first fire past its hold-off; a fire registers in a
-  chase along those successors, one step per click, until a release comes
-  first or a successor is in the ramp.  A trap fill costs two draws; the
-  trap marks of successive clicks are a geometric count of unmarked
-  clicks.  Pending releases sit in a ``heapq`` list over the sentinel
+  efficiency ramp takes one draw.  A registered event settles the events
+  after it that no draw decides: a fire registers in a chase along those
+  successors, one step per click, and a release resumes the chase at the
+  first fire past its hold-off.  The chase drops a release lost in the
+  hold-off, registers one past it, and leaves the window's end and an
+  event in the ramp to the loop's top.  A trap fill takes one pair of
+  draws, its release delay and the count of unmarked clicks before the
+  next fill: the trap marks of successive clicks are a geometric count.
+  Pending releases sit in a ``heapq`` list over the sentinel
   ``_FAR`` (the priority queue of Gibson & Bruck's next-reaction method,
   2000).
 * latched comparator: the bias stays high through a latch window, so the
@@ -33,8 +36,9 @@ that (each generation has a fixed numpy cost), so a run's working set does
 not grow with its gate count or its pulse energy.  Randomness comes from
 numpy's PCG64 bit generator (O'Neill, 2014): each kernel takes the raw
 64-bit outputs of ``random_raw(n)``, ``n`` at a time, and ``_logs`` turns
-them into numbers, the only place that does; the active-reset loop takes
-its trap and ramp draws one log at a time (``_log_stream``).  A train reads
+them into numbers, the only place that does.  The active-reset loop takes
+its trap fills and ramp draws one precomputed pair at a time
+(``_pair_stream``); a ramp draw reads the pair's first log.  A train reads
 a log only through the whole part or the ceiling of a scaled value, or a
 comparison with the log of the ramp's efficiency, so a last-bit difference
 from libm's log moves a train only within an ulp.
@@ -57,7 +61,7 @@ import numpy as np
 __all__ = ["gate_loop", "sweep_scan"]
 
 _TWO53INV = 1.0 / 9007199254740992.0  # 2**-53
-_BLOCK = 4096  # draws an active-reset window expects; a log stream's longest run
+_BLOCK = 4096  # draws an active-reset window expects; a pair stream's longest run
 
 _FAR = 1 << 62  # gate index sentinel: no further event of this kind
 _EMPTY = np.empty(0, np.int64)
@@ -69,12 +73,22 @@ def _logs(x):
     return np.log(((x >> 11) | 1) * _TWO53INV)
 
 
-def _log_stream(take):
-    """numpy's logs of the draws ``take`` gives, one at a time, taken in
-    runs of 1, 2, 4, ... up to ``_BLOCK`` draws."""
-    n = 1
+def _wholes(x):
+    """The whole parts of the non-negative ``x``, ``_FAR`` from 4e18 up."""
+    return np.where(x < 4.0e18, x, _FAR).astype(np.int64)
+
+
+def _pair_stream(take, detrap_gates, inv_lp_q):
+    """The draws ``take`` gives, one pair at a time, taken in runs of 2, 4,
+    ... up to ``_BLOCK`` draws: the first draw's log, a trap fill's release
+    delay from it, ``int(-detrap_gates * log) + 1``, and its count of
+    unmarked clicks from the second draw, ``int(inv_lp_q * log)``."""
+    n = 2
     while True:
-        yield from _logs(take(n)).tolist()
+        logs = _logs(take(n))
+        firsts = logs[0::2]
+        yield from zip(firsts.tolist(), (_wholes(firsts * -detrap_gates) + 1).tolist(),
+                       _wholes(logs[1::2] * inv_lp_q).tolist())
         n = min(2 * n, _BLOCK)
 
 
@@ -240,24 +254,13 @@ def gate_loop(n_gates, gates_per_pulse, p_photon, p_dark, q_ap, detrap_gates, is
     if is_lt:
         return _latched(n_gates, gates_per_pulse, p_photon, p_dark, q_ap, detrap_gates, dead_gates, seed)
     take = np.random.PCG64(seed).random_raw
-    step = _log_stream(take).__next__  # the trap marks' gaps, the delays, the ramp's draws
     push, pop, first_at = heapq.heappush, heapq.heappop, bisect.bisect_left
     rel = [_FAR]  # min-heap of pending release gates, over the sentinel
     inv_lp_q = _inv_log1m(q_ap)
-
-    def trapped(e):
-        """Queue the release of a carrier trapped at click ``e``, then draw
-        the clicks before the next trap fill, a geometric count."""
-        rg = e + int(-detrap_gates * step()) + 1  # the next whole gate, as under LT
-        if e + dead_gates <= rg < n_gates:
-            push(rel, rg)
-        gap = inv_lp_q * step()
-        return int(gap) if gap < 4.0e18 else _FAR
-
     # the trap marks of successive clicks are kept as a count of unmarked
     # clicks before the next marked one: a click costs a decrement
-    gap = inv_lp_q * step() if q_ap > 0.0 else 4.0e18
-    to_trap = int(gap) if gap < 4.0e18 else _FAR
+    to_trap = int(_wholes(inv_lp_q * _logs(take(1)))[0]) if q_ap > 0.0 else _FAR
+    pair = _pair_stream(take, detrap_gates, inv_lp_q).__next__  # trap fills, ramp draws
     # after an active reset the efficiency is below 1 until ramp_end
     ramp_end = ramp_start + ramp_len if ramp_len > 0.0 else -1.0
     clicks = array.array("q")
@@ -286,42 +289,60 @@ def gate_loop(n_gates, gates_per_pulse, p_photon, p_dark, q_ap, detrap_gates, is
             if dt < ramp_end:
                 # still recovering from an active reset: registered with the
                 # efficiency, or no avalanche at all
-                log_u = step()
+                log_u = pair()[0]
                 if dt <= ramp_start or log_u >= math.log((dt - ramp_start) / ramp_len):
                     pos = e + 1  # its fire is spent, the releases due there lost
                     i += f == e
                     continue
-            if f != e:
-                # a release registered: resume at the first fire past its
-                # hold-off, stepping on from the fire before it
-                add(e)
-                if to_trap:
-                    to_trap -= 1
+            # e registers, and so does each event after it until the window
+            # ends or an event is in the ramp: no draw decides them
+            while True:
+                if f != e:
+                    # a release registered: resume at the first fire past its
+                    # hold-off, stepping on from the fire before it
+                    add(e)
+                    if to_trap:
+                        to_trap -= 1
+                    else:
+                        # a trap fill: its carrier is lost in the hold-off,
+                        # or released at the next whole gate, as under LT
+                        _, delay, to_trap = pair()
+                        if delay >= dead_gates and e + delay < n_gates:
+                            push(rel, e + delay)
+                    last, pos = e, e + dead_gates
+                    i = after[i - 1] if i and after[i - 1] >= 0 else first_at(fire, pos, i)
+                    while fire[i] < pos:
+                        i += 1
+                    f = fire[i]
                 else:
-                    to_trap = trapped(e)
-                last, pos = e, e + dead_gates
-                i = after[i - 1] if i and after[i - 1] >= 0 else first_at(fire, pos, i)
-                while fire[i] < pos:
-                    i += 1
-                continue
-            # a fire registered: chase the first fire past each hold-off until
-            # a pending release comes first, lost in the hold-off or not, or
-            # that fire is in the ramp; the loop's top takes either from there
-            stop = r if r < w1 else w1 - 1
-            while f <= stop:
-                add(f)
-                if to_trap:
-                    to_trap -= 1
-                else:
-                    to_trap = trapped(f)
-                    if rel[0] < stop:
-                        stop = rel[0]
-                i = after[i]
-                f = fire[i]
-            last = clicks[-1]
-            pos = last + dead_gates
-            if i < 0:
-                i = first_at(fire, pos)
+                    # a fire registered: chase the first fire past each
+                    # hold-off until the window ends, a pending release comes
+                    # first (lost in the hold-off or not) or that fire is in
+                    # the ramp
+                    stop = r if r < w1 else w1 - 1
+                    while f <= stop:
+                        add(f)
+                        if to_trap:
+                            to_trap -= 1
+                        else:
+                            _, delay, to_trap = pair()
+                            if delay >= dead_gates and f + delay < n_gates:
+                                push(rel, f + delay)
+                                if rel[0] < stop:
+                                    stop = rel[0]
+                        i = after[i]
+                        f = fire[i]
+                    last = clicks[-1]
+                    pos = last + dead_gates
+                    if i < 0:
+                        i = first_at(fire, pos)
+                        break
+                while rel[0] < pos:
+                    pop(rel)  # lost in the hold-off
+                r = rel[0]
+                e = f if f <= r else r
+                if e >= w1 or e - last < ramp_end:
+                    break  # the loop's top takes the window's end or a ramp event
 
     return np.frombuffer(clicks, np.int64).copy(), 0
 

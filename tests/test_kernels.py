@@ -3,6 +3,7 @@ draws, and the helpers."""
 
 import dataclasses
 import hashlib
+import inspect
 import math
 import subprocess
 import sys
@@ -121,7 +122,7 @@ PINNED = {
 DIGESTS = {
     "lt": "522563a0c69acfdc0fd2d071b738d12ddde565290d3931e8827d2798ded74c44",
     "lt-ar-bethune": "5900af392549544681eb7f24dc73d74a6ea917465af6f5e0f45a137211c7b8bb",
-    "lt-ar-ramp": "78cf944450b0b392646f311eb3d000d6748f68bdba0477954f57df1f7dbb961d",
+    "lt-ar-ramp": "47b0c60d685df16df33502658b1d305414630c3689b097adda926edaf1f30392",
     "lt-dense": "70b193f82581f8e4086e6fef0d80ca4c031d14a2a2f0031669b98f718533f160",
     "lt-ar-long-hold": "a177653fab967f313a41ed0db3b7070a804e0ead1f1ce33c9c915cb2fca8281d",
     "q0": "5188fc71fd97ec2baba2c3c9c4aa5dc863270c66e5640de747cc984aa99bb871",
@@ -129,8 +130,8 @@ DIGESTS = {
     "p-photon-1": "20d2c64234190c848406c64f822a691638a53a9fee10e24cd6f3c4eb00980ccb",
     "p-photon-0.9": "d5ac124445762f0e1bff44ed8cd5dec44fb18a78330e2e37e7904ecd7ac08757",
     "laser-every-gate": "5dec9e2e9ba2b3500f58e8985898afbb963ed37ff8b49f97ee0517c78b295587",
-    "no-dark": "6a9a13adbc53d90e3965435ae633b04ceb19f370828e3bf362eee5ce8674e0e8",
-    "lt-ar-ramp-half-rate": "3373838cbe69794f08eb536386bd71f395bc8ca87d4250c0a2aaad74d7e2f710",
+    "no-dark": "12a48a02cac237e00ca8650250e899fcdc9e586b165dfe36ba79adc0c031d8f7",
+    "lt-ar-ramp-half-rate": "06e776d469c4859781213ca9f6b59f56125c4ee87a51438324cbbc332f020a77",
     "lt-ar-10khz": "5fa6dbe828cefd188561d9f6b233ee35770c72e53bb14cf4a85ab1f366afa6ef",
 }
 # the sha256 of the "lt-ar-10khz" run's sweep histogram (the CLI's 25 us
@@ -327,6 +328,104 @@ def test_logs_map_raw_pcg64_draws():
     logs = np.array([np.log((float(int(x) >> 12) + 0.5) * 2.0**-52) for x in block])
     assert np.array_equal(_kernels._logs(block), logs)
     assert np.all(logs < 0.0)
+
+
+def _recording(take):
+    """``take``, and the list of the request sizes it is called with."""
+    sizes = []
+
+    def recorded(n):
+        sizes.append(n)
+        return take(n)
+
+    return recorded, sizes
+
+
+@pytest.mark.parametrize("detrap_gates,q_ap", [(312.5, 0.2), (0.7, 0.9), (1e18, 1e-30)],
+                         ids=["dense-compare", "short-delay", "far"])
+def test_pair_stream_takes_the_scalar_formulas(detrap_gates, q_ap):
+    # each pair is what the active-reset loop once worked out from two
+    # logs in Python: the release delay int(-d * log) + 1, and the count of
+    # unmarked clicks int(inv * log), both _FAR from 4e18 up.  At d = 1e18
+    # about one delay in 50 is that far, past any run, and at q = 1e-30
+    # every count is
+    inv = _kernels._inv_log1m(q_ap)
+    take, sizes = _recording(np.random.PCG64(38).random_raw)
+    pairs = _kernels._pair_stream(take, detrap_gates, inv)
+    got = [next(pairs) for _ in range(_kernels._BLOCK + 5)]
+    logs = _kernels._logs(np.random.PCG64(38).random_raw(sum(sizes))).tolist()
+    whole = lambda x: int(x) if x < 4.0e18 else _kernels._FAR
+    for k, (log, delay, gap) in enumerate(got):
+        assert log == logs[2 * k]
+        assert delay == whole(-detrap_gates * logs[2 * k]) + 1
+        assert gap == whole(inv * logs[2 * k + 1])
+        assert type(delay) is int and type(gap) is int
+    far = [(delay > _kernels._FAR, gap == _kernels._FAR) for _, delay, gap in got]
+    if q_ap < 1e-10:
+        assert 0 < sum(d for d, _ in far) < len(far) and all(g for _, g in far)
+    else:
+        assert not any(d or g for d, g in far)
+
+
+def test_pair_stream_takes_doubling_runs_of_whole_pairs():
+    # 2, 4, ... up to _BLOCK draws, the runs a stream of single logs took
+    # after its first draw: with a trap fill's two draws taken from one run,
+    # a run with no ramp draw takes the same draws at the same moments
+    take, sizes = _recording(np.random.PCG64(1).random_raw)
+    pairs = _kernels._pair_stream(take, 312.5, _kernels._inv_log1m(0.2))
+    for _ in range(2047 + 2 * 2048):  # the pairs of runs up to 4096 draws, and one more
+        next(pairs)
+    assert sizes == [2 << k for k in range(12)] + [4096]
+    assert _kernels._BLOCK == 4096
+
+
+def _settled_releases(cfg):
+    """Counts of what the chase does with a pending release in ``cfg``'s
+    run, traced line by line: popped as lost in the hold-off, registered,
+    or left to the loop's top inside the ramp."""
+    lines, first = inspect.getsourcelines(_kernels.gate_loop)
+
+    def at(text):
+        (k,) = [k for k, line in enumerate(lines) if text in line]
+        return first + k
+
+    top, tail = at("dt = e - last"), at("if e >= w1 or e - last < ramp_end")
+    registered, lost, leaves = at("add(e)"), at("pop(rel)  # lost in the hold-off"), tail + 1
+    counts = {"lost": 0, "registered": 0, "ramp": 0}
+    in_chase = False
+
+    def trace_line(frame, event, _):
+        nonlocal in_chase
+        if event == "line":
+            line = frame.f_lineno
+            if line in (top, tail):
+                in_chase = line == tail  # the chase goes on past its tail
+            elif line == lost:
+                counts["lost"] += 1
+            elif line == registered and in_chase:
+                counts["registered"] += 1
+            elif line == leaves:
+                e, f, w1 = (frame.f_locals[name] for name in ("e", "f", "w1"))
+                counts["ramp"] += e != f and e < w1
+        return trace_line
+
+    code = _kernels.gate_loop.__code__
+    sys.settrace(lambda frame, *_: trace_line if frame.f_code is code else None)
+    try:
+        _kernels.gate_loop(*gate_loop_args(cfg))
+    finally:
+        sys.settrace(None)
+    return counts
+
+
+def test_pinned_trains_settle_releases_in_the_chase():
+    # the pinned trains take every branch of the chase's pending release:
+    # one lost in the hold-off is popped and the chase goes on, one past
+    # the hold-off and the ramp registers there, and one inside the ramp
+    # leaves the chase for its draw at the loop's top
+    bethune = _settled_releases(PINNED["lt-ar-bethune"])
+    assert bethune["lost"] > 0 and bethune["registered"] > 0 and bethune["ramp"] == 0
+    assert min(_settled_releases(PINNED["lt-ar-ramp-half-rate"]).values()) > 0
 
 
 @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
