@@ -233,6 +233,9 @@ def load_config(path: str | Path) -> Config:
     if scheme not in {kind.value for kind in SchemeKind}:
         allowed = ", ".join(kind.value for kind in SchemeKind)
         raise ConfigError(f"{path}: key 'scheme' in [deadtime]: {scheme!r} is not one of {allowed}")
+    if cfg["estimation", "yuan_gate_index"] < 1:
+        raise ConfigError(f"{path}: key 'yuan_gate_index' in [estimation]: must be >= 1, "
+                          f"got {cfg['estimation', 'yuan_gate_index']}")
     _check_sweep(cfg, path)
     return cfg
 
@@ -372,9 +375,13 @@ def cmd_compare(args) -> int:
     base = sim_config(cfg, seed=args.seed)
     _refuse_sweep_past_the_next_pulse(cfg, base)
     _refuse_dead_time_in_the_window(cfg, base.scheme.tau_s, f"{args.config}: [deadtime]")
+    yuan_gate = cfg[("estimation", "yuan_gate_index")]
+    if not 1 <= yuan_gate < _FOLDED["yuan"]:
+        raise ConfigError(f"{args.config}: key 'yuan_gate_index' in [estimation]: must be in "
+                          f"[1, {_FOLDED['yuan']}), the gates of a laser period in compare's Yuan "
+                          f"runs, got {yuan_gate}")
     if not args.mu:
         raise ConfigError("--mu must list at least one pulse energy")
-    yuan_gate = cfg[("estimation", "yuan_gate_index")]
     rows = []
     # (gates per period, mu index) -> lit and dark folds, on the first method's streams
     pairs: dict[tuple[int, int], list[Histogram]] = {}

@@ -1304,16 +1304,55 @@ class TestFoldedRefusals:
         assert (code, out) == (EXIT_CONFIG, "")
         assert err == f"afterpulse: method '{method}' needs --dark HISTOGRAM\n"
 
-    def test_compare_names_the_method_and_mu(self, tmp_path, capsys):
-        # compare's Yuan runs fold 50 gates a period, so gate 50 is past it
+    def test_compare_names_the_method_and_mu(self, tmp_path, capsys, monkeypatch):
+        def refuse(lit, dark, ni_gate_index):
+            raise DegenerateDataError("coincident rate does not exceed the designated gate rate")
+
+        monkeypatch.setattr(cli, "estimate_yuan", refuse)
         cfg = tmp_path / "c.ini"
-        cfg.write_text(SHORT_SWEEP.replace("n_gates = 2000000", "n_gates = 1000000")
-                       + "yuan_gate_index = 50\n")
+        cfg.write_text(SHORT_SWEEP.replace("n_gates = 2000000", "n_gates = 1000000"))
         out = tmp_path / "cmp.csv"
         code, stdout, err = run_cli(capsys, "compare", "--config", cfg, "--mu", "1",
                                     "--out", out)
         assert (code, stdout) == (EXIT_NUMERIC, "")
-        assert err == "afterpulse: yuan, mu = 1.0: ni_gate_index must be in [1, 50), got 50\n"
+        assert err == ("afterpulse: yuan, mu = 1.0: coincident rate does not exceed the "
+                       "designated gate rate\n")
+        assert not out.exists()
+
+    def test_compare_refuses_a_yuan_gate_past_its_fold_before_any_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # compare's Yuan runs fold 50 gates a period, so gate 50 is past it
+        runs = []
+        monkeypatch.setattr(cli, "run_simulation", runs.append)
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(SHORT_SWEEP + "yuan_gate_index = 50\n")
+        out = tmp_path / "cmp.csv"
+        code, stdout, err = run_cli(capsys, "compare", "--config", cfg, "--mu", "1",
+                                    "--out", out)
+        assert (code, stdout) == (EXIT_CONFIG, "")
+        assert err == (f"afterpulse: {cfg}: key 'yuan_gate_index' in [estimation]: must be in "
+                       "[1, 50), the gates of a laser period in compare's Yuan runs, got 50\n")
+        assert runs == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("gate", [0, -3])
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("simulate", ()), ("compare", ("--mu", "1")), ("sweep-deadtime", ("--tau", "1e-6"))],
+    )
+    def test_a_yuan_gate_below_1_is_refused_at_load(self, tmp_path, capsys, monkeypatch, gate,
+                                                    command, extra):
+        runs = []
+        monkeypatch.setattr(cli, "run_simulation", runs.append)
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[estimation]\nyuan_gate_index = {gate}\n")
+        out = tmp_path / "o.csv"
+        code, stdout, err = run_cli(capsys, command, "--config", cfg, "--out", out, *extra)
+        assert (code, stdout) == (EXIT_CONFIG, "")
+        assert err == (f"afterpulse: {cfg}: key 'yuan_gate_index' in [estimation]: "
+                       f"must be >= 1, got {gate}\n")
+        assert runs == []
         assert not out.exists()
 
 
