@@ -376,7 +376,7 @@ def cmd_compare(args) -> int:
     _refuse_sweep_past_the_next_pulse(cfg, base)
     _refuse_dead_time_in_the_window(cfg, base.scheme.tau_s, f"{args.config}: [deadtime]")
     yuan_gate = cfg[("estimation", "yuan_gate_index")]
-    if not 1 <= yuan_gate < _FOLDED["yuan"]:
+    if yuan_gate >= _FOLDED["yuan"]:  # load_config refused one below 1
         raise ConfigError(f"{args.config}: key 'yuan_gate_index' in [estimation]: must be in "
                           f"[1, {_FOLDED['yuan']}), the gates of a laser period in compare's Yuan "
                           f"runs, got {yuan_gate}")
