@@ -347,8 +347,8 @@ def test_pair_stream_takes_the_scalar_formulas(detrap_gates, q_ap):
     # each pair is what the active-reset loop once worked out from two
     # logs in Python: the release delay int(-d * log) + 1, and the count of
     # unmarked clicks int(inv * log), both _FAR from 4e18 up.  At d = 1e18
-    # about one delay in 50 is that far, past any run, and at q = 1e-30
-    # every count is
+    # about one delay in 55 is that far, past any run; at q = 1e-30 every
+    # count is
     inv = _kernels._inv_log1m(q_ap)
     take, sizes = _recording(np.random.PCG64(38).random_raw)
     pairs = _kernels._pair_stream(take, detrap_gates, inv)
